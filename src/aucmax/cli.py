@@ -142,12 +142,7 @@ def _cmd_gen_data(args) -> int:
             if cfg["data.noise_rate"] > 0:
                 data = inject_noise(data, removed, cfg["data.noise_rate"], seed + 1)
     else:
-        setting = _data_setting(cfg)
-        if setting.easy_frac > 0:
-            # the easy-injection scorer needs a model; reuse the configured one
-            data, _ = prepare_data(setting, seed, model_for_scoring=cfg.model_spec(2))
-        else:
-            data, _ = prepare_data(setting, seed)
+        data, _ = prepare_data(_data_setting(cfg), seed)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{cfg['run.name']}_s{seed}.csv")
     save_csv(data, path)
@@ -187,22 +182,11 @@ def _cmd_train(args) -> int:
     summary = experiments.run_scenario(scenario)
     print(summary.as_text())
 
-    # persist the trained model of the first seed for `eval`
-    model_spec = scenario.model_spec()
-    train, test = prepare_data(scenario.data, seeds[0])
-    params0 = init_params(model_spec, experiments.derive_seed(seeds[0], 10),
-                          scenario.init_scale)
-    spec = scenario.losses[0].surrogate(train.p)
-    batch_seed = experiments.derive_seed(seeds[0], 11)
-    if spec.kind in ("auc_square", "auc_margin"):
-        params, _, _ = pesg_train(model_spec, params0, train, spec,
-                                  scenario.losses[0].pesg, scenario.epochs,
-                                  scenario.batch_size, batch_seed, test)
-    else:
-        params, _ = sgd_train(model_spec, params0, train, spec,
-                              scenario.losses[0].sgd, batch_seed, test)
-    mpath = os.path.join(args.out, f"{cfg['run.name']}_{spec.kind}_s{seeds[0]}.model")
-    save_model(mpath, model_spec, params)
+    # persist the trained model of the first seed and loss for `eval`
+    first = summary.cells[0]
+    kind = scenario.losses[0].kind
+    mpath = os.path.join(args.out, f"{cfg['run.name']}_{kind}_s{first.seed}.model")
+    save_model(mpath, scenario.model_spec(), first.params)
     print(f"saved model to {mpath}")
     return 0
 

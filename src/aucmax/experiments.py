@@ -148,6 +148,7 @@ class CellResult:
     final_test_auc: float
     data_hash: str
     records: list[RunRecord]
+    params: np.ndarray = field(repr=False)
 
 
 @dataclass
@@ -227,18 +228,21 @@ def prepare_data(setting: DataSetting, seed: int, model_for_scoring: ModelSpec |
 
 def _train_one(model_spec: ModelSpec, params0: np.ndarray, train: Dataset, test: Dataset,
                setting: LossSetting, epochs: int, batch_size: int, seed: int
-               ) -> list[RunRecord]:
-    """Train one loss from the given start; batch order depends only on ``seed``."""
+               ) -> tuple[np.ndarray, list[RunRecord]]:
+    """Train one loss from the given start; batch order depends only on ``seed``.
+
+    Returns the final params and the per-epoch records.
+    """
     batch_seed = derive_seed(seed, 11)
     spec = setting.surrogate(train.p)
     if setting.kind in ("auc_square", "auc_margin"):
-        _, _, records = pesg_train(model_spec, params0.copy(), train, spec, setting.pesg,
-                                   epochs, batch_size, batch_seed, test)
+        params, _, records = pesg_train(model_spec, params0.copy(), train, spec,
+                                        setting.pesg, epochs, batch_size, batch_seed, test)
     else:
         sgd_cfg = replace(setting.sgd, epochs=epochs, batch_size=batch_size)
-        _, records = sgd_train(model_spec, params0.copy(), train, spec, sgd_cfg,
-                               batch_seed, test)
-    return records
+        params, records = sgd_train(model_spec, params0.copy(), train, spec, sgd_cfg,
+                                    batch_seed, test)
+    return params, records
 
 
 def _cell_start(cfg: ScenarioConfig, model_spec: ModelSpec, train: Dataset, seed: int
@@ -262,10 +266,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioSummary:
         dhash = dataset_hash(train)
         params0 = _cell_start(cfg, model_spec, train, seed)
         for setting in cfg.losses:
-            records = _train_one(model_spec, params0, train, test, setting,
-                                 cfg.epochs, cfg.batch_size, seed)
+            params, records = _train_one(model_spec, params0, train, test, setting,
+                                         cfg.epochs, cfg.batch_size, seed)
             final = records[-1].test_auc if records else float("nan")
-            cells.append(CellResult(setting.label, seed, final, dhash, records))
+            cells.append(CellResult(setting.label, seed, final, dhash, records, params))
     summary = ScenarioSummary(cfg.name, cells)
     if cfg.outputs:
         write_outputs(cfg, summary)

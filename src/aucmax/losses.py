@@ -40,7 +40,7 @@ __all__ = [
 BSN_EPS = 1e-12
 
 AUC_KINDS = ("auc_square", "auc_margin")
-ALL_KINDS = AUC_KINDS + ("cross_entropy", "focal", "pairwise_square_oracle")
+ALL_KINDS = AUC_KINDS + ("cross_entropy", "focal")
 
 
 @dataclass
@@ -117,7 +117,7 @@ def _check_batch(scores, labels):
         raise ValidationError(f"scores {s.shape} and labels {y.shape} differ in length")
     if s.size == 0:
         raise ValidationError("empty batch")
-    if not np.all(np.isin(y, (-1, 1))):
+    if np.count_nonzero(y == 1) + np.count_nonzero(y == -1) != y.size:
         raise ValidationError("labels must be +1 or -1")
     return s, y.astype(np.float64)
 
@@ -172,53 +172,50 @@ def optimal_aux(scores_pos, scores_neg, loss: str = "square", m: float = 1.0) ->
     return AuxVars(a=a, b=b, alpha=alpha)
 
 
-def _minmax_terms(y, spec: SurrogateSpec):
+def _minmax_terms(scores, labels, aux: AuxVars, spec: SurrogateSpec, caller: str):
+    """Validated inputs and the shared terms of the min-max objective.
+
+    Returns (pos, neg, alpha, s - a, s - b, inner, value), where ``inner``
+    is the per-sample factor of 2 alpha and ``value`` the batch mean.
+    """
+    if spec.kind not in AUC_KINDS:
+        raise ValidationError(f"{caller} needs an AUC surrogate, got {spec.kind!r}")
+    s, y = _check_batch(scores, labels)
+    p, m = spec.p, spec.effective_margin
     pos = y > 0
     neg = ~pos
-    return spec.p, spec.effective_margin, pos, neg
+    # numpy scalars so a diverging run overflows to inf instead of raising
+    a, b, alpha = np.float64(aux.a), np.float64(aux.b), np.float64(aux.alpha)
+    d_a = s - a
+    d_b = s - b
+    inner = p * (1 - p) * m + p * s * neg - (1 - p) * s * pos
+    per = (
+        (1 - p) * d_a**2 * pos
+        + p * d_b**2 * neg
+        - p * (1 - p) * alpha**2
+        + 2 * alpha * inner
+    )
+    return pos, neg, alpha, d_a, d_b, inner, float(per.mean())
 
 
 def minmax_value(scores, labels, aux: AuxVars, spec: SurrogateSpec) -> float:
     """Batch mean of the decomposable per-sample min-max objective."""
-    if spec.kind not in AUC_KINDS:
-        raise ValidationError(f"minmax_value needs an AUC surrogate, got {spec.kind!r}")
-    s, y = _check_batch(scores, labels)
-    p, m, pos, neg = _minmax_terms(y, spec)
-    # numpy scalars so a diverging run overflows to inf instead of raising
-    a, b, alpha = np.float64(aux.a), np.float64(aux.b), np.float64(aux.alpha)
-    per = (
-        (1 - p) * (s - a) ** 2 * pos
-        + p * (s - b) ** 2 * neg
-        - p * (1 - p) * alpha**2
-        + 2 * alpha * (p * (1 - p) * m + p * s * neg - (1 - p) * s * pos)
-    )
-    return float(per.mean())
+    return _minmax_terms(scores, labels, aux, spec, "minmax_value")[-1]
 
 
 def minmax_grads(scores, labels, aux: AuxVars, spec: SurrogateSpec) -> MinMaxGrads:
     """Exact gradients of minmax_value w.r.t. scores, a, b and alpha."""
-    if spec.kind not in AUC_KINDS:
-        raise ValidationError(f"minmax_grads needs an AUC surrogate, got {spec.kind!r}")
-    s, y = _check_batch(scores, labels)
-    p, m, pos, neg = _minmax_terms(y, spec)
-    a, b, alpha = np.float64(aux.a), np.float64(aux.b), np.float64(aux.alpha)
-    n = s.size
+    pos, neg, alpha, d_a, d_b, inner, value = _minmax_terms(
+        scores, labels, aux, spec, "minmax_grads")
+    p = spec.p
+    n = d_a.size
     g_coeffs = (
-        2 * (1 - p) * (s - a - alpha) * pos + 2 * p * (s - b + alpha) * neg
+        2 * (1 - p) * (d_a - alpha) * pos + 2 * p * (d_b + alpha) * neg
     ) / n
-    g_a = float(np.sum(-2 * (1 - p) * (s - a) * pos) / n)
-    g_b = float(np.sum(-2 * p * (s - b) * neg) / n)
-    g_alpha = float(
-        np.mean(2 * (p * (1 - p) * m + p * s * neg - (1 - p) * s * pos))
-        - 2 * p * (1 - p) * alpha
-    )
-    return MinMaxGrads(
-        g_coeffs=g_coeffs,
-        g_a=g_a,
-        g_b=g_b,
-        g_alpha=g_alpha,
-        value=minmax_value(s, y, aux, spec),
-    )
+    g_a = float(np.sum(-2 * (1 - p) * d_a * pos) / n)
+    g_b = float(np.sum(-2 * p * d_b * neg) / n)
+    g_alpha = float(np.mean(2 * inner) - 2 * p * (1 - p) * alpha)
+    return MinMaxGrads(g_coeffs=g_coeffs, g_a=g_a, g_b=g_b, g_alpha=g_alpha, value=value)
 
 
 def batch_score_normalize(scores) -> np.ndarray:

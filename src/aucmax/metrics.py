@@ -1,4 +1,4 @@
-"""Exact AUC (rank-sum form of the Wilcoxon-Mann-Whitney statistic),
+"""Exact AUC (the Wilcoxon-Mann-Whitney statistic, counted from one sort),
 thresholded accuracy, and a small demonstration of how AUC reacts to rank
 changes that leave accuracy untouched.
 """
@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ValidationError
 
@@ -28,17 +27,17 @@ def _as_scored(scores, labels):
     y = np.asarray(labels).ravel()
     if s.shape != y.shape:
         raise ValidationError(f"scores {s.shape} and labels {y.shape} differ in length")
-    if not np.all(np.isin(y, (-1, 1))):
+    if np.count_nonzero(y == 1) + np.count_nonzero(y == -1) != y.size:
         raise ValidationError("labels must be +1 or -1")
     return s, y
 
 
 def auc_score(scores, labels, tie_policy: str = "half") -> AucResult:
-    """AUC in O(n log n) via rank sums.
+    """AUC in O(n log n) from one sort of the scores.
 
     ``half`` scores tied pairs 0.5 (the standard WMW statistic); ``geq``
     scores them 1, i.e. the literal probability that a positive ranks at
-    least as high as a negative.
+    least as high as a negative. Any NaN score makes the AUC NaN.
     """
     if tie_policy not in ("half", "geq"):
         raise ValidationError(f"tie_policy must be 'half' or 'geq', got {tie_policy!r}")
@@ -49,21 +48,34 @@ def auc_score(scores, labels, tie_policy: str = "half") -> AucResult:
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("AUC needs at least one sample of each class")
 
-    # u is exactly (#wins + 0.5 #ties): rank sums of half-integers are exact
-    # in double precision at these sizes
-    ranks = rankdata(s, method="average")
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    order = np.argsort(s)
+    s_sorted = s[order]
+    # groups of equal scores in sorted order; NaNs sort last and, as in
+    # np.unique, form one group of their own
+    starts = np.empty(s.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(s_sorted[1:], s_sorted[:-1], out=starts[1:])
+    has_nan = bool(np.isnan(s_sorted[-1]))
+    if has_nan:
+        starts[int(np.argmax(np.isnan(s_sorted))) + 1:] = False
+    first = np.flatnonzero(starts)
+    # positives before each group's first sample and before its end
+    pos_cum = np.concatenate(([0], np.cumsum(pos[order])))
+    pos_before = pos_cum[first]
+    pos_in = np.diff(np.append(pos_before, n_pos))
+    neg_in = np.diff(np.append(first, s.size)) - pos_in
+    neg_before = first - pos_before
 
-    # pairs tied across classes, grouped by distinct score value
-    vals, inv = np.unique(s, return_inverse=True)
-    pos_counts = np.bincount(inv[pos], minlength=vals.size)
-    neg_counts = np.bincount(inv[~pos], minlength=vals.size)
-    tie_pairs = float(np.dot(pos_counts, neg_counts))
+    # exact integer pair counts; the AUC is one rounding of their ratio
+    tie_pairs = float(np.dot(pos_in, neg_in))
+    wins = float(np.dot(pos_in, neg_before))
     tie_mass = tie_pairs / (n_pos * n_neg)
-
-    numerator = u if tie_policy == "half" else u + 0.5 * tie_pairs
-    return AucResult(auc=float(numerator / (n_pos * n_neg)),
-                     n_pos=n_pos, n_neg=n_neg, tie_mass=tie_mass)
+    if has_nan:
+        auc = float("nan")
+    else:
+        numerator = wins + (0.5 if tie_policy == "half" else 1.0) * tie_pairs
+        auc = numerator / (n_pos * n_neg)
+    return AucResult(auc=auc, n_pos=n_pos, n_neg=n_neg, tie_mass=tie_mass)
 
 
 def accuracy(scores, labels, threshold: float = 0.5) -> float:

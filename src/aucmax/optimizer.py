@@ -12,6 +12,7 @@ average of the primal iterates of the stage that just ended.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,11 +118,16 @@ def _require_finite(name: str, value) -> None:
         raise NumericalError(f"non-finite {name} encountered; aborting run")
 
 
+def _require_finite_scalars(name: str, *values) -> None:
+    if not all(map(math.isfinite, values)):
+        raise NumericalError(f"non-finite {name} encountered; aborting run")
+
+
 def pesg_step(state: MinMaxState, model_grad: np.ndarray, grads: MinMaxGrads,
               cfg: PesgConfig) -> MinMaxState:
     """One primal-descent / dual-ascent update, in place."""
     _require_finite("model gradient", model_grad)
-    _require_finite("aux gradients", [grads.g_a, grads.g_b, grads.g_alpha])
+    _require_finite_scalars("aux gradients", grads.g_a, grads.g_b, grads.g_alpha)
     eta = state.eta
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -139,7 +145,7 @@ def pesg_step(state: MinMaxState, model_grad: np.ndarray, grads: MinMaxGrads,
         alpha = np.float64(state.aux.alpha) + eta * grads.g_alpha
     if cfg.project_alpha:
         alpha = max(0.0, alpha)
-    _require_finite("updated aux variables", [a, b, alpha])
+    _require_finite_scalars("updated aux variables", a, b, alpha)
     state.aux = AuxVars(a=float(a), b=float(b), alpha=float(alpha))
 
     state.sum_params += w

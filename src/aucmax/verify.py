@@ -194,9 +194,9 @@ def auc_pair_count(scores, labels, tie_policy: str = "half") -> float:
     sn = s[y < 0]
     if sp.size == 0 or sn.size == 0:
         raise ValidationError("AUC needs at least one sample of each class")
-    diff = sp[:, None] - sn[None, :]
-    wins = float(np.sum(diff > 0))
-    ties = float(np.sum(diff == 0))
+    # compare, not subtract: inf - inf is NaN, and tied infinities are ties
+    wins = float(np.sum(sp[:, None] > sn[None, :]))
+    ties = float(np.sum(sp[:, None] == sn[None, :]))
     tie_credit = 0.5 if tie_policy == "half" else 1.0
     return (wins + tie_credit * ties) / (sp.size * sn.size)
 

@@ -2,9 +2,12 @@ import pytest
 
 from aucmax.cli import main
 from aucmax.config import KEYS, parse_config
-from aucmax.data import load_csv
+from aucmax.data import dataset_hash, load_csv
 from aucmax.errors import ValidationError
-from aucmax.models import load_model
+from aucmax.experiments import DataSetting, derive_seed, prepare_data
+from aucmax.losses import SurrogateSpec
+from aucmax.models import ModelSpec, init_params, load_model, save_model
+from aucmax.optimizer import PesgConfig, pesg_train
 
 
 class TestConfigParsing:
@@ -64,6 +67,32 @@ class TestCliCommands:
         data = load_csv(path)
         assert len(data) == 80
         assert "wrote" in capsys.readouterr().out
+
+    def test_gen_data_draws_the_dataset_train_trains_on(self, tmp_path, capsys):
+        # easy injection is scored by prepare_data's own scorer, whatever model.kind is
+        cfg = tmp_path / "easy.cfg"
+        cfg.write_text("data.easy_frac = 0.2\ndata.imratio = 0.05\nmodel.kind = linear\n")
+        rc = main(["gen-data", "--config", str(cfg), "--seed", "0",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        printed = capsys.readouterr().out.split("hash=")[1].split(")")[0]
+        train, _ = prepare_data(DataSetting(imratio=0.05, easy_frac=0.2), 0)
+        assert printed == dataset_hash(train)
+
+    def test_train_saves_the_model_of_the_first_seed(self, tmp_path, toy_config, capsys):
+        out = tmp_path / "out"
+        rc = main(["train", "--config", str(toy_config), "--seed", "0", "--out", str(out)])
+        assert rc == 0
+        train, test = prepare_data(
+            DataSetting(n_pos=40, n_neg=40, test_n_pos=30, test_n_neg=120), 0)
+        spec = ModelSpec("linear", 2)
+        params0 = init_params(spec, derive_seed(0, 10), 0.1)
+        params, _, _ = pesg_train(
+            spec, params0, train, SurrogateSpec("auc_margin", p=train.p, m=0.5),
+            PesgConfig(project_alpha=True), 3, 16, derive_seed(0, 11), test)
+        save_model(tmp_path / "explicit.model", spec, params)
+        saved = (out / "smoke_auc_margin_s0.model").read_bytes()
+        assert saved == (tmp_path / "explicit.model").read_bytes()
 
     def test_train_writes_metrics_model_and_summary(self, tmp_path, toy_config, capsys):
         out = tmp_path / "out"

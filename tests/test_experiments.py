@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,11 @@ from aucmax.experiments import (
     ablate_bsn,
     ablate_margin,
     ablate_noise_easy,
+    alpha_constraint_scenario,
     auc_margin,
     auc_square,
     emit_plot,
+    noise_robustness_scenario,
     prepare_data,
     read_metrics_csv,
     records_to_csv,
@@ -276,3 +280,24 @@ class TestBoundaryContour:
         for p1, p2 in segs:
             assert abs(score_fn(np.array([p1]))[0]) < 1e-3
             assert abs(score_fn(np.array([p2]))[0]) < 1e-3
+
+
+# sha256 of each metrics CSV of the canonical scenarios at seed 0 (computed on
+# x86-64 with numpy 2.4 and OpenBLAS). A change that must keep every output
+# bit leaves them unchanged; only a change meant to alter the numbers updates them.
+GOLDEN_METRICS_SHA256 = {
+    "noise_robustness_auc_square_s0.csv":
+        "0918604cc8cf35b7e50e6e5abb2da4167d848532c565a62417ae43c8d5074f98",
+    "noise_robustness_auc_margin_s0.csv":
+        "0987bd84fcf781de15f48c7fdc577a5c71d4c3f318af975b93e6e025b6f7b0d5",
+    "alpha_constraint_auc_margin_s0.csv":
+        "4069b3517fa7e3e6a5d1a2af4b11b7b9bc8621bf680bf54be9b2c93eda097fdf",
+}
+
+
+def test_canonical_metrics_csvs_match_golden_hashes(tmp_path):
+    for make in (noise_robustness_scenario, alpha_constraint_scenario):
+        run_scenario(make(seeds=[0], outputs=str(tmp_path)))
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in GOLDEN_METRICS_SHA256}
+    assert got == GOLDEN_METRICS_SHA256

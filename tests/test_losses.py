@@ -195,6 +195,16 @@ class TestMinMaxGrads:
             analytic = np.concatenate([g.g_coeffs, [g.g_a, g.g_b, g.g_alpha]])
             assert np.max(np.abs(analytic - fd) / (1 + np.abs(fd))) < 1e-6
 
+    def test_value_equals_minmax_value_exactly(self):
+        rng = np.random.default_rng(8)
+        for kind in ("auc_square", "auc_margin"):
+            spec = SurrogateSpec(kind, p=0.2, m=0.4)
+            for _ in range(20):
+                scores, labels = _random_batch(rng)
+                aux = AuxVars(*rng.normal(size=3))
+                g = minmax_grads(scores, labels, aux, spec)
+                assert g.value == minmax_value(scores, labels, aux, spec)
+
     def test_sign_property_wide_gap_pulls_to_class_means(self):
         # when the gap exceeds the margin (alpha*=0), coefficients reduce to
         # pure pulls toward each class's mean score
@@ -306,5 +316,24 @@ def test_surrogate_spec_validation():
         SurrogateSpec("auc_margin", p=0.5, m=0.0)
     with pytest.raises(ValidationError):
         SurrogateSpec("hinge", p=0.5)
+    with pytest.raises(ValidationError):
+        SurrogateSpec("pairwise_square_oracle", p=0.5)
     assert SurrogateSpec("auc_square", p=0.5).effective_margin == 1.0
     assert SurrogateSpec("auc_margin", p=0.5, m=0.3).effective_margin == 0.3
+
+
+_LOSS_CALLS = {
+    "minmax_grads": lambda s, y: minmax_grads(s, y, AuxVars(), SurrogateSpec("auc_square", p=0.5)),
+    "minmax_value": lambda s, y: minmax_value(s, y, AuxVars(), SurrogateSpec("auc_margin", p=0.5)),
+    "cross_entropy": cross_entropy_loss_and_coeffs,
+    "focal": lambda s, y: focal_loss_and_coeffs(s, y, 0.25, 2.0),
+}
+
+
+@pytest.mark.parametrize("bad", [0, 2, 0.5, float("nan")])
+@pytest.mark.parametrize("name", sorted(_LOSS_CALLS))
+def test_labels_other_than_plus_minus_one_rejected(name, bad):
+    call = _LOSS_CALLS[name]
+    call(np.array([0.3, -0.2, 0.1]), np.array([1.0, -1.0, 1.0]))
+    with pytest.raises(ValidationError, match="labels must be"):
+        call(np.array([0.3, -0.2, 0.1]), np.array([1.0, -1.0, bad]))

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aucmax
 from aucmax.errors import ValidationError
 from aucmax.metrics import accuracy, auc_score, auc_sensitivity_demo
 from aucmax.verify import auc_pair_count
@@ -75,6 +80,30 @@ class TestAucScore:
         assert (res.n_pos, res.n_neg) == (2, 2)
         assert res.tie_mass == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("policy", ["half", "geq"])
+    def test_any_nan_score_gives_nan(self, policy):
+        res = auc_score([0.1, np.nan, 0.3, 0.2], [1, -1, 1, -1], tie_policy=policy)
+        assert np.isnan(res.auc)
+        assert res.tie_mass == 0.0
+        # NaNs of both classes count as one tied group, as np.unique groups them
+        res = auc_score([np.nan, np.nan, 0.3, 0.2], [1, -1, 1, -1], tie_policy=policy)
+        assert np.isnan(res.auc)
+        assert res.tie_mass == 0.25
+
+    def test_ties_with_infinities_equal_pair_count(self):
+        rng = np.random.default_rng(5)
+        values = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, np.inf])
+        for _ in range(200):
+            n = int(rng.integers(2, 25))
+            scores = rng.choice(values, n)
+            labels = rng.choice([1, -1], n)
+            labels[:2] = (1, -1)
+            for policy in ("half", "geq"):
+                res = auc_score(scores, labels, tie_policy=policy)
+                assert res.auc == auc_pair_count(scores, labels, tie_policy=policy)
+                ties = np.sum(scores[labels > 0][:, None] == scores[labels < 0][None, :])
+                assert res.tie_mass == ties / (res.n_pos * res.n_neg)
+
 
 class TestIllustrationInstance:
     """25 samples, 3 positives perfectly ranked, two negatives over threshold."""
@@ -136,3 +165,21 @@ class TestSensitivityDemo:
         csv = rep.as_csv()
         assert csv.startswith("case,accuracy,auc")
         assert len(csv.strip().splitlines()) == 4
+
+
+@pytest.mark.parametrize("bad", [0, 2, 0.5, float("nan")])
+@pytest.mark.parametrize("metric", [auc_score, accuracy])
+def test_labels_other_than_plus_minus_one_rejected(metric, bad):
+    metric([0.3, -0.2, 0.1], [1, -1, 1])
+    with pytest.raises(ValidationError, match="labels must be"):
+        metric([0.3, -0.2, 0.1], [1, -1, bad])
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, aucmax; print('scipy.stats' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(aucmax.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
