@@ -11,26 +11,26 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
-from . import experiments
-from .config import KEYS, RunConfig, load_config
-from .data import dataset_hash, inject_noise, load_csv, make_imbalanced, save_csv
+from .config import Config, load_config, parse_config
+from .data import dataset_hash, load_csv, save_csv
 from .errors import NumericalError, ValidationError
 from .experiments import (
-    DataSetting,
     LossSetting,
-    ScenarioConfig,
     ablate_alpha_constraint,
     ablate_bsn,
     ablate_margin,
     ablate_noise_easy,
+    auc_margin,
+    auc_square,
+    emit_plot,
     prepare_data,
     read_metrics_csv,
-    records_to_csv,
+    run_scenario,
 )
 from .metrics import accuracy, auc_score, auc_sensitivity_demo
-from .models import forward_batch, init_params, load_model, save_model
-from .optimizer import pesg_train, sgd_train
+from .models import forward_batch, load_model
 from .verify import format_check_table, run_oracle_suite
 
 
@@ -75,119 +75,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _runconfig(args) -> RunConfig:
-    if args.config:
-        return RunConfig(load_config(args.config))
-    return RunConfig({key: default for key, (_, default) in KEYS.items()})
-
-
-def _seeds(args, cfg: RunConfig) -> tuple[int, ...]:
-    if args.seed is not None:
-        return (args.seed,)
-    return tuple(cfg["run.seeds"])
-
-
-def _data_setting(cfg: RunConfig) -> DataSetting:
-    return DataSetting(
-        mean_pos=tuple(cfg["data.mean_pos"]),
-        mean_neg=tuple(cfg["data.mean_neg"]),
-        cov_scale=cfg["data.cov_scale"],
-        n_pos=cfg["data.n_pos"],
-        n_neg=cfg["data.n_neg"],
-        test_n_pos=cfg["data.test_n_pos"],
-        test_n_neg=cfg["data.test_n_neg"],
-        imratio=cfg["data.imratio"],
-        noise_rate=cfg["data.noise_rate"],
-        easy_frac=cfg["data.easy_frac"],
-    )
-
-
-def _loss_setting(cfg: RunConfig) -> LossSetting:
-    return LossSetting(
-        label=cfg["loss.kind"],
-        kind=cfg["loss.kind"],
-        m=cfg["loss.m"],
-        focal_alpha=cfg["loss.focal_alpha"],
-        focal_gamma=cfg["loss.focal_gamma"],
-        bsn=cfg["loss.bsn"],
-        bsn_exact=cfg["loss.bsn_exact"],
-        pesg=cfg.pesg(),
-        sgd=cfg.sgd(),
-    )
-
-
-def _scenario(cfg: RunConfig, seeds, out) -> ScenarioConfig:
-    return ScenarioConfig(
-        name=cfg["run.name"],
-        data=_data_setting(cfg),
-        model_kind=cfg["model.kind"],
-        d_hidden=cfg["model.d_hidden"],
-        elu_alpha=cfg["model.elu_alpha"],
-        init_scale=cfg["model.init_scale"],
-        losses=(_loss_setting(cfg),),
-        epochs=cfg["train.epochs"],
-        batch_size=cfg["train.batch_size"],
-        seeds=seeds,
-        outputs=out,
-    )
+def _config(args) -> Config:
+    """The config file (or the defaults), with ``--seed`` and ``--out`` applied."""
+    config = load_config(args.config) if args.config else parse_config("")
+    seeds = config.scenario.seeds if args.seed is None else (args.seed,)
+    return replace(config, scenario=replace(config.scenario, seeds=seeds, outputs=args.out))
 
 
 def _cmd_gen_data(args) -> int:
-    cfg = _runconfig(args)
-    seed = _seeds(args, cfg)[0]
-    if cfg["data.kind"] == "csv":
-        data = load_csv(cfg["data.path"])
-        if cfg["data.imratio"] is not None:
-            data, removed = make_imbalanced(data, cfg["data.imratio"], seed)
-            if cfg["data.noise_rate"] > 0:
-                data = inject_noise(data, removed, cfg["data.noise_rate"], seed + 1)
-    else:
-        data, _ = prepare_data(_data_setting(cfg), seed)
+    scenario = _config(args).scenario
+    seed = scenario.seeds[0]
+    data, _ = prepare_data(scenario.data, seed)
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"{cfg['run.name']}_s{seed}.csv")
+    path = os.path.join(args.out, f"{scenario.name}_s{seed}.csv")
     save_csv(data, path)
     print(f"wrote {path}  ({len(data)} samples, p={data.p:.4f}, hash={dataset_hash(data)})")
     return 0
 
 
 def _cmd_train(args) -> int:
-    cfg = _runconfig(args)
-    seeds = _seeds(args, cfg)
-    os.makedirs(args.out, exist_ok=True)
-
-    if cfg["data.kind"] == "csv":
-        train = cfg.train_dataset(seeds[0])
-        test = cfg.test_dataset(seeds[0])
-        model_spec = cfg.model_spec(train.dim)
-        for seed in seeds:
-            params0 = init_params(model_spec, experiments.derive_seed(seed, 10),
-                                  cfg["model.init_scale"])
-            spec = cfg.surrogate(train.p)
-            batch_seed = experiments.derive_seed(seed, 11)
-            if spec.kind in ("auc_square", "auc_margin"):
-                params, _, records = pesg_train(
-                    model_spec, params0, train, spec, cfg.pesg(),
-                    cfg["train.epochs"], cfg["train.batch_size"], batch_seed, test)
-            else:
-                params, records = sgd_train(model_spec, params0, train, spec,
-                                            cfg.sgd(), batch_seed, test)
-            base = os.path.join(args.out, f"{cfg['run.name']}_{spec.kind}_s{seed}")
-            save_model(base + ".model", model_spec, params)
-            with open(base + ".csv", "w", encoding="ascii") as fh:
-                fh.write(records_to_csv(records))
-            print(f"seed {seed}: final test AUC {records[-1].test_auc:.4f} -> {base}.csv")
-        return 0
-
-    scenario = _scenario(cfg, seeds, args.out)
-    summary = experiments.run_scenario(scenario)
+    summary = run_scenario(_config(args).scenario)
     print(summary.as_text())
-
-    # persist the trained model of the first seed and loss for `eval`
-    first = summary.cells[0]
-    kind = scenario.losses[0].kind
-    mpath = os.path.join(args.out, f"{cfg['run.name']}_{kind}_s{first.seed}.model")
-    save_model(mpath, scenario.model_spec(), first.params)
-    print(f"saved model to {mpath}")
+    print(f"wrote metrics, models, summary and config to {args.out}")
     return 0
 
 
@@ -206,34 +115,25 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _auc_pair(config: Config) -> tuple[LossSetting, LossSetting]:
+    """The square/margin pair of the bsn and noise_easy ablations."""
+    return (auc_square(pesg=config.pesg("auc_square")),
+            auc_margin(m=config.scenario.losses[0].m, pesg=config.pesg("auc_margin")))
+
+
 def _cmd_ablate(args) -> int:
-    cfg = _runconfig(args)
-    seeds = _seeds(args, cfg)
-    scenario = _scenario(cfg, seeds, args.out)
-    kind = cfg["ablate.kind"]
+    config = _config(args)
+    scenario = config.scenario
+    kind = config.ablate_kind
     if kind == "margin":
-        summary = ablate_margin(scenario, cfg["ablate.margins"])
-        print(summary.as_text())
+        print(ablate_margin(scenario, config.ablate_margins).as_text())
     elif kind == "alpha_constraint":
-        summary = ablate_alpha_constraint(scenario)
-        print(summary.as_text())
+        print(ablate_alpha_constraint(scenario).as_text())
     elif kind == "bsn":
-        losses = (experiments.auc_square(pesg=cfg.pesg()),
-                  experiments.auc_margin(m=cfg["loss.m"], pesg=cfg.pesg()))
-        summary = ablate_bsn(ScenarioConfig(
-            name=scenario.name, data=scenario.data, model_kind=scenario.model_kind,
-            d_hidden=scenario.d_hidden, elu_alpha=scenario.elu_alpha,
-            init_scale=scenario.init_scale, losses=losses, epochs=scenario.epochs,
-            batch_size=scenario.batch_size, seeds=seeds, outputs=args.out))
-        print(summary.as_text())
+        print(ablate_bsn(replace(scenario, losses=_auc_pair(config))).as_text())
     elif kind == "noise_easy":
-        losses = (experiments.auc_square(), experiments.auc_margin(m=cfg["loss.m"]))
-        base = ScenarioConfig(
-            name=scenario.name, data=scenario.data, model_kind=scenario.model_kind,
-            d_hidden=scenario.d_hidden, elu_alpha=scenario.elu_alpha,
-            init_scale=scenario.init_scale, losses=losses, epochs=scenario.epochs,
-            batch_size=scenario.batch_size, seeds=seeds, outputs=args.out)
-        grid = ablate_noise_easy(base, cfg["ablate.noise_rates"], cfg["ablate.easy_fracs"])
+        grid = ablate_noise_easy(replace(scenario, losses=_auc_pair(config)),
+                                 config.ablate_noise_rates, config.ablate_easy_fracs)
         for (rate, frac), summary in sorted(grid.items()):
             print(f"-- noise={rate:g} easy={frac:g}")
             print(summary.as_text())
@@ -255,14 +155,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    cfg = _runconfig(args)
+    config = _config(args)
     records = {}
     for path in args.metrics:
         label = os.path.splitext(os.path.basename(path))[0]
         records[label] = read_metrics_csv(path)
-    svg = experiments.emit_plot(records, cfg["plot.kind"])
+    svg = emit_plot(records, config.plot_kind)
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"{cfg['run.name']}_{cfg['plot.kind']}.svg")
+    path = os.path.join(args.out, f"{config.scenario.name}_{config.plot_kind}.svg")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(svg)
     print(f"wrote {path}")

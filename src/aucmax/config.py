@@ -1,22 +1,41 @@
-"""Flat ``key = value`` run configuration.
+"""Flat ``key = value`` run configuration, parsed straight into the scenario
+dataclasses.
 
 One assignment per line, ``#`` starts a comment, keys are namespaced
 (``data.imratio``, ``optim.eta0``, ...). Unknown keys are errors so typos
-cannot silently fall back to defaults. The full key table lives in KEYS and
-is reproduced in the README.
+cannot silently fall back to defaults. KEYS names the dataclass field each
+key sets; a key left out of the file takes that field's default. The key
+table is reproduced in the README.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass, replace
 
-from .data import Dataset, GaussianToySpec, gen_gaussian_toy, load_csv
 from .errors import ValidationError
-from .losses import SurrogateSpec
-from .models import ModelSpec
+from .experiments import DataSetting, LossSetting, ScenarioConfig
 from .optimizer import PesgConfig, SgdConfig
 
-__all__ = ["parse_config", "load_config", "RunConfig", "KEYS"]
+__all__ = ["parse_config", "load_config", "Config", "KEYS"]
+
+
+@dataclass(frozen=True)
+class Config:
+    """A parsed config file: the scenario ``train`` runs, with its one loss,
+    and the keys that steer only ``ablate`` and ``plot``."""
+
+    scenario: ScenarioConfig
+    project_alpha: bool | None = None     # unset: margin yes, square no
+    ablate_kind: str = "margin"           # margin | noise_easy | alpha_constraint | bsn
+    ablate_margins: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 1.0)
+    ablate_noise_rates: tuple[float, ...] = (0.01, 0.05)
+    ablate_easy_fracs: tuple[float, ...] = (0.1, 0.2)
+    plot_kind: str = "auc_vs_epoch"       # auc_vs_epoch | alpha_vs_epoch
+
+    def pesg(self, kind: str) -> PesgConfig:
+        """The file's ``optim.*`` settings for a loss of ``kind``."""
+        project = kind == "auc_margin" if self.project_alpha is None else self.project_alpha
+        return replace(self.scenario.losses[0].pesg, project_alpha=project)
 
 
 def _parse_bool(s: str) -> bool:
@@ -43,54 +62,55 @@ def _parse_pair(s: str) -> tuple[float, float]:
     return vals
 
 
-# key -> (parser, default). None defaults mean "derived elsewhere".
+# key -> (parser, (owner, field), ...): the dataclass fields the key sets
 KEYS = {
-    "data.kind": (str, "gaussian_toy"),           # gaussian_toy | csv
-    "data.path": (str, None),                     # csv source (data.kind = csv)
-    "data.test_path": (str, None),                # csv test set (optional)
-    "data.n_pos": (int, 500),
-    "data.n_neg": (int, 500),
-    "data.mean_pos": (_parse_pair, (1.5, 1.5)),
-    "data.mean_neg": (_parse_pair, (-1.5, -1.5)),
-    "data.cov_scale": (float, 1.0),
-    "data.imratio": (float, None),                # omit for no rebalancing
-    "data.noise_rate": (float, 0.0),
-    "data.easy_frac": (float, 0.0),
-    "data.test_n_pos": (int, 1000),
-    "data.test_n_neg": (int, 9000),
-    "model.kind": (str, "linear"),                # linear | mlp
-    "model.d_hidden": (int, 16),
-    "model.elu_alpha": (float, 1.0),
-    "model.init_scale": (float, 0.1),
-    "loss.kind": (str, "auc_margin"),             # cross_entropy | focal | auc_square | auc_margin
-    "loss.m": (float, 0.5),
-    "loss.focal_alpha": (float, 0.25),
-    "loss.focal_gamma": (float, 2.0),
-    "loss.bsn": (_parse_bool, False),
-    "loss.bsn_exact": (_parse_bool, True),
-    "optim.eta0": (float, 0.1),
-    "optim.gamma": (float, 0.0),
-    "optim.weight_decay": (float, 1e-4),
-    "optim.decay_epochs": (_parse_int_list, ()),
-    "optim.decay_factor": (float, 10.0),
-    "optim.project_alpha": (_parse_bool, None),   # default: margin yes, square no
-    "optim.regularize_aux": (_parse_bool, True),
-    "optim.lr": (float, 0.1),                     # SGD path (cross_entropy/focal)
-    "optim.momentum": (float, 0.9),
-    "train.epochs": (int, 30),
-    "train.batch_size": (int, 64),
-    "ablate.kind": (str, "margin"),               # margin | noise_easy | alpha_constraint | bsn
-    "ablate.margins": (_parse_float_list, (0.1, 0.3, 0.5, 0.7, 1.0)),
-    "ablate.noise_rates": (_parse_float_list, (0.01, 0.05)),
-    "ablate.easy_fracs": (_parse_float_list, (0.1, 0.2)),
-    "run.name": (str, "run"),
-    "run.seeds": (_parse_int_list, (0,)),
-    "plot.kind": (str, "auc_vs_epoch"),           # auc_vs_epoch | alpha_vs_epoch
+    "data.kind": (str, (DataSetting, "kind")),
+    "data.path": (str, (DataSetting, "path")),
+    "data.test_path": (str, (DataSetting, "test_path")),
+    "data.n_pos": (int, (DataSetting, "n_pos")),
+    "data.n_neg": (int, (DataSetting, "n_neg")),
+    "data.mean_pos": (_parse_pair, (DataSetting, "mean_pos")),
+    "data.mean_neg": (_parse_pair, (DataSetting, "mean_neg")),
+    "data.cov_scale": (float, (DataSetting, "cov_scale")),
+    "data.imratio": (float, (DataSetting, "imratio")),
+    "data.noise_rate": (float, (DataSetting, "noise_rate")),
+    "data.easy_frac": (float, (DataSetting, "easy_frac")),
+    "data.test_n_pos": (int, (DataSetting, "test_n_pos")),
+    "data.test_n_neg": (int, (DataSetting, "test_n_neg")),
+    "model.kind": (str, (ScenarioConfig, "model_kind")),
+    "model.d_hidden": (int, (ScenarioConfig, "d_hidden")),
+    "model.elu_alpha": (float, (ScenarioConfig, "elu_alpha")),
+    "model.init_scale": (float, (ScenarioConfig, "init_scale")),
+    "loss.kind": (str, (LossSetting, "kind")),
+    "loss.m": (float, (LossSetting, "m")),
+    "loss.focal_alpha": (float, (LossSetting, "focal_alpha")),
+    "loss.focal_gamma": (float, (LossSetting, "focal_gamma")),
+    "loss.bsn": (_parse_bool, (LossSetting, "bsn")),
+    "loss.bsn_exact": (_parse_bool, (LossSetting, "bsn_exact")),
+    "optim.eta0": (float, (PesgConfig, "eta0")),
+    "optim.gamma": (float, (PesgConfig, "gamma")),
+    "optim.weight_decay": (float, (PesgConfig, "weight_decay"), (SgdConfig, "weight_decay")),
+    "optim.decay_epochs": (_parse_int_list, (PesgConfig, "decay_epochs")),
+    "optim.decay_factor": (float, (PesgConfig, "decay_factor")),
+    "optim.project_alpha": (_parse_bool, (Config, "project_alpha")),
+    "optim.regularize_aux": (_parse_bool, (PesgConfig, "regularize_aux")),
+    "optim.lr": (float, (SgdConfig, "lr")),
+    "optim.momentum": (float, (SgdConfig, "momentum")),
+    "train.epochs": (int, (ScenarioConfig, "epochs")),
+    "train.batch_size": (int, (ScenarioConfig, "batch_size")),
+    "ablate.kind": (str, (Config, "ablate_kind")),
+    "ablate.margins": (_parse_float_list, (Config, "ablate_margins")),
+    "ablate.noise_rates": (_parse_float_list, (Config, "ablate_noise_rates")),
+    "ablate.easy_fracs": (_parse_float_list, (Config, "ablate_easy_fracs")),
+    "run.name": (str, (ScenarioConfig, "name")),
+    "run.seeds": (_parse_int_list, (ScenarioConfig, "seeds")),
+    "plot.kind": (str, (Config, "plot_kind")),
 }
 
 
-def parse_config(text: str, source: str = "<config>") -> dict:
-    values = {key: default for key, (_, default) in KEYS.items()}
+def parse_config(text: str, source: str = "<config>") -> Config:
+    kw = {owner: {} for owner in (DataSetting, ScenarioConfig, LossSetting,
+                                  PesgConfig, SgdConfig, Config)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -102,95 +122,27 @@ def parse_config(text: str, source: str = "<config>") -> dict:
         value = value.strip()
         if key not in KEYS:
             raise ValidationError(f"{source}:{lineno}: unknown key {key!r}")
-        parser, _ = KEYS[key]
+        parser, *fields = KEYS[key]
         try:
-            values[key] = parser(value)
+            parsed = parser(value)
         except (ValueError, TypeError) as exc:
             raise ValidationError(f"{source}:{lineno}: bad value for {key}: {exc}") from exc
-    return values
+        for owner, name in fields:
+            kw[owner][name] = parsed
+
+    label = kw[LossSetting].get("kind", LossSetting.kind)
+    try:
+        loss = LossSetting(label, **kw[LossSetting], pesg=PesgConfig(**kw[PesgConfig]),
+                           sgd=SgdConfig(**kw[SgdConfig]))
+        scenario = ScenarioConfig(data=DataSetting(**kw[DataSetting]), losses=(loss,),
+                                  **kw[ScenarioConfig])
+    except ValidationError as exc:
+        raise ValidationError(f"{source}: {exc}") from exc
+    config = Config(scenario, **kw[Config])
+    loss = replace(loss, pesg=config.pesg(loss.kind))
+    return replace(config, scenario=replace(scenario, losses=(loss,)))
 
 
-def load_config(path) -> dict:
+def load_config(path) -> Config:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read(), source=str(path))
-
-
-class RunConfig:
-    """Typed view over a parsed config dict."""
-
-    def __init__(self, values: dict):
-        self.values = values
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    def model_spec(self, d_in: int) -> ModelSpec:
-        kind = self.values["model.kind"]
-        if kind == "linear":
-            return ModelSpec("linear", d_in)
-        if kind == "mlp":
-            return ModelSpec("mlp", d_in, self.values["model.d_hidden"],
-                             self.values["model.elu_alpha"])
-        raise ValidationError(f"model.kind must be linear or mlp, got {kind!r}")
-
-    def surrogate(self, p: float) -> SurrogateSpec:
-        return SurrogateSpec(
-            kind=self.values["loss.kind"],
-            p=p,
-            m=self.values["loss.m"],
-            focal_alpha=self.values["loss.focal_alpha"],
-            focal_gamma=self.values["loss.focal_gamma"],
-            bsn=self.values["loss.bsn"],
-            bsn_exact=self.values["loss.bsn_exact"],
-        )
-
-    def pesg(self) -> PesgConfig:
-        project = self.values["optim.project_alpha"]
-        if project is None:
-            project = self.values["loss.kind"] == "auc_margin"
-        return PesgConfig(
-            eta0=self.values["optim.eta0"],
-            gamma=self.values["optim.gamma"],
-            weight_decay=self.values["optim.weight_decay"],
-            decay_epochs=self.values["optim.decay_epochs"],
-            decay_factor=self.values["optim.decay_factor"],
-            project_alpha=project,
-            regularize_aux=self.values["optim.regularize_aux"],
-        )
-
-    def sgd(self) -> SgdConfig:
-        return SgdConfig(
-            lr=self.values["optim.lr"],
-            momentum=self.values["optim.momentum"],
-            weight_decay=self.values["optim.weight_decay"],
-            epochs=self.values["train.epochs"],
-            batch_size=self.values["train.batch_size"],
-        )
-
-    def train_dataset(self, seed: int) -> Dataset:
-        """Base training draw before any imbalance/injection steps."""
-        if self.values["data.kind"] == "csv":
-            path = self.values["data.path"]
-            if not path:
-                raise ValidationError("data.kind = csv requires data.path")
-            return load_csv(path)
-        if self.values["data.kind"] != "gaussian_toy":
-            raise ValidationError(f"unknown data.kind {self.values['data.kind']!r}")
-        return gen_gaussian_toy(self.toy_spec(seed))
-
-    def toy_spec(self, seed: int, test: bool = False) -> GaussianToySpec:
-        return GaussianToySpec(
-            mean_pos=tuple(self.values["data.mean_pos"]),
-            mean_neg=tuple(self.values["data.mean_neg"]),
-            cov_scale=self.values["data.cov_scale"],
-            n_pos=self.values["data.test_n_pos" if test else "data.n_pos"],
-            n_neg=self.values["data.test_n_neg" if test else "data.n_neg"],
-            seed=seed,
-        )
-
-    def test_dataset(self, seed: int) -> Dataset | None:
-        if self.values["data.kind"] == "csv":
-            path = self.values["data.test_path"]
-            return load_csv(path) if path else None
-        # test draws use an offset seed stream so they never overlap training
-        return gen_gaussian_toy(self.toy_spec(int(np.uint32(seed) + 990001), test=True))

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
-    "LabeledSample",
     "Dataset",
     "GaussianToySpec",
     "gen_gaussian_toy",
@@ -27,13 +26,6 @@ __all__ = [
     "save_csv",
     "dataset_hash",
 ]
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    x: np.ndarray
-    y: int
-    y_true: int | None = None
 
 
 @dataclass
@@ -78,10 +70,6 @@ class Dataset:
     @property
     def p(self) -> float:
         return self.n_pos / len(self)
-
-    def sample(self, i: int) -> LabeledSample:
-        yt = int(self.y_true[i])
-        return LabeledSample(x=self.X[i].copy(), y=int(self.y[i]), y_true=yt if yt else None)
 
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)

@@ -1,9 +1,11 @@
 """Scenario runner and ablations on the synthetic toy benchmarks.
 
-A scenario fixes a data recipe (toy draw, imbalance, easy/noisy injection),
-a model, and a list of losses, then trains every loss on every seed with an
-identical dataset, initialization and batch order, so comparisons are paired.
-Outputs are one metrics CSV per (loss, seed), a summary CSV, and SVG curves.
+A scenario fixes a data recipe (a toy draw with imbalance and easy/noisy
+injection, or a CSV file used as loaded), a model, and a list of losses, then
+trains every loss on every seed with an identical dataset, initialization and
+batch order, so comparisons are paired.
+Outputs are one metrics CSV and one model file per (loss, seed), a summary
+CSV, the scenario config, and SVG curves.
 All cells are computed first and files are written by a single collector at
 the end, so a failed run leaves no torn outputs.
 """
@@ -23,12 +25,13 @@ from .data import (
     gen_gaussian_toy,
     inject_easy,
     inject_noise,
+    load_csv,
     make_imbalanced,
 )
 from .errors import ValidationError
 from .losses import SurrogateSpec
 from .metrics import auc_score
-from .models import ModelSpec, forward_batch, init_params
+from .models import ModelSpec, forward_batch, init_params, save_model
 from .optimizer import (
     PesgConfig,
     RunRecord,
@@ -68,6 +71,17 @@ def derive_seed(seed: int, purpose: int) -> int:
 
 @dataclass(frozen=True)
 class DataSetting:
+    """Where a scenario's data comes from.
+
+    ``gaussian_toy`` draws the training and test sets from the fields below,
+    then applies imbalance and easy/noise injection to the training draw.
+    ``csv`` uses the files at ``path`` and ``test_path`` as loaded; without a
+    test file the test AUC is the training AUC.
+    """
+
+    kind: str = "gaussian_toy"       # gaussian_toy | csv
+    path: str | None = None
+    test_path: str | None = None
     mean_pos: tuple[float, float] = (1.5, 1.5)
     mean_neg: tuple[float, float] = (-1.5, -1.5)
     cov_scale: float = 1.0
@@ -81,11 +95,17 @@ class DataSetting:
     # CE pretrain used only to score removed positives for easy injection
     scorer_sgd: SgdConfig = field(default_factory=lambda: SgdConfig(lr=0.05, epochs=5))
 
+    def __post_init__(self):
+        if self.kind not in ("gaussian_toy", "csv"):
+            raise ValidationError(f"data kind must be gaussian_toy or csv, got {self.kind!r}")
+        if self.kind == "csv" and not self.path:
+            raise ValidationError("data kind csv needs a path")
+
 
 @dataclass(frozen=True)
 class LossSetting:
     label: str
-    kind: str
+    kind: str = "auc_margin"         # cross_entropy | focal | auc_square | auc_margin
     m: float = 0.5
     focal_alpha: float = 0.25
     focal_gamma: float = 2.0
@@ -113,8 +133,8 @@ def auc_margin(label="auc_margin", m=0.5, **kw) -> LossSetting:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    name: str
-    data: DataSetting
+    name: str = "run"
+    data: DataSetting = field(default_factory=DataSetting)
     model_kind: str = "linear"       # linear | mlp
     d_hidden: int = 16
     elu_alpha: float = 1.0
@@ -129,16 +149,18 @@ class ScenarioConfig:
     warm_start: SgdConfig | None = None
 
     def __post_init__(self):
+        if self.model_kind not in ("linear", "mlp"):
+            raise ValidationError(f"model kind must be linear or mlp, got {self.model_kind!r}")
         if not self.seeds:
             raise ValidationError("scenario needs at least one seed")
         labels = [ls.label for ls in self.losses]
         if len(set(labels)) != len(labels):
             raise ValidationError(f"duplicate loss labels in scenario: {labels}")
 
-    def model_spec(self) -> ModelSpec:
+    def model_spec(self, d_in: int) -> ModelSpec:
         if self.model_kind == "linear":
-            return ModelSpec("linear", 2)
-        return ModelSpec("mlp", 2, self.d_hidden, self.elu_alpha)
+            return ModelSpec("linear", d_in)
+        return ModelSpec("mlp", d_in, self.d_hidden, self.elu_alpha)
 
 
 @dataclass
@@ -149,6 +171,7 @@ class CellResult:
     data_hash: str
     records: list[RunRecord]
     params: np.ndarray = field(repr=False)
+    model_spec: ModelSpec = field(repr=False)
 
 
 @dataclass
@@ -182,13 +205,17 @@ class ScenarioSummary:
 
 
 def prepare_data(setting: DataSetting, seed: int, model_for_scoring: ModelSpec | None = None
-                 ) -> tuple[Dataset, Dataset]:
+                 ) -> tuple[Dataset, Dataset | None]:
     """Build the (train, test) pair for one seed.
 
-    Pipeline: toy draw -> imbalance -> easy injection (scored by a small CE
-    pretrain on the imbalanced set) -> noise injection. The noise pool is the
-    removed positives not re-added as easy samples.
+    A CSV source is returned as loaded, with test None when there is no test
+    file. Toy pipeline: draw -> imbalance -> easy injection (scored by a small
+    CE pretrain on the imbalanced set) -> noise injection. The noise pool is
+    the removed positives not re-added as easy samples.
     """
+    if setting.kind == "csv":
+        test = load_csv(setting.test_path) if setting.test_path else None
+        return load_csv(setting.path), test
     train = gen_gaussian_toy(GaussianToySpec(
         mean_pos=setting.mean_pos, mean_neg=setting.mean_neg,
         cov_scale=setting.cov_scale, n_pos=setting.n_pos, n_neg=setting.n_neg,
@@ -226,7 +253,7 @@ def prepare_data(setting: DataSetting, seed: int, model_for_scoring: ModelSpec |
     return train, test
 
 
-def _train_one(model_spec: ModelSpec, params0: np.ndarray, train: Dataset, test: Dataset,
+def _train_one(model_spec: ModelSpec, params0: np.ndarray, train: Dataset, test: Dataset | None,
                setting: LossSetting, epochs: int, batch_size: int, seed: int
                ) -> tuple[np.ndarray, list[RunRecord]]:
     """Train one loss from the given start; batch order depends only on ``seed``.
@@ -259,17 +286,18 @@ def _cell_start(cfg: ScenarioConfig, model_spec: ModelSpec, train: Dataset, seed
 def run_scenario(cfg: ScenarioConfig) -> ScenarioSummary:
     if not cfg.losses:
         raise ValidationError("scenario has no losses to run")
-    model_spec = cfg.model_spec()
     cells: list[CellResult] = []
     for seed in cfg.seeds:
         train, test = prepare_data(cfg.data, seed)
+        model_spec = cfg.model_spec(train.dim)
         dhash = dataset_hash(train)
         params0 = _cell_start(cfg, model_spec, train, seed)
         for setting in cfg.losses:
             params, records = _train_one(model_spec, params0, train, test, setting,
                                          cfg.epochs, cfg.batch_size, seed)
             final = records[-1].test_auc if records else float("nan")
-            cells.append(CellResult(setting.label, seed, final, dhash, records, params))
+            cells.append(CellResult(setting.label, seed, final, dhash, records, params,
+                                    model_spec))
     summary = ScenarioSummary(cfg.name, cells)
     if cfg.outputs:
         write_outputs(cfg, summary)
@@ -314,10 +342,11 @@ def write_outputs(cfg: ScenarioConfig, summary: ScenarioSummary) -> list[str]:
     os.makedirs(cfg.outputs, exist_ok=True)
     written = []
     for cell in summary.cells:
-        path = os.path.join(cfg.outputs, f"{cfg.name}_{cell.loss_label}_s{cell.seed}.csv")
-        with open(path, "w", encoding="ascii") as fh:
+        base = os.path.join(cfg.outputs, f"{cfg.name}_{cell.loss_label}_s{cell.seed}")
+        with open(base + ".csv", "w", encoding="ascii") as fh:
             fh.write(records_to_csv(cell.records))
-        written.append(path)
+        save_model(base + ".model", cell.model_spec, cell.params)
+        written += [base + ".csv", base + ".model"]
     spath = os.path.join(cfg.outputs, f"{cfg.name}_summary.csv")
     with open(spath, "w", encoding="ascii") as fh:
         fh.write("scenario,loss,seed,final_test_auc,dataset_hash\n")
@@ -356,6 +385,9 @@ def emit_plot(records_by_label: dict[str, list[RunRecord]], kind: str = "auc_vs_
 def ablate_noise_easy(base: ScenarioConfig, noise_rates, easy_fracs
                       ) -> dict[tuple[float, float], ScenarioSummary]:
     """Full (noise rate x easy fraction) grid for the losses in ``base``."""
+    if base.data.kind != "gaussian_toy":
+        raise ValidationError("noise/easy ablation injects into the toy draw; "
+                              "a CSV source is used as loaded")
     if base.data.imratio is None:
         raise ValidationError("noise/easy ablation needs an imbalanced base (set imratio)")
     out = {}
@@ -504,9 +536,9 @@ def toy_figure(cfg: ScenarioConfig, easy_frac: float = 0.2, noise_rate: float = 
     retrained on easy-augmented data, retrained on noise-injected data.
     Returns the SVG text; deterministic for a fixed config.
     """
-    model_spec = cfg.model_spec()
-    if model_spec.kind != "mlp" or model_spec.d_in != 2:
-        raise ValidationError("toy figure needs a 2-D mlp model")
+    if cfg.model_kind != "mlp" or cfg.data.kind != "gaussian_toy":
+        raise ValidationError("toy figure needs an mlp model on the 2-D toy data")
+    model_spec = cfg.model_spec(2)
     if cfg.data.imratio is None:
         raise ValidationError("toy figure needs an imbalanced base (set imratio)")
     seed = cfg.seeds[0]

@@ -154,7 +154,7 @@ def margin_loss_value(scores_pos, scores_neg, m: float) -> float:
     return a1 + a2 + hinge * hinge
 
 
-def optimal_aux(scores_pos, scores_neg, loss: str = "square", m: float = 1.0) -> AuxVars:
+def optimal_aux(scores_pos, scores_neg, loss: str = "auc_square", m: float = 1.0) -> AuxVars:
     """Closed-form (a, b, alpha) given the scores.
 
     a and b are the class means; alpha is 1 + b - a for the square loss and
@@ -163,12 +163,12 @@ def optimal_aux(scores_pos, scores_neg, loss: str = "square", m: float = 1.0) ->
     sp, sn = _split_by_class(scores_pos, scores_neg)
     a = float(sp.mean())
     b = float(sn.mean())
-    if loss == "square":
+    if loss == "auc_square":
         alpha = 1.0 + b - a
-    elif loss == "margin":
+    elif loss == "auc_margin":
         alpha = max(0.0, m + b - a)
     else:
-        raise ValidationError(f"loss must be 'square' or 'margin', got {loss!r}")
+        raise ValidationError(f"loss must be 'auc_square' or 'auc_margin', got {loss!r}")
     return AuxVars(a=a, b=b, alpha=alpha)
 
 

@@ -167,9 +167,7 @@ def brute_force_minmax(scores, labels, spec: SurrogateSpec, grid_radius: float =
     y = np.asarray(labels).ravel()
     if not (np.any(y > 0) and np.any(y < 0)):
         raise ValidationError("need both classes present")
-    aux0 = optimal_aux(s[y > 0], s[y < 0],
-                       loss="margin" if spec.kind == "auc_margin" else "square",
-                       m=spec.effective_margin)
+    aux0 = optimal_aux(s[y > 0], s[y < 0], loss=spec.kind, m=spec.effective_margin)
     alpha0 = _alpha_max(s, y, aux0.a, aux0.b, spec)
     value0 = minmax_value(s, y, AuxVars(aux0.a, aux0.b, alpha0), spec)
 
@@ -254,13 +252,13 @@ def check_minmax_equivalence(n_trials: int = 200, seed: int = 1) -> CheckResult:
         sp, sn = scores[labels > 0], scores[labels < 0]
 
         mspec = SurrogateSpec("auc_margin", p=p_emp, m=m)
-        aux = optimal_aux(sp, sn, loss="margin", m=m)
+        aux = optimal_aux(sp, sn, loss="auc_margin", m=m)
         got = minmax_value(scores, labels, aux, mspec)
         want = p_emp * (1 - p_emp) * margin_loss_value(sp, sn, m)
         worst = max(worst, _rel_err(got, want))
 
         sspec = SurrogateSpec("auc_square", p=p_emp)
-        aux_s = optimal_aux(sp, sn, loss="square")
+        aux_s = optimal_aux(sp, sn, loss="auc_square")
         got_s = minmax_value(scores, labels, aux_s, sspec)
         want_s = p_emp * (1 - p_emp) * pairwise_square_loss(sp, sn)
         worst = max(worst, _rel_err(got_s, want_s))

@@ -89,12 +89,12 @@ def test_criterion_02_minmax_equivalence():
         p = sp.size / scores.size
         m = float(rng.uniform(0.05, 1.5))
 
-        aux = optimal_aux(sp, sn, "margin", m=m)
+        aux = optimal_aux(sp, sn, "auc_margin", m=m)
         got = minmax_value(scores, labels, aux, SurrogateSpec("auc_margin", p=p, m=m))
         want = p * (1 - p) * margin_loss_value(sp, sn, m)
         assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
 
-        aux_s = optimal_aux(sp, sn, "square")
+        aux_s = optimal_aux(sp, sn, "auc_square")
         got_s = minmax_value(scores, labels, aux_s, SurrogateSpec("auc_square", p=p))
         want_s = p * (1 - p) * pairwise_square_loss(sp, sn)
         assert abs(got_s - want_s) <= 1e-10 * (1.0 + abs(want_s))

@@ -1,18 +1,31 @@
+from pathlib import Path
+
 import pytest
 
+from aucmax import cli
 from aucmax.cli import main
-from aucmax.config import KEYS, parse_config
-from aucmax.data import dataset_hash, load_csv
+from aucmax.config import KEYS, Config, parse_config
+from aucmax.data import GaussianToySpec, dataset_hash, gen_gaussian_toy, load_csv, save_csv
 from aucmax.errors import ValidationError
-from aucmax.experiments import DataSetting, derive_seed, prepare_data
+from aucmax.experiments import (
+    DataSetting,
+    LossSetting,
+    ScenarioConfig,
+    ScenarioSummary,
+    auc_margin,
+    auc_square,
+    derive_seed,
+    prepare_data,
+    records_to_csv,
+)
 from aucmax.losses import SurrogateSpec
 from aucmax.models import ModelSpec, init_params, load_model, save_model
-from aucmax.optimizer import PesgConfig, pesg_train
+from aucmax.optimizer import PesgConfig, SgdConfig, pesg_train, sgd_train
 
 
 class TestConfigParsing:
     def test_defaults_and_overrides(self):
-        values = parse_config("""
+        config = parse_config("""
         # a comment
         loss.kind = auc_margin
         loss.m = 0.3
@@ -20,12 +33,14 @@ class TestConfigParsing:
         run.seeds = 0,1,2
         loss.bsn = true
         """)
-        assert values["loss.kind"] == "auc_margin"
-        assert values["loss.m"] == 0.3
-        assert values["optim.decay_epochs"] == (15, 23)
-        assert values["run.seeds"] == (0, 1, 2)
-        assert values["loss.bsn"] is True
-        assert values["train.epochs"] == KEYS["train.epochs"][1]
+        scenario = config.scenario
+        (loss,) = scenario.losses
+        assert loss.kind == loss.label == "auc_margin"
+        assert loss.m == 0.3
+        assert loss.pesg.decay_epochs == (15, 23)
+        assert scenario.seeds == (0, 1, 2)
+        assert loss.bsn is True
+        assert scenario.epochs == 30
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown key"):
@@ -38,6 +53,37 @@ class TestConfigParsing:
     def test_missing_equals_rejected(self):
         with pytest.raises(ValidationError):
             parse_config("loss.kind auc_margin")
+
+    def test_readme_key_table_matches_the_parser(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("| key | default | meaning |")[1].split("\n\n")[0]
+        rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+        documented = {key.strip().strip("`"): default.strip() for key, default in rows}
+        assert sorted(documented) == sorted(KEYS)
+
+        config = parse_config("")
+        loss = config.scenario.losses[0]
+        owners = {DataSetting: config.scenario.data, ScenarioConfig: config.scenario,
+                  LossSetting: loss, PesgConfig: loss.pesg, SgdConfig: loss.sgd,
+                  Config: config}
+        for key, (parser, *fields) in KEYS.items():
+            text = documented[key]
+            want = None if text == "unset" else parser("" if text == "empty" else text.strip("`"))
+            for owner, name in fields:
+                assert getattr(owners[owner], name) == want, key
+
+    def test_unset_project_alpha_follows_the_loss_kind(self):
+        for kind, projects in (("auc_margin", True), ("auc_square", False)):
+            loss = parse_config(f"loss.kind = {kind}").scenario.losses[0]
+            assert loss.pesg.project_alpha is projects
+        loss = parse_config("loss.kind = auc_square\noptim.project_alpha = on").scenario.losses[0]
+        assert loss.pesg.project_alpha is True
+
+    @pytest.mark.parametrize("text", ["data.kind = parquet", "data.kind = csv",
+                                      "model.kind = cnn", "optim.eta0 = 0"])
+    def test_bad_settings_rejected(self, text):
+        with pytest.raises(ValidationError):
+            parse_config(text)
 
 
 @pytest.fixture()
@@ -103,7 +149,97 @@ class TestCliCommands:
         model_path = out / "smoke_auc_margin_s0.model"
         spec, params = load_model(model_path)
         assert spec.kind == "linear" and params.shape == (2,)
-        assert "final test AUC" in capsys.readouterr().out or True
+        assert "final test AUC" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("loss", ["auc_margin", "cross_entropy"])
+    def test_train_on_csv_matches_an_explicit_run(self, tmp_path, loss):
+        # a CSV is trained on as loaded, with no held-out set: test AUC = train AUC
+        data = gen_gaussian_toy(GaussianToySpec(n_pos=30, n_neg=50, seed=4))
+        save_csv(data, tmp_path / "data.csv")
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(
+            "run.name = pin\n"
+            "data.kind = csv\n"
+            f"data.path = {tmp_path / 'data.csv'}\n"
+            "data.imratio = 0.1\n"
+            "data.noise_rate = 0.05\n"
+            "model.kind = mlp\n"
+            "model.d_hidden = 4\n"
+            f"loss.kind = {loss}\n"
+            "optim.eta0 = 0.5\n"
+            "optim.lr = 0.05\n"
+            "train.epochs = 3\n"
+            "train.batch_size = 16\n"
+        )
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+
+        spec = ModelSpec("mlp", 2, 4, 1.0)
+        params0 = init_params(spec, derive_seed(7, 10), 0.1)
+        surrogate = SurrogateSpec(loss, p=data.p, m=0.5)
+        if loss == "auc_margin":
+            params, _, records = pesg_train(
+                spec, params0, data, surrogate, PesgConfig(eta0=0.5, project_alpha=True),
+                3, 16, derive_seed(7, 11), test_data=None)
+        else:
+            params, records = sgd_train(
+                spec, params0, data, surrogate, SgdConfig(lr=0.05, epochs=3, batch_size=16),
+                derive_seed(7, 11), test_data=None)
+        save_model(tmp_path / "explicit.model", spec, params)
+        assert (out / f"pin_{loss}_s7.csv").read_text() == records_to_csv(records)
+        assert (out / f"pin_{loss}_s7.model").read_bytes() == \
+            (tmp_path / "explicit.model").read_bytes()
+
+    @pytest.mark.parametrize("source", ["gaussian_toy", "csv"])
+    def test_gen_data_hash_is_the_hash_train_reports(self, tmp_path, source, capsys):
+        text = ("run.name = agree\ndata.imratio = 0.1\ndata.noise_rate = 0.05\n"
+                "train.epochs = 1\n")
+        if source == "csv":
+            save_csv(gen_gaussian_toy(GaussianToySpec(n_pos=500, n_neg=500, seed=3)),
+                     tmp_path / "data.csv")
+            text += f"data.kind = csv\ndata.path = {tmp_path / 'data.csv'}\n"
+        cfg = tmp_path / "agree.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["gen-data", "--config", str(cfg), "--seed", "0", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.split("hash=")[1].split(")")[0]
+        assert main(["train", "--config", str(cfg), "--seed", "0", "--out", str(out)]) == 0
+        summary = (out / "agree_summary.csv").read_text().splitlines()
+        assert summary[1].split(",")[-1] == printed
+
+    @pytest.mark.parametrize("ablation", ["bsn", "noise_easy"])
+    @pytest.mark.parametrize("extra, eta0, square_projects, margin_projects", [
+        ("", 0.1, False, True),
+        ("optim.eta0 = 0.5\n", 0.5, False, True),
+        ("optim.project_alpha = true\n", 0.1, True, True),
+        ("optim.project_alpha = false\n", 0.1, False, False),
+    ], ids=["default", "eta0", "project_on", "project_off"])
+    def test_ablation_pairs_follow_the_optim_keys(self, tmp_path, monkeypatch, ablation,
+                                                  extra, eta0, square_projects,
+                                                  margin_projects):
+        seen = []
+        monkeypatch.setattr(cli, "ablate_bsn",
+                            lambda cfg: seen.append(cfg) or ScenarioSummary(cfg.name, []))
+        monkeypatch.setattr(cli, "ablate_noise_easy",
+                            lambda cfg, rates, fracs: seen.append(cfg) or {})
+        cfg = tmp_path / "pair.cfg"
+        cfg.write_text(f"ablate.kind = {ablation}\nloss.m = 0.3\n" + extra)
+        assert main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        square, margin = seen[0].losses
+        assert (square.kind, margin.kind, margin.m) == ("auc_square", "auc_margin", 0.3)
+        assert square.pesg.eta0 == margin.pesg.eta0 == eta0
+        assert square.pesg.project_alpha is square_projects
+        assert margin.pesg.project_alpha is margin_projects
+
+    def test_noise_easy_pair_is_unchanged_under_the_default_config(self, tmp_path,
+                                                                   monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "ablate_noise_easy",
+                            lambda cfg, rates, fracs: seen.append(cfg) or {})
+        cfg = tmp_path / "pair.cfg"
+        cfg.write_text("ablate.kind = noise_easy\n")
+        assert main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert seen[0].losses == (auc_square(), auc_margin())
 
     def test_eval_prints_auc(self, tmp_path, toy_config, capsys):
         out = tmp_path / "out"

@@ -197,4 +197,4 @@ def test_dataset_validation():
     with pytest.raises(ValidationError):
         Dataset(np.array([[np.inf, 0.0]]), np.array([1]))
     d = Dataset(np.zeros((2, 2)), np.array([1, -1]))
-    assert d.sample(0).y == 1 and d.sample(0).y_true is None
+    assert d.y_true.tolist() == [0, 0]  # no ground-truth annotation

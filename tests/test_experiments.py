@@ -3,7 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from aucmax.data import Dataset, dataset_hash, save_csv
 from aucmax.errors import ValidationError
+from aucmax.models import load_model
 from aucmax.experiments import (
     DataSetting,
     LossSetting,
@@ -64,8 +66,43 @@ class TestPrepareData:
         with pytest.raises(ValidationError):
             prepare_data(DataSetting(easy_frac=0.5), seed=0)
 
+    def test_csv_source_used_as_loaded(self, tmp_path):
+        train, test = _csv_pair(tmp_path)
+        # the toy-shaping fields do not touch a CSV source
+        setting = DataSetting(kind="csv", path=str(tmp_path / "train.csv"),
+                              test_path=str(tmp_path / "test.csv"),
+                              imratio=0.1, noise_rate=0.05, easy_frac=0.2)
+        got_train, got_test = prepare_data(setting, seed=0)
+        assert dataset_hash(got_train) == dataset_hash(train)
+        assert dataset_hash(got_test) == dataset_hash(test)
+        _, no_test = prepare_data(DataSetting(kind="csv", path=str(tmp_path / "train.csv")), 0)
+        assert no_test is None
+
+    @pytest.mark.parametrize("kw", [dict(kind="parquet"), dict(kind="csv")])
+    def test_bad_source_rejected(self, kw):
+        with pytest.raises(ValidationError):
+            DataSetting(**kw)
+
+
+def _csv_pair(tmp_path):
+    """A 3-D train/test pair saved as train.csv and test.csv."""
+    rng = np.random.default_rng(0)
+    train = Dataset(rng.normal(size=(40, 3)), np.repeat([1, -1], 20))
+    test = Dataset(rng.normal(size=(30, 3)), np.repeat([1, -1], 15))
+    save_csv(train, tmp_path / "train.csv")
+    save_csv(test, tmp_path / "test.csv")
+    return train, test
+
 
 class TestRunScenario:
+    def test_csv_source_sets_the_model_width(self, tmp_path):
+        _csv_pair(tmp_path)
+        cfg = _fast_scenario(data=DataSetting(kind="csv", path=str(tmp_path / "train.csv")),
+                             model_kind="mlp", d_hidden=4, losses=(auc_margin(),))
+        (cell,) = run_scenario(cfg).cells
+        assert cell.model_spec.d_in == 3
+        assert all(r.test_auc == r.train_auc for r in cell.records)
+
     def test_single_seed_zero_std(self):
         summary = run_scenario(_fast_scenario())
         stats = summary.stats()
@@ -96,11 +133,14 @@ class TestRunScenario:
 
     def test_outputs_written(self, tmp_path):
         cfg = _fast_scenario(outputs=str(tmp_path))
-        run_scenario(cfg)
+        summary = run_scenario(cfg)
         files = sorted(p.name for p in tmp_path.iterdir())
         assert "t_summary.csv" in files
         assert "t_auc_margin_s0.csv" in files
         assert "t_config.txt" in files
+        for cell in summary.cells:  # one model per (loss, seed), beside its metrics
+            spec, params = load_model(tmp_path / f"t_{cell.loss_label}_s{cell.seed}.model")
+            assert spec == cell.model_spec and np.array_equal(params, cell.params)
         summary_text = (tmp_path / "t_summary.csv").read_text()
         assert summary_text.startswith("scenario,loss,seed,final_test_auc,dataset_hash")
 
@@ -220,6 +260,13 @@ class TestAblations:
                            epochs=base.epochs, batch_size=base.batch_size,
                            seeds=base.seeds))
         assert grid[(0.0, 0.0)].stats() == plain.stats()
+
+    def test_noise_easy_grid_rejects_a_csv_source(self, tmp_path):
+        _csv_pair(tmp_path)
+        base = _fast_scenario(data=DataSetting(kind="csv", path=str(tmp_path / "train.csv"),
+                                               imratio=0.1))
+        with pytest.raises(ValidationError, match="toy draw"):
+            ablate_noise_easy(base, noise_rates=(0.05,), easy_fracs=(0.1,))
 
     def test_noise_easy_grid_injects_expected_counts(self):
         base = _fast_scenario(

@@ -107,17 +107,22 @@ class TestMarginLoss:
 
 class TestOptimalAux:
     def test_square_published_values(self):
-        aux = optimal_aux([0.5], [-0.5], loss="square")
+        aux = optimal_aux([0.5], [-0.5], loss="auc_square")
         assert (aux.a, aux.b) == (0.5, -0.5)
         assert aux.alpha == pytest.approx(0.0, abs=1e-15)
 
     def test_margin_wide_gap_clips_to_zero(self):
-        aux = optimal_aux([1.0], [-0.5], loss="margin", m=1.0)
+        aux = optimal_aux([1.0], [-0.5], loss="auc_margin", m=1.0)
         assert aux.alpha == 0.0
 
     def test_margin_tight_gap(self):
-        aux = optimal_aux([0.0], [-0.5], loss="margin", m=1.0)
+        aux = optimal_aux([0.0], [-0.5], loss="auc_margin", m=1.0)
         assert aux.alpha == pytest.approx(0.5, rel=1e-15)
+
+    @pytest.mark.parametrize("loss", ["square", "margin", "cross_entropy"])
+    def test_only_the_auc_surrogate_kinds_accepted(self, loss):
+        with pytest.raises(ValidationError):
+            optimal_aux([0.0], [-0.5], loss=loss)
 
 
 def _random_batch(rng, n_pos=None, n_neg=None):
@@ -141,7 +146,7 @@ class TestMinMaxValue:
             p = float(np.mean(labels > 0))
             m = float(rng.uniform(0.05, 1.5))
             sp, sn = scores[labels > 0], scores[labels < 0]
-            aux = optimal_aux(sp, sn, "margin", m=m)
+            aux = optimal_aux(sp, sn, "auc_margin", m=m)
             got = minmax_value(scores, labels, aux, SurrogateSpec("auc_margin", p=p, m=m))
             want = p * (1 - p) * margin_loss_value(sp, sn, m)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
@@ -152,7 +157,7 @@ class TestMinMaxValue:
             scores, labels = _random_batch(rng)
             p = float(np.mean(labels > 0))
             sp, sn = scores[labels > 0], scores[labels < 0]
-            aux = optimal_aux(sp, sn, "square")
+            aux = optimal_aux(sp, sn, "auc_square")
             got = minmax_value(scores, labels, aux, SurrogateSpec("auc_square", p=p))
             want = p * (1 - p) * pairwise_square_loss(sp, sn)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
@@ -216,7 +221,7 @@ class TestMinMaxGrads:
             if m + sn.mean() - sp.mean() >= 0:
                 continue
             p = float(np.mean(labels > 0))
-            aux = optimal_aux(sp, sn, "margin", m=m)
+            aux = optimal_aux(sp, sn, "auc_margin", m=m)
             assert aux.alpha == 0.0
             g = minmax_grads(scores, labels, aux, SurrogateSpec("auc_margin", p=p, m=m))
             n = scores.size

@@ -130,7 +130,7 @@ class TestBruteForceMinmax:
         p = float(np.mean(labels > 0))
         spec = SurrogateSpec("auc_margin", p=p, m=0.4)
         sp, sn = scores[labels > 0], scores[labels < 0]
-        aux = optimal_aux(sp, sn, "margin", m=0.4)
+        aux = optimal_aux(sp, sn, "auc_margin", m=0.4)
         g = minmax_grads(scores, labels, aux, spec)
         assert abs(g.g_a) < 1e-8 and abs(g.g_b) < 1e-8
         if aux.alpha > 0:
