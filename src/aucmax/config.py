@@ -86,14 +86,12 @@ KEYS = {
     "loss.focal_alpha": (float, (LossSetting, "focal_alpha")),
     "loss.focal_gamma": (float, (LossSetting, "focal_gamma")),
     "loss.bsn": (_parse_bool, (LossSetting, "bsn")),
-    "loss.bsn_exact": (_parse_bool, (LossSetting, "bsn_exact")),
     "optim.eta0": (float, (PesgConfig, "eta0")),
     "optim.gamma": (float, (PesgConfig, "gamma")),
     "optim.weight_decay": (float, (PesgConfig, "weight_decay"), (SgdConfig, "weight_decay")),
     "optim.decay_epochs": (_parse_int_list, (PesgConfig, "decay_epochs")),
     "optim.decay_factor": (float, (PesgConfig, "decay_factor")),
     "optim.project_alpha": (_parse_bool, (Config, "project_alpha")),
-    "optim.regularize_aux": (_parse_bool, (PesgConfig, "regularize_aux")),
     "optim.lr": (float, (SgdConfig, "lr")),
     "optim.momentum": (float, (SgdConfig, "momentum")),
     "train.epochs": (int, (ScenarioConfig, "epochs")),

@@ -110,7 +110,6 @@ class LossSetting:
     focal_alpha: float = 0.25
     focal_gamma: float = 2.0
     bsn: bool = False
-    bsn_exact: bool = True
     pesg: PesgConfig = field(default_factory=PesgConfig)
     sgd: SgdConfig = field(default_factory=SgdConfig)
 
@@ -118,7 +117,7 @@ class LossSetting:
         return SurrogateSpec(
             kind=self.kind, p=p, m=self.m,
             focal_alpha=self.focal_alpha, focal_gamma=self.focal_gamma,
-            bsn=self.bsn, bsn_exact=self.bsn_exact,
+            bsn=self.bsn,
         )
 
 
@@ -153,6 +152,10 @@ class ScenarioConfig:
             raise ValidationError(f"model kind must be linear or mlp, got {self.model_kind!r}")
         if not self.seeds:
             raise ValidationError("scenario needs at least one seed")
+        if self.epochs < 0:
+            raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 2:
+            raise ValidationError(f"batch_size must be >= 2, got {self.batch_size}")
         labels = [ls.label for ls in self.losses]
         if len(set(labels)) != len(labels):
             raise ValidationError(f"duplicate loss labels in scenario: {labels}")

@@ -56,9 +56,8 @@ class AuxVars:
 class SurrogateSpec:
     """Which objective governs training and its hyperparameters.
 
-    ``bsn`` L2-normalizes the scores of each mini-batch before the loss;
-    ``bsn_exact`` controls whether the normalization is differentiated through
-    (full Jacobian) or treated as a constant rescaling.
+    ``bsn`` L2-normalizes the scores of each mini-batch before the loss, and
+    training differentiates through the normalization (its full Jacobian).
     """
 
     kind: str
@@ -67,7 +66,6 @@ class SurrogateSpec:
     focal_alpha: float = 0.25
     focal_gamma: float = 2.0
     bsn: bool = False
-    bsn_exact: bool = True
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:

@@ -54,7 +54,6 @@ class PesgConfig:
     decay_epochs: tuple[int, ...] = ()
     decay_factor: float = 10.0
     project_alpha: bool = True
-    regularize_aux: bool = True   # apply gamma/weight_decay to (a, b) as well as w
 
     def __post_init__(self):
         if not self.eta0 > 0:
@@ -74,6 +73,17 @@ class SgdConfig:
     weight_decay: float = 1e-4
     epochs: int = 10
     batch_size: int = 64
+
+    def __post_init__(self):
+        if not (self.lr >= 0 and self.weight_decay >= 0):
+            raise ValidationError(f"lr and weight_decay must be >= 0, got {self.lr}, "
+                                  f"{self.weight_decay}")
+        if not 0 <= self.momentum < 1:
+            raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.epochs < 0:
+            raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 2:
+            raise ValidationError(f"batch_size must be >= 2, got {self.batch_size}")
 
 
 @dataclass
@@ -136,12 +146,8 @@ def pesg_step(state: MinMaxState, model_grad: np.ndarray, grads: MinMaxGrads,
         _require_finite("updated model parameters", w)
 
         a, b = np.float64(state.aux.a), np.float64(state.aux.b)
-        if cfg.regularize_aux:
-            a -= eta * (grads.g_a + cfg.gamma * (a - state.ref_a)) + cfg.weight_decay * eta * a
-            b -= eta * (grads.g_b + cfg.gamma * (b - state.ref_b)) + cfg.weight_decay * eta * b
-        else:
-            a -= eta * grads.g_a
-            b -= eta * grads.g_b
+        a -= eta * (grads.g_a + cfg.gamma * (a - state.ref_a)) + cfg.weight_decay * eta * a
+        b -= eta * (grads.g_b + cfg.gamma * (b - state.ref_b)) + cfg.weight_decay * eta * b
         alpha = np.float64(state.aux.alpha) + eta * grads.g_alpha
     if cfg.project_alpha:
         alpha = max(0.0, alpha)
@@ -175,23 +181,46 @@ def on_epoch_end(state: MinMaxState, epoch: int, cfg: PesgConfig) -> MinMaxState
     return state
 
 
-def _check_train_inputs(data: Dataset, batch_size: int) -> None:
+def _train_epochs(model_spec, params, data, epochs, batch_size, seed, test_data,
+                  step, end_epoch) -> list[RunRecord]:
+    """Shuffled mini-batch epochs over one update rule; deterministic per seed.
+
+    ``step(Xb, yb, scores)`` updates ``params`` in place from a batch and its
+    scores and returns the batch loss. ``end_epoch(epoch)`` runs after the
+    epoch's evaluation and returns the (aux, eta) the epoch ran with.
+    """
     if data.n_pos == 0 or data.n_neg == 0:
         raise ValidationError("training set must contain both classes")
     if batch_size < 2:
         raise ValidationError(f"batch_size must be >= 2, got {batch_size}")
+    records: list[RunRecord] = []
+    rng = np.random.default_rng(seed)
+    n = len(data)
+    t = 0
 
-
-def _epoch_record(epoch, t, loss, model_spec, params, train, test, aux, eta) -> RunRecord:
-    train_auc = auc_score(forward_batch(model_spec, params, train.X), train.y).auc
-    if test is not None:
-        test_auc = auc_score(forward_batch(model_spec, params, test.X), test.y).auc
-    else:
-        test_auc = train_auc
-    return RunRecord(
-        epoch=epoch, iter=t, loss=float(loss), train_auc=train_auc, test_auc=test_auc,
-        a=float(aux.a), b=float(aux.b), alpha=float(aux.alpha), eta=float(eta),
-    )
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            Xb, yb = data.X[idx], data.y[idx]
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    scores = forward_batch(model_spec, params, Xb)
+                    _require_finite("batch scores", scores)
+                    loss = step(Xb, yb, scores)
+            except NumericalError as exc:
+                raise NumericalError(f"epoch {epoch}, iteration {t}: {exc}") from exc
+            loss_sum += loss * idx.size
+            t += 1
+        train_auc = auc_score(forward_batch(model_spec, params, data.X), data.y).auc
+        test_auc = train_auc if test_data is None else auc_score(
+            forward_batch(model_spec, params, test_data.X), test_data.y).auc
+        aux, eta = end_epoch(epoch)
+        records.append(RunRecord(
+            epoch=epoch, iter=t, loss=float(loss_sum / n), train_auc=train_auc, test_auc=test_auc,
+            a=float(aux.a), b=float(aux.b), alpha=float(aux.alpha), eta=float(eta)))
+    return records
 
 
 def pesg_train(
@@ -212,43 +241,24 @@ def pesg_train(
     """
     if surrogate.kind not in ("auc_square", "auc_margin"):
         raise ValidationError(f"pesg_train needs an AUC surrogate, got {surrogate.kind!r}")
-    _check_train_inputs(data, batch_size)
     params = np.array(params, dtype=np.float64, copy=True)
     state = MinMaxState(params=params, aux=AuxVars(), eta=cfg.eta0)
-    records: list[RunRecord] = []
-    rng = np.random.default_rng(seed)
-    n = len(data)
 
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            Xb, yb = data.X[idx], data.y[idx]
-            try:
-                raw = forward_batch(model_spec, state.params, Xb)
-                _require_finite("batch scores", raw)
-                scores = batch_score_normalize(raw) if surrogate.bsn else raw
-                with np.errstate(over="ignore", invalid="ignore"):
-                    g = minmax_grads(scores, yb, state.aux, surrogate)
-                coeffs = g.g_coeffs
-                if surrogate.bsn:
-                    if surrogate.bsn_exact:
-                        coeffs = bsn_vjp(raw, coeffs)
-                    else:
-                        norm = max(float(np.linalg.norm(raw)), 1e-12)
-                        coeffs = coeffs / norm
-                model_grad = backward_vjp(model_spec, state.params, Xb, coeffs)
-                pesg_step(state, model_grad, g, cfg)
-            except NumericalError as exc:
-                raise NumericalError(f"epoch {epoch}, iteration {state.t}: {exc}") from exc
-            loss_sum += g.value * idx.size
-        records.append(
-            _epoch_record(epoch, state.t, loss_sum / n, model_spec, state.params,
-                          data, test_data, state.aux, state.eta)
-        )
+    def step(Xb, yb, raw):
+        scores = batch_score_normalize(raw) if surrogate.bsn else raw
+        g = minmax_grads(scores, yb, state.aux, surrogate)
+        coeffs = bsn_vjp(raw, g.g_coeffs) if surrogate.bsn else g.g_coeffs
+        pesg_step(state, backward_vjp(model_spec, params, Xb, coeffs), g, cfg)
+        return g.value
+
+    def end_epoch(epoch):
+        aux, eta = state.aux, state.eta
         on_epoch_end(state, epoch, cfg)
-    return state.params, state.aux, records
+        return aux, eta
+
+    records = _train_epochs(model_spec, params, data, epochs, batch_size, seed, test_data,
+                            step, end_epoch)
+    return params, state.aux, records
 
 
 def sgd_train(
@@ -263,41 +273,24 @@ def sgd_train(
     """Momentum SGD on cross-entropy or focal loss; deterministic per seed."""
     if surrogate.kind not in ("cross_entropy", "focal"):
         raise ValidationError(f"sgd_train needs cross_entropy or focal, got {surrogate.kind!r}")
-    _check_train_inputs(data, cfg.batch_size)
     params = np.array(params, dtype=np.float64, copy=True)
     velocity = np.zeros_like(params)
-    records: list[RunRecord] = []
-    rng = np.random.default_rng(seed)
-    n = len(data)
-    t = 0
 
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            Xb, yb = data.X[idx], data.y[idx]
-            scores = forward_batch(model_spec, params, Xb)
-            _require_finite("batch scores", scores)
-            if surrogate.kind == "cross_entropy":
-                value, coeffs = cross_entropy_loss_and_coeffs(scores, yb)
-            else:
-                value, coeffs = focal_loss_and_coeffs(
-                    scores, yb, surrogate.focal_alpha, surrogate.focal_gamma
-                )
-            grad = backward_vjp(model_spec, params, Xb, coeffs) + cfg.weight_decay * params
-            velocity = cfg.momentum * velocity + grad
-            params -= cfg.lr * velocity
-            if not np.all(np.isfinite(params)):
-                raise NumericalError(
-                    f"epoch {epoch}, iteration {t}: non-finite model parameters"
-                )
-            loss_sum += value * idx.size
-            t += 1
-        records.append(
-            _epoch_record(epoch, t, loss_sum / n, model_spec, params,
-                          data, test_data, AuxVars(), cfg.lr)
-        )
+    def step(Xb, yb, scores):
+        if surrogate.kind == "cross_entropy":
+            value, coeffs = cross_entropy_loss_and_coeffs(scores, yb)
+        else:
+            value, coeffs = focal_loss_and_coeffs(
+                scores, yb, surrogate.focal_alpha, surrogate.focal_gamma
+            )
+        grad = backward_vjp(model_spec, params, Xb, coeffs) + cfg.weight_decay * params
+        velocity[:] = cfg.momentum * velocity + grad
+        params[:] -= cfg.lr * velocity
+        _require_finite("updated model parameters", params)
+        return value
+
+    records = _train_epochs(model_spec, params, data, cfg.epochs, cfg.batch_size, seed,
+                            test_data, step, lambda epoch: (AuxVars(), cfg.lr))
     return params, records
 
 

@@ -80,10 +80,22 @@ class TestConfigParsing:
         assert loss.pesg.project_alpha is True
 
     @pytest.mark.parametrize("text", ["data.kind = parquet", "data.kind = csv",
-                                      "model.kind = cnn", "optim.eta0 = 0"])
+                                      "model.kind = cnn", "optim.eta0 = 0",
+                                      "train.epochs = -3", "train.batch_size = 1"])
     def test_bad_settings_rejected(self, text):
         with pytest.raises(ValidationError):
             parse_config(text)
+
+    @pytest.mark.parametrize("text", ["loss.kind = cross_entropy\noptim.lr = -0.1",
+                                      "loss.kind = focal\noptim.momentum = 5"])
+    def test_bad_sgd_settings_name_the_file(self, text):
+        with pytest.raises(ValidationError, match="run.cfg"):
+            parse_config(text, source="run.cfg")
+
+    @pytest.mark.parametrize("key", ["loss.bsn_exact", "optim.regularize_aux"])
+    def test_removed_keys_are_unknown(self, key):
+        with pytest.raises(ValidationError, match="unknown key"):
+            parse_config(f"{key} = true")
 
 
 @pytest.fixture()

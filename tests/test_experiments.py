@@ -348,3 +348,24 @@ def test_canonical_metrics_csvs_match_golden_hashes(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN_METRICS_SHA256}
     assert got == GOLDEN_METRICS_SHA256
+
+
+# The same for _fast_scenario at seed 0: square and margin PESG without BSN,
+# and cross-entropy and focal SGD, which the canonical scenarios do not train.
+GOLDEN_FAST_METRICS_SHA256 = {
+    "t_auc_square_s0.csv":
+        "b08c9add013bdb94b3f8961daeabe021640369146e445db86a4625e5b8722af2",
+    "t_auc_margin_s0.csv":
+        "b76a53dc1c173bb5f655ba47c3033a7b3de987460f48fe5713f6e74774c08a5f",
+    "t_ce_s0.csv":
+        "68b7cf2b73d32b3f9071c24790f2734464dca7b63b360bef827ef9e904334feb",
+    "t_focal_s0.csv":
+        "a230cc3c91bc6eae3f8500a2841fc95ea5b9cf7847a742755d2556784dd0cd81",
+}
+
+
+def test_fast_scenario_metrics_csvs_match_golden_hashes(tmp_path):
+    run_scenario(_fast_scenario(outputs=str(tmp_path)))
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in GOLDEN_FAST_METRICS_SHA256}
+    assert got == GOLDEN_FAST_METRICS_SHA256

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,18 +73,15 @@ class TestPesgStep:
         want = 1.0 - eta * (0.2 + gamma * (1.0 - 0.5)) - lam * eta * 1.0
         assert state.params[0] == pytest.approx(want)
 
-    def test_regularize_aux_flag(self):
+    def test_proximal_and_decay_terms_apply_to_aux(self):
         eta, gamma, lam = 0.1, 1.0, 0.3
-        cfg_on = PesgConfig(eta0=eta, gamma=gamma, weight_decay=lam, regularize_aux=True)
-        cfg_off = PesgConfig(eta0=eta, gamma=gamma, weight_decay=lam, regularize_aux=False)
-        for cfg, expect_a in (
-            (cfg_on, 1.0 - eta * (0.5 + gamma * (1.0 - 0.0)) - lam * eta * 1.0),
-            (cfg_off, 1.0 - eta * 0.5),
-        ):
-            state = MinMaxState(params=np.zeros(1), aux=AuxVars(a=1.0), eta=eta)
-            state.ref_a = 0.0
-            pesg_step(state, np.zeros(1), _grads(g_a=0.5), cfg)
-            assert state.aux.a == pytest.approx(expect_a)
+        cfg = PesgConfig(eta0=eta, gamma=gamma, weight_decay=lam)
+        state = MinMaxState(params=np.zeros(1), aux=AuxVars(a=1.0, b=-2.0), eta=eta)
+        state.ref_a, state.ref_b = 0.0, 0.5
+        pesg_step(state, np.zeros(1), _grads(g_a=0.5, g_b=-0.25), cfg)
+        assert state.aux.a == pytest.approx(1.0 - eta * (0.5 + gamma * (1.0 - 0.0)) - lam * eta * 1.0)
+        assert state.aux.b == pytest.approx(
+            -2.0 - eta * (-0.25 + gamma * (-2.0 - 0.5)) - lam * eta * -2.0)
 
     def test_nonfinite_gradient_aborts(self):
         state = MinMaxState(params=np.zeros(1), aux=AuxVars(), eta=0.1)
@@ -292,6 +291,31 @@ class TestSgdTrain:
                                SurrogateSpec("cross_entropy", p=train.p), cfg,
                                seed=3, test_data=test)
         assert records[-1].test_auc >= 0.99
+
+    def test_nonfinite_scores_abort_with_context(self):
+        train, _ = _toy_sets()
+        mspec = ModelSpec("linear", 2)
+        with pytest.raises(NumericalError, match="epoch 1, iteration 0: non-finite batch scores"):
+            sgd_train(mspec, np.array([np.nan, 0.0]), train,
+                      SurrogateSpec("cross_entropy", p=train.p), SgdConfig(), seed=0)
+
+    def test_divergence_aborts_with_context_and_no_warning(self):
+        train, _ = _toy_sets()
+        mspec = ModelSpec("linear", 2)
+        cfg = SgdConfig(lr=1e300, epochs=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="epoch 1, iteration"):
+                sgd_train(mspec, init_params(mspec, 1, 0.1), train,
+                          SurrogateSpec("cross_entropy", p=train.p), cfg, seed=0)
+
+    @pytest.mark.parametrize("kw", [dict(lr=-0.1), dict(lr=float("nan")), dict(momentum=-0.1),
+                                    dict(momentum=1.0), dict(momentum=5.0),
+                                    dict(weight_decay=-1e-4), dict(epochs=-1),
+                                    dict(batch_size=1)])
+    def test_bad_config_rejected(self, kw):
+        with pytest.raises(ValidationError):
+            SgdConfig(**kw)
 
     def test_wrong_surrogate_rejected(self):
         train, _ = _toy_sets()
