@@ -12,6 +12,7 @@ the end, so a failed run leaves no torn outputs.
 
 from __future__ import annotations
 
+import math
 import os
 import statistics
 from dataclasses import dataclass, field, replace
@@ -100,6 +101,10 @@ class DataSetting:
             raise ValidationError(f"data kind must be gaussian_toy or csv, got {self.kind!r}")
         if self.kind == "csv" and not self.path:
             raise ValidationError("data kind csv needs a path")
+        if not 0 <= self.noise_rate < 1:
+            raise ValidationError(f"noise_rate must be in [0, 1), got {self.noise_rate}")
+        if not 0 <= self.easy_frac <= 1:
+            raise ValidationError(f"easy_frac must be in [0, 1], got {self.easy_frac}")
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,12 @@ class LossSetting:
     bsn: bool = False
     pesg: PesgConfig = field(default_factory=PesgConfig)
     sgd: SgdConfig = field(default_factory=SgdConfig)
+
+    def __post_init__(self):
+        if not math.isfinite(self.m):
+            raise ValidationError(f"margin m must be finite, got {self.m}")
+        if self.kind == "auc_margin" and not self.m > 0:
+            raise ValidationError(f"margin m must be > 0, got {self.m}")
 
     def surrogate(self, p: float) -> SurrogateSpec:
         return SurrogateSpec(
@@ -152,6 +163,8 @@ class ScenarioConfig:
             raise ValidationError(f"model kind must be linear or mlp, got {self.model_kind!r}")
         if not self.seeds:
             raise ValidationError("scenario needs at least one seed")
+        if not 0 <= self.init_scale < math.inf:
+            raise ValidationError(f"init_scale must be finite and >= 0, got {self.init_scale}")
         if self.epochs < 0:
             raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 2:

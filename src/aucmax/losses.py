@@ -14,6 +14,7 @@ mean* objective.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,7 +194,7 @@ def _minmax_terms(scores, labels, aux: AuxVars, spec: SurrogateSpec, caller: str
         - p * (1 - p) * alpha**2
         + 2 * alpha * inner
     )
-    return pos, neg, alpha, d_a, d_b, inner, float(per.mean())
+    return pos, neg, alpha, d_a, d_b, inner, float(per.sum() / per.size)
 
 
 def minmax_value(scores, labels, aux: AuxVars, spec: SurrogateSpec) -> float:
@@ -210,9 +211,9 @@ def minmax_grads(scores, labels, aux: AuxVars, spec: SurrogateSpec) -> MinMaxGra
     g_coeffs = (
         2 * (1 - p) * (d_a - alpha) * pos + 2 * p * (d_b + alpha) * neg
     ) / n
-    g_a = float(np.sum(-2 * (1 - p) * d_a * pos) / n)
-    g_b = float(np.sum(-2 * p * d_b * neg) / n)
-    g_alpha = float(np.mean(2 * inner) - 2 * p * (1 - p) * alpha)
+    g_a = float((-2 * (1 - p) * d_a * pos).sum() / n)
+    g_b = float((-2 * p * d_b * neg).sum() / n)
+    g_alpha = float((2 * inner).sum() / n - 2 * p * (1 - p) * alpha)
     return MinMaxGrads(g_coeffs=g_coeffs, g_a=g_a, g_b=g_b, g_alpha=g_alpha, value=value)
 
 
@@ -221,7 +222,7 @@ def batch_score_normalize(scores) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64).ravel()
     if s.size == 0:
         raise ValidationError("cannot normalize an empty batch")
-    norm = float(np.linalg.norm(s))
+    norm = math.sqrt(s @ s)
     if norm < BSN_EPS:
         return s.copy()
     return s / norm
@@ -236,7 +237,7 @@ def bsn_vjp(scores, upstream) -> np.ndarray:
     u = np.asarray(upstream, dtype=np.float64).ravel()
     if s.shape != u.shape:
         raise ValidationError(f"scores {s.shape} and upstream {u.shape} differ in length")
-    norm = float(np.linalg.norm(s))
+    norm = math.sqrt(s @ s)
     if norm < BSN_EPS:
         return u.copy()
     return (u - s * (s @ u) / norm**2) / norm
@@ -246,7 +247,7 @@ def cross_entropy_loss_and_coeffs(scores, labels) -> tuple[float, np.ndarray]:
     """Mean logistic loss log(1 + exp(-y h)) and its per-score gradient."""
     s, y = _check_batch(scores, labels)
     n = s.size
-    value = float(np.mean(np.logaddexp(0.0, -y * s)))
+    value = float(np.logaddexp(0.0, -y * s).sum() / n)
     coeffs = -y * expit(-y * s) / n
     return value, coeffs
 
@@ -263,7 +264,7 @@ def focal_loss_and_coeffs(scores, labels, alpha_hat: float, gamma_hat: float) ->
     one_minus_pt = expit(-t)
     pt = expit(t)
     log_pt = -np.logaddexp(0.0, -t)
-    value = float(np.mean(alpha_hat * one_minus_pt**gamma_hat * (-log_pt)))
+    value = float((alpha_hat * one_minus_pt**gamma_hat * (-log_pt)).sum() / n)
     # d/dh of the per-sample loss; the gamma term vanishes identically at gamma=0
     per = alpha_hat * y * (
         gamma_hat * pt * one_minus_pt**gamma_hat * log_pt - one_minus_pt ** (gamma_hat + 1.0)

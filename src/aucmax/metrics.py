@@ -1,6 +1,6 @@
-"""Exact AUC (the Wilcoxon-Mann-Whitney statistic, counted from one sort),
-thresholded accuracy, and a small demonstration of how AUC reacts to rank
-changes that leave accuracy untouched.
+"""Exact AUC (the Wilcoxon-Mann-Whitney statistic, counted from per-class
+sorts), thresholded accuracy, and a small demonstration of how AUC reacts to
+rank changes that leave accuracy untouched.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def _as_scored(scores, labels):
 
 
 def auc_score(scores, labels, tie_policy: str = "half") -> AucResult:
-    """AUC in O(n log n) from one sort of the scores.
+    """AUC in O(n log n) from a sort of each class's scores.
 
     ``half`` scores tied pairs 0.5 (the standard WMW statistic); ``geq``
     scores them 1, i.e. the literal probability that a positive ranks at
@@ -48,27 +48,18 @@ def auc_score(scores, labels, tie_policy: str = "half") -> AucResult:
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("AUC needs at least one sample of each class")
 
-    order = np.argsort(s)
-    s_sorted = s[order]
-    # groups of equal scores in sorted order; NaNs sort last and, as in
-    # np.unique, form one group of their own
-    starts = np.empty(s.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(s_sorted[1:], s_sorted[:-1], out=starts[1:])
-    has_nan = bool(np.isnan(s_sorted[-1]))
-    if has_nan:
-        starts[int(np.argmax(np.isnan(s_sorted))) + 1:] = False
-    first = np.flatnonzero(starts)
-    # positives before each group's first sample and before its end
-    pos_cum = np.concatenate(([0], np.cumsum(pos[order])))
-    pos_before = pos_cum[first]
-    pos_in = np.diff(np.append(pos_before, n_pos))
-    neg_in = np.diff(np.append(first, s.size)) - pos_in
-    neg_before = first - pos_before
+    # NaNs sort last, and searchsorted orders them the same way, so NaNs of
+    # both classes form one tied group above every number
+    neg_sorted = np.sort(s[~pos])
+    pos_sorted = np.sort(s[pos])
+    below = np.searchsorted(neg_sorted, pos_sorted, side="left")
+    at_or_below = np.searchsorted(neg_sorted, pos_sorted, side="right")
+    has_nan = bool(np.isnan(neg_sorted[-1]) or np.isnan(pos_sorted[-1]))
 
     # exact integer pair counts; the AUC is one rounding of their ratio
-    tie_pairs = float(np.dot(pos_in, neg_in))
-    wins = float(np.dot(pos_in, neg_before))
+    n_wins = below.sum()
+    wins = float(n_wins)
+    tie_pairs = float(at_or_below.sum() - n_wins)
     tie_mass = tie_pairs / (n_pos * n_neg)
     if has_nan:
         auc = float("nan")

@@ -99,8 +99,32 @@ def _elu_grad(z: np.ndarray, alpha: float) -> np.ndarray:
     return np.where(z > 0, 1.0, alpha * np.exp(np.minimum(z, 0.0)))
 
 
+_BLOCK_ELEMS = 8192      # 64 KiB of float64
+_MIN_BLOCK_ROWS = 64
+
+
+def _block_rows(spec: ModelSpec) -> int:
+    """Rows per block when ``forward_batch`` scores a large mlp batch, 0 for none.
+
+    The largest power of two whose (rows, d_hidden) float64 temporaries fit
+    in 64 KiB, so they stay in cache and below the allocator's mmap
+    threshold. A power of two keeps every row at the same offset modulo the
+    BLAS kernels' unroll widths as in one pass over the whole batch, so the
+    scores are bit-identical to that pass. Layers too wide for 64-row blocks
+    are scored in one pass: there the BLAS kernel choice depends on the row
+    count (d_hidden 300 or 500 changes bits at every block size).
+    """
+    rows = 1 << max(0, (_BLOCK_ELEMS // spec.d_hidden).bit_length() - 1)
+    return rows if rows >= _MIN_BLOCK_ROWS else 0
+
+
 def forward_batch(spec: ModelSpec, params: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Score every row of X; order-preserving."""
+    """Score every row of X; order-preserving.
+
+    An mlp batch of at least two blocks (``_block_rows``) is scored block by
+    block, the last block taking the remainder, so every block has between
+    one and two blocks' rows; the scores equal one pass bit for bit.
+    """
     params = _check_params(spec, params)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or (X.shape[0] > 0 and X.shape[1] != spec.d_in):
@@ -112,8 +136,15 @@ def forward_batch(spec: ModelSpec, params: np.ndarray, X: np.ndarray) -> np.ndar
     if spec.kind == "linear":
         return X @ params
     W, b_h, v, b_out = _unpack_mlp(spec, params)
-    Z = X @ W.T + b_h
-    return _elu(Z, spec.elu_alpha) @ v + b_out
+    n, rows = X.shape[0], _block_rows(spec)
+    if not rows or n < 2 * rows:
+        return _elu(X @ W.T + b_h, spec.elu_alpha) @ v + b_out
+    out = np.empty(n)
+    last = n - n % rows - rows
+    for lo in range(0, last + 1, rows):
+        hi = n if lo == last else lo + rows
+        out[lo:hi] = _elu(X[lo:hi] @ W.T + b_h, spec.elu_alpha) @ v + b_out
+    return out
 
 
 def forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> float:

@@ -56,12 +56,13 @@ class PesgConfig:
     project_alpha: bool = True
 
     def __post_init__(self):
-        if not self.eta0 > 0:
-            raise ValidationError(f"eta0 must be > 0, got {self.eta0}")
-        if self.gamma < 0 or self.weight_decay < 0:
-            raise ValidationError("gamma and weight_decay must be >= 0")
-        if not self.decay_factor > 1:
-            raise ValidationError(f"decay_factor must be > 1, got {self.decay_factor}")
+        if not 0 < self.eta0 < math.inf:
+            raise ValidationError(f"eta0 must be finite and > 0, got {self.eta0}")
+        if not (0 <= self.gamma < math.inf and 0 <= self.weight_decay < math.inf):
+            raise ValidationError(f"gamma and weight_decay must be finite and >= 0, got "
+                                  f"{self.gamma}, {self.weight_decay}")
+        if not 1 < self.decay_factor < math.inf:
+            raise ValidationError(f"decay_factor must be finite and > 1, got {self.decay_factor}")
         if list(self.decay_epochs) != sorted(set(self.decay_epochs)):
             raise ValidationError("decay_epochs must be strictly increasing")
 
@@ -75,8 +76,8 @@ class SgdConfig:
     batch_size: int = 64
 
     def __post_init__(self):
-        if not (self.lr >= 0 and self.weight_decay >= 0):
-            raise ValidationError(f"lr and weight_decay must be >= 0, got {self.lr}, "
+        if not (0 <= self.lr < math.inf and 0 <= self.weight_decay < math.inf):
+            raise ValidationError(f"lr and weight_decay must be finite and >= 0, got {self.lr}, "
                                   f"{self.weight_decay}")
         if not 0 <= self.momentum < 1:
             raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
@@ -124,7 +125,7 @@ class RunRecord:
 
 
 def _require_finite(name: str, value) -> None:
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NumericalError(f"non-finite {name} encountered; aborting run")
 
 

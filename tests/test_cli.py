@@ -79,15 +79,23 @@ class TestConfigParsing:
         loss = parse_config("loss.kind = auc_square\noptim.project_alpha = on").scenario.losses[0]
         assert loss.pesg.project_alpha is True
 
-    @pytest.mark.parametrize("text", ["data.kind = parquet", "data.kind = csv",
-                                      "model.kind = cnn", "optim.eta0 = 0",
-                                      "train.epochs = -3", "train.batch_size = 1"])
+    @pytest.mark.parametrize("text", [
+        "data.kind = parquet", "data.kind = csv", "model.kind = cnn", "optim.eta0 = 0",
+        "train.epochs = -3", "train.batch_size = 1",
+        "optim.gamma = nan", "optim.eta0 = inf", "optim.decay_factor = inf",
+        "optim.weight_decay = inf",
+        "data.noise_rate = nan", "data.noise_rate = 1", "data.noise_rate = -0.1",
+        "data.easy_frac = -1", "data.easy_frac = 1.5", "data.easy_frac = nan",
+        "loss.m = nan", "loss.kind = auc_square\nloss.m = inf", "loss.kind = auc_margin\nloss.m = 0",
+        "model.init_scale = nan", "model.init_scale = inf", "model.init_scale = -0.1",
+    ])
     def test_bad_settings_rejected(self, text):
-        with pytest.raises(ValidationError):
-            parse_config(text)
+        with pytest.raises(ValidationError, match="run.cfg"):
+            parse_config(text, source="run.cfg")
 
     @pytest.mark.parametrize("text", ["loss.kind = cross_entropy\noptim.lr = -0.1",
-                                      "loss.kind = focal\noptim.momentum = 5"])
+                                      "loss.kind = focal\noptim.momentum = 5",
+                                      "loss.kind = cross_entropy\noptim.lr = inf"])
     def test_bad_sgd_settings_name_the_file(self, text):
         with pytest.raises(ValidationError, match="run.cfg"):
             parse_config(text, source="run.cfg")

@@ -92,17 +92,34 @@ class TestAucScore:
 
     def test_ties_with_infinities_equal_pair_count(self):
         rng = np.random.default_rng(5)
-        values = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, np.inf])
-        for _ in range(200):
-            n = int(rng.integers(2, 25))
-            scores = rng.choice(values, n)
-            labels = rng.choice([1, -1], n)
-            labels[:2] = (1, -1)
-            for policy in ("half", "geq"):
-                res = auc_score(scores, labels, tie_policy=policy)
-                assert res.auc == auc_pair_count(scores, labels, tie_policy=policy)
-                ties = np.sum(scores[labels > 0][:, None] == scores[labels < 0][None, :])
-                assert res.tie_mass == ties / (res.n_pos * res.n_neg)
+        special = [-np.inf, -1.0, -0.0, 0.0, 0.5, np.inf]
+        pools = [
+            (special, special),
+            (special + [np.nan], special),             # NaNs among positives only
+            (special, special + [np.nan]),             # among negatives only
+            (special + [np.nan], special + [np.nan]),  # in both classes
+            ([0.25], [0.25]),                          # every score tied
+        ]
+        for pos_values, neg_values in pools:
+            for trial in range(200):
+                n_pos = 1 if trial % 4 == 0 else int(rng.integers(1, 13))
+                n_neg = int(rng.integers(1, 13))
+                scores = np.concatenate([rng.choice(pos_values, n_pos),
+                                         rng.choice(neg_values, n_neg)])
+                labels = np.repeat([1, -1], [n_pos, n_neg])
+                order = rng.permutation(scores.size)
+                scores, labels = scores[order], labels[order]
+                sp = scores[labels > 0][:, None]
+                sn = scores[labels < 0][None, :]
+                # NaNs of both classes are one tied group
+                ties = np.sum((sp == sn) | (np.isnan(sp) & np.isnan(sn)))
+                for policy in ("half", "geq"):
+                    res = auc_score(scores, labels, tie_policy=policy)
+                    if np.isnan(scores).any():
+                        assert np.isnan(res.auc)
+                    else:
+                        assert res.auc == auc_pair_count(scores, labels, tie_policy=policy)
+                    assert res.tie_mass == ties / (n_pos * n_neg)
 
 
 class TestIllustrationInstance:

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from aucmax.errors import ValidationError
 from aucmax.models import (
     ModelSpec,
+    _block_rows,
+    _elu,
+    _unpack_mlp,
     backward_vjp,
     forward,
     forward_batch,
@@ -105,6 +108,37 @@ def test_forward_batch_matches_forward_and_preserves_order():
 def test_forward_batch_empty():
     spec = ModelSpec("linear", 2)
     assert forward_batch(spec, np.zeros(2), np.zeros((0, 2))).shape == (0,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d_in=st.integers(1, 5),
+    d_hidden=st.one_of(st.sampled_from([1, 17, 33, 64]), st.integers(1, 64)),
+    elu_alpha=st.sampled_from([1.0, 0.3, 2.5]),
+    blocks=st.integers(0, 5),
+    extra=st.sampled_from([-1, 0, 1, 3]),
+    seed=st.integers(0, 2**16),
+)
+def test_blockwise_forward_batch_is_bitwise_one_pass(d_in, d_hidden, elu_alpha, blocks,
+                                                    extra, seed):
+    spec = ModelSpec("mlp", d_in, d_hidden, elu_alpha)
+    rows = _block_rows(spec)
+    assert rows * d_hidden <= 8192 < 2 * rows * d_hidden
+    rng = np.random.default_rng(seed)
+    params = init_params(spec, seed, 2.0)
+    X = 2.0 * rng.normal(size=(max(0, blocks * rows + extra), d_in))
+    W, b_h, v, b_out = _unpack_mlp(spec, params)
+    one_pass = _elu(X @ W.T + b_h, elu_alpha) @ v + b_out
+    got = forward_batch(spec, params, X)
+    assert np.array_equal(got.view(np.int64), one_pass.view(np.int64))
+
+
+def test_block_rows_rule():
+    assert _block_rows(ModelSpec("mlp", 2, 8, 1.0)) == 1024
+    assert _block_rows(ModelSpec("mlp", 2, 128, 1.0)) == 64
+    # too wide for 64-row blocks: one pass, whose BLAS kernels vary with the row count
+    for d_hidden in (129, 300, 500, 10000):
+        assert _block_rows(ModelSpec("mlp", 2, d_hidden, 1.0)) == 0
 
 
 def test_dimension_mismatch_rejected():

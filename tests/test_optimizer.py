@@ -312,7 +312,8 @@ class TestSgdTrain:
     @pytest.mark.parametrize("kw", [dict(lr=-0.1), dict(lr=float("nan")), dict(momentum=-0.1),
                                     dict(momentum=1.0), dict(momentum=5.0),
                                     dict(weight_decay=-1e-4), dict(epochs=-1),
-                                    dict(batch_size=1)])
+                                    dict(batch_size=1), dict(lr=float("inf")),
+                                    dict(weight_decay=float("inf"))])
     def test_bad_config_rejected(self, kw):
         with pytest.raises(ValidationError):
             SgdConfig(**kw)
