@@ -9,6 +9,7 @@ samples and is 0 everywhere else ("no ground-truth annotation").
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,8 +103,8 @@ class GaussianToySpec:
     def __post_init__(self):
         if self.n_pos < 1 or self.n_neg < 1:
             raise ValidationError("need at least one sample per class")
-        if not self.cov_scale > 0:
-            raise ValidationError(f"cov_scale must be > 0, got {self.cov_scale}")
+        if not 0 < self.cov_scale < math.inf:
+            raise ValidationError(f"cov_scale must be finite and > 0, got {self.cov_scale}")
 
 
 def gen_gaussian_toy(spec: GaussianToySpec) -> Dataset:

@@ -105,6 +105,15 @@ class DataSetting:
             raise ValidationError(f"noise_rate must be in [0, 1), got {self.noise_rate}")
         if not 0 <= self.easy_frac <= 1:
             raise ValidationError(f"easy_frac must be in [0, 1], got {self.easy_frac}")
+        if self.kind == "gaussian_toy":
+            # the draws' own checks, at parse
+            GaussianToySpec(self.mean_pos, self.mean_neg, self.cov_scale, self.n_pos, self.n_neg)
+            GaussianToySpec(self.mean_pos, self.mean_neg, self.cov_scale,
+                            self.test_n_pos, self.test_n_neg)
+            p = self.n_pos / (self.n_pos + self.n_neg)
+            if self.imratio is not None and not 0 < self.imratio <= p:
+                raise ValidationError(f"imratio must be in (0, {p:.6g}] for n_pos = "
+                                      f"{self.n_pos}, n_neg = {self.n_neg}, got {self.imratio}")
 
 
 @dataclass(frozen=True)
@@ -119,10 +128,7 @@ class LossSetting:
     sgd: SgdConfig = field(default_factory=SgdConfig)
 
     def __post_init__(self):
-        if not math.isfinite(self.m):
-            raise ValidationError(f"margin m must be finite, got {self.m}")
-        if self.kind == "auc_margin" and not self.m > 0:
-            raise ValidationError(f"margin m must be > 0, got {self.m}")
+        self.surrogate(0.5)     # the loss's own checks; the prior comes from the data
 
     def surrogate(self, p: float) -> SurrogateSpec:
         return SurrogateSpec(
@@ -159,8 +165,7 @@ class ScenarioConfig:
     warm_start: SgdConfig | None = None
 
     def __post_init__(self):
-        if self.model_kind not in ("linear", "mlp"):
-            raise ValidationError(f"model kind must be linear or mlp, got {self.model_kind!r}")
+        self.model_spec(1)      # the model's own checks; d_in comes from the data
         if not self.seeds:
             raise ValidationError("scenario needs at least one seed")
         if not 0 <= self.init_scale < math.inf:
@@ -176,7 +181,7 @@ class ScenarioConfig:
     def model_spec(self, d_in: int) -> ModelSpec:
         if self.model_kind == "linear":
             return ModelSpec("linear", d_in)
-        return ModelSpec("mlp", d_in, self.d_hidden, self.elu_alpha)
+        return ModelSpec(self.model_kind, d_in, self.d_hidden, self.elu_alpha)
 
 
 @dataclass

@@ -10,6 +10,11 @@ positive-class prior of the full training set, fixed once per run. Gradients
 with respect to scores are returned as per-sample coefficients sized so that
 feeding them to ``models.backward_vjp`` yields the gradient of the *batch
 mean* objective.
+
+The public functions validate their inputs. Each has an unchecked core
+(``_minmax_grads``, ``_bsn``/``_bsn_vjp`` with the norm from ``_bsn_norm``,
+``_cross_entropy``, ``_focal``) that the training loop calls on batches of a
+checked ``Dataset``.
 """
 
 from __future__ import annotations
@@ -73,13 +78,12 @@ class SurrogateSpec:
             raise ValidationError(f"unknown surrogate kind {self.kind!r}")
         if not 0.0 < self.p < 1.0:
             raise ValidationError(f"class prior p must be in (0,1), got {self.p}")
+        if not math.isfinite(self.m):
+            raise ValidationError(f"margin m must be finite, got {self.m}")
         if self.kind == "auc_margin" and not self.m > 0:
             raise ValidationError(f"margin m must be > 0, got {self.m}")
         if self.kind == "focal":
-            if not 0.0 < self.focal_alpha < 1.0:
-                raise ValidationError(f"focal_alpha must be in (0,1), got {self.focal_alpha}")
-            if self.focal_gamma < 0:
-                raise ValidationError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
+            _check_focal(self.focal_alpha, self.focal_gamma)
 
     @property
     def effective_margin(self) -> float:
@@ -171,15 +175,25 @@ def optimal_aux(scores_pos, scores_neg, loss: str = "auc_square", m: float = 1.0
     return AuxVars(a=a, b=b, alpha=alpha)
 
 
-def _minmax_terms(scores, labels, aux: AuxVars, spec: SurrogateSpec, caller: str):
-    """Validated inputs and the shared terms of the min-max objective.
+def _check_focal(alpha_hat, gamma_hat) -> None:
+    if not 0.0 < alpha_hat < 1.0:
+        raise ValidationError(f"focal alpha must be in (0,1), got {alpha_hat}")
+    if not 0 <= gamma_hat < math.inf:
+        raise ValidationError(f"focal gamma must be finite and >= 0, got {gamma_hat}")
+
+
+def _check_auc_batch(scores, labels, spec: SurrogateSpec, caller: str):
+    if spec.kind not in AUC_KINDS:
+        raise ValidationError(f"{caller} needs an AUC surrogate, got {spec.kind!r}")
+    return _check_batch(scores, labels)
+
+
+def _minmax_terms(s, y, aux: AuxVars, spec: SurrogateSpec):
+    """The shared terms of the min-max objective on a checked batch.
 
     Returns (pos, neg, alpha, s - a, s - b, inner, value), where ``inner``
     is the per-sample factor of 2 alpha and ``value`` the batch mean.
     """
-    if spec.kind not in AUC_KINDS:
-        raise ValidationError(f"{caller} needs an AUC surrogate, got {spec.kind!r}")
-    s, y = _check_batch(scores, labels)
     p, m = spec.p, spec.effective_margin
     pos = y > 0
     neg = ~pos
@@ -199,13 +213,18 @@ def _minmax_terms(scores, labels, aux: AuxVars, spec: SurrogateSpec, caller: str
 
 def minmax_value(scores, labels, aux: AuxVars, spec: SurrogateSpec) -> float:
     """Batch mean of the decomposable per-sample min-max objective."""
-    return _minmax_terms(scores, labels, aux, spec, "minmax_value")[-1]
+    s, y = _check_auc_batch(scores, labels, spec, "minmax_value")
+    return _minmax_terms(s, y, aux, spec)[-1]
 
 
 def minmax_grads(scores, labels, aux: AuxVars, spec: SurrogateSpec) -> MinMaxGrads:
     """Exact gradients of minmax_value w.r.t. scores, a, b and alpha."""
-    pos, neg, alpha, d_a, d_b, inner, value = _minmax_terms(
-        scores, labels, aux, spec, "minmax_grads")
+    s, y = _check_auc_batch(scores, labels, spec, "minmax_grads")
+    return _minmax_grads(s, y, aux, spec)
+
+
+def _minmax_grads(s, y, aux: AuxVars, spec: SurrogateSpec) -> MinMaxGrads:
+    pos, neg, alpha, d_a, d_b, inner, value = _minmax_terms(s, y, aux, spec)
     p = spec.p
     n = d_a.size
     g_coeffs = (
@@ -222,10 +241,15 @@ def batch_score_normalize(scores) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64).ravel()
     if s.size == 0:
         raise ValidationError("cannot normalize an empty batch")
-    norm = math.sqrt(s @ s)
-    if norm < BSN_EPS:
-        return s.copy()
-    return s / norm
+    return _bsn(s, _bsn_norm(s))
+
+
+def _bsn_norm(s) -> float:
+    return math.sqrt(s @ s)
+
+
+def _bsn(s, norm: float) -> np.ndarray:
+    return s.copy() if norm < BSN_EPS else s / norm
 
 
 def bsn_vjp(scores, upstream) -> np.ndarray:
@@ -237,15 +261,20 @@ def bsn_vjp(scores, upstream) -> np.ndarray:
     u = np.asarray(upstream, dtype=np.float64).ravel()
     if s.shape != u.shape:
         raise ValidationError(f"scores {s.shape} and upstream {u.shape} differ in length")
-    norm = math.sqrt(s @ s)
-    if norm < BSN_EPS:
-        return u.copy()
-    return (u - s * (s @ u) / norm**2) / norm
+    return _bsn_vjp(s, u, _bsn_norm(s))
+
+
+def _bsn_vjp(s, u, norm: float) -> np.ndarray:
+    # norm**2 on the Python float is C pow, which can differ from norm * norm
+    return u.copy() if norm < BSN_EPS else (u - s * (s @ u) / norm**2) / norm
 
 
 def cross_entropy_loss_and_coeffs(scores, labels) -> tuple[float, np.ndarray]:
     """Mean logistic loss log(1 + exp(-y h)) and its per-score gradient."""
-    s, y = _check_batch(scores, labels)
+    return _cross_entropy(*_check_batch(scores, labels))
+
+
+def _cross_entropy(s, y) -> tuple[float, np.ndarray]:
     n = s.size
     value = float(np.logaddexp(0.0, -y * s).sum() / n)
     coeffs = -y * expit(-y * s) / n
@@ -254,11 +283,12 @@ def cross_entropy_loss_and_coeffs(scores, labels) -> tuple[float, np.ndarray]:
 
 def focal_loss_and_coeffs(scores, labels, alpha_hat: float, gamma_hat: float) -> tuple[float, np.ndarray]:
     """Mean alpha-balanced focal loss -a (1 - p_t)^g log(p_t) with p_t = sigmoid(y h)."""
-    if not 0.0 < alpha_hat < 1.0:
-        raise ValidationError(f"alpha_hat must be in (0,1), got {alpha_hat}")
-    if gamma_hat < 0:
-        raise ValidationError(f"gamma_hat must be >= 0, got {gamma_hat}")
+    _check_focal(alpha_hat, gamma_hat)
     s, y = _check_batch(scores, labels)
+    return _focal(s, y, alpha_hat, gamma_hat)
+
+
+def _focal(s, y, alpha_hat: float, gamma_hat: float) -> tuple[float, np.ndarray]:
     n = s.size
     t = y * s
     one_minus_pt = expit(-t)

@@ -15,10 +15,14 @@ files round-trip bit-exactly:
 
 All functions are pure; gradients are hand-written vector-Jacobian products
 (`backward_vjp`), checked against central finite differences in the tests.
+The public functions validate their inputs; the training loop calls the
+unchecked `_forward_hidden`/`_backward_hidden` pair, which keeps a batch's
+hidden activations from the forward pass for the backward pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +58,8 @@ class ModelSpec:
         if self.kind == "mlp":
             if self.d_hidden < 1:
                 raise ValidationError(f"mlp needs d_hidden >= 1, got {self.d_hidden}")
-            if not self.elu_alpha > 0:
-                raise ValidationError(f"elu_alpha must be > 0, got {self.elu_alpha}")
+            if not 0 < self.elu_alpha < math.inf:
+                raise ValidationError(f"elu_alpha must be finite and > 0, got {self.elu_alpha}")
 
     @property
     def n_params(self) -> int:
@@ -118,6 +122,18 @@ def _block_rows(spec: ModelSpec) -> int:
     return rows if rows >= _MIN_BLOCK_ROWS else 0
 
 
+def _forward_hidden(spec: ModelSpec, params: np.ndarray, X: np.ndarray):
+    """Unchecked one-pass scores of a non-empty batch, with the mlp's hidden
+    pre-activations and activations ``(Z, U)`` (None for linear) for
+    ``_backward_hidden``."""
+    if spec.kind == "linear":
+        return X @ params, None
+    W, b_h, v, b_out = _unpack_mlp(spec, params)
+    Z = X @ W.T + b_h                     # (n, h)
+    U = _elu(Z, spec.elu_alpha)           # (n, h)
+    return U @ v + b_out, (Z, U)
+
+
 def forward_batch(spec: ModelSpec, params: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Score every row of X; order-preserving.
 
@@ -133,17 +149,14 @@ def forward_batch(spec: ModelSpec, params: np.ndarray, X: np.ndarray) -> np.ndar
         )
     if X.shape[0] == 0:
         return np.zeros(0)
-    if spec.kind == "linear":
-        return X @ params
-    W, b_h, v, b_out = _unpack_mlp(spec, params)
-    n, rows = X.shape[0], _block_rows(spec)
+    n, rows = X.shape[0], _block_rows(spec) if spec.kind == "mlp" else 0
     if not rows or n < 2 * rows:
-        return _elu(X @ W.T + b_h, spec.elu_alpha) @ v + b_out
+        return _forward_hidden(spec, params, X)[0]
     out = np.empty(n)
     last = n - n % rows - rows
     for lo in range(0, last + 1, rows):
         hi = n if lo == last else lo + rows
-        out[lo:hi] = _elu(X[lo:hi] @ W.T + b_h, spec.elu_alpha) @ v + b_out
+        out[lo:hi] = _forward_hidden(spec, params, X[lo:hi])[0]
     return out
 
 
@@ -153,6 +166,24 @@ def forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> float:
     if x.shape != (spec.d_in,):
         raise ValidationError(f"expected input of length {spec.d_in}, got shape {x.shape}")
     return float(forward_batch(spec, params, x[None, :])[0])
+
+
+def _backward_hidden(spec: ModelSpec, params: np.ndarray, X: np.ndarray, coeffs: np.ndarray,
+                     hidden) -> np.ndarray:
+    """Unchecked ``backward_vjp`` of a non-empty batch from the ``hidden`` that
+    ``_forward_hidden`` returned for the same (pre-update) params."""
+    if spec.kind == "linear":
+        return X.T @ coeffs
+    Z, U = hidden
+    h, d = spec.d_hidden, spec.d_in
+    v = params[h * d + h : h * d + 2 * h]
+    G = coeffs[:, None] * _elu_grad(Z, spec.elu_alpha) * v[None, :]  # d(sum)/dZ
+    grad = np.empty(spec.n_params)
+    grad[: h * d] = (G.T @ X).reshape(-1)
+    grad[h * d : h * d + h] = G.sum(axis=0)
+    grad[h * d + h : h * d + 2 * h] = U.T @ coeffs
+    grad[-1] = coeffs.sum()
+    return grad
 
 
 def backward_vjp(
@@ -170,21 +201,8 @@ def backward_vjp(
         return np.zeros(spec.n_params)
     if X.shape[1] != spec.d_in:
         raise ValidationError(f"expected batch of shape (n, {spec.d_in}), got {X.shape}")
-
-    if spec.kind == "linear":
-        return X.T @ coeffs
-
-    W, b_h, v, b_out = _unpack_mlp(spec, params)
-    Z = X @ W.T + b_h                     # (n, h)
-    U = _elu(Z, spec.elu_alpha)           # (n, h)
-    G = coeffs[:, None] * _elu_grad(Z, spec.elu_alpha) * v[None, :]  # d(sum)/dZ
-    grad = np.empty(spec.n_params)
-    h, d = spec.d_hidden, spec.d_in
-    grad[: h * d] = (G.T @ X).reshape(-1)
-    grad[h * d : h * d + h] = G.sum(axis=0)
-    grad[h * d + h : h * d + 2 * h] = U.T @ coeffs
-    grad[-1] = coeffs.sum()
-    return grad
+    hidden = None if spec.kind == "linear" else _forward_hidden(spec, params, X)[1]
+    return _backward_hidden(spec, params, X, coeffs, hidden)
 
 
 def output_layer_slice(spec: ModelSpec) -> slice:

@@ -23,14 +23,22 @@ from .losses import (
     AuxVars,
     MinMaxGrads,
     SurrogateSpec,
-    batch_score_normalize,
-    bsn_vjp,
-    cross_entropy_loss_and_coeffs,
-    focal_loss_and_coeffs,
-    minmax_grads,
+    _bsn,
+    _bsn_norm,
+    _bsn_vjp,
+    _cross_entropy,
+    _focal,
+    _minmax_grads,
 )
 from .metrics import auc_score
-from .models import ModelSpec, backward_vjp, forward_batch, init_params, output_layer_slice
+from .models import (
+    ModelSpec,
+    _backward_hidden,
+    _forward_hidden,
+    forward_batch,
+    init_params,
+    output_layer_slice,
+)
 
 __all__ = [
     "PesgConfig",
@@ -139,20 +147,27 @@ def pesg_step(state: MinMaxState, model_grad: np.ndarray, grads: MinMaxGrads,
     """One primal-descent / dual-ascent update, in place."""
     _require_finite("model gradient", model_grad)
     _require_finite_scalars("aux gradients", grads.g_a, grads.g_b, grads.g_alpha)
-    eta = state.eta
-
     with np.errstate(over="ignore", invalid="ignore"):
-        w = state.params
-        w -= eta * (model_grad + cfg.gamma * (w - state.ref_params)) + cfg.weight_decay * eta * w
-        _require_finite("updated model parameters", w)
+        return _pesg_update(state, model_grad, grads, cfg)
 
-        a, b = np.float64(state.aux.a), np.float64(state.aux.b)
-        a -= eta * (grads.g_a + cfg.gamma * (a - state.ref_a)) + cfg.weight_decay * eta * a
-        b -= eta * (grads.g_b + cfg.gamma * (b - state.ref_b)) + cfg.weight_decay * eta * b
-        alpha = np.float64(state.aux.alpha) + eta * grads.g_alpha
+
+def _pesg_update(state: MinMaxState, model_grad: np.ndarray, grads: MinMaxGrads,
+                 cfg: PesgConfig) -> MinMaxState:
+    """``pesg_step`` without the gradient checks: a non-finite gradient makes
+    the updated params or aux non-finite, and both are checked, alpha before
+    its projection (``max(0.0, nan)`` is 0.0)."""
+    eta = state.eta
+    w = state.params
+    w -= eta * (model_grad + cfg.gamma * (w - state.ref_params)) + cfg.weight_decay * eta * w
+    _require_finite("updated model parameters", w)
+
+    a, b = np.float64(state.aux.a), np.float64(state.aux.b)
+    a -= eta * (grads.g_a + cfg.gamma * (a - state.ref_a)) + cfg.weight_decay * eta * a
+    b -= eta * (grads.g_b + cfg.gamma * (b - state.ref_b)) + cfg.weight_decay * eta * b
+    alpha = np.float64(state.aux.alpha) + eta * grads.g_alpha
+    _require_finite_scalars("updated aux variables", a, b, alpha)
     if cfg.project_alpha:
         alpha = max(0.0, alpha)
-    _require_finite_scalars("updated aux variables", a, b, alpha)
     state.aux = AuxVars(a=float(a), b=float(b), alpha=float(alpha))
 
     state.sum_params += w
@@ -182,13 +197,59 @@ def on_epoch_end(state: MinMaxState, epoch: int, cfg: PesgConfig) -> MinMaxState
     return state
 
 
+def _fused_step(model_spec, params, Xb, yb, update) -> float:
+    """One training step on a batch of a checked ``Dataset``, with no input
+    checks: the batch scores are checked here, and ``update`` checks what it
+    updates. Returns the batch loss."""
+    scores, hidden = _forward_hidden(model_spec, params, Xb)
+    _require_finite("batch scores", scores)
+    return update(Xb, yb, scores, hidden)
+
+
+def _pesg_rule(model_spec, state: MinMaxState, surrogate: SurrogateSpec, cfg: PesgConfig):
+    """PESG's ``update(Xb, yb, scores, hidden)`` for ``_fused_step``: optional
+    BSN, the min-max gradients, the VJP and the PESG update of ``state``."""
+    params = state.params
+
+    def update(Xb, yb, raw, hidden):
+        if surrogate.bsn:
+            norm = _bsn_norm(raw)
+            scores = _bsn(raw, norm)
+        else:
+            scores = raw
+        g = _minmax_grads(scores, yb, state.aux, surrogate)
+        coeffs = _bsn_vjp(raw, g.g_coeffs, norm) if surrogate.bsn else g.g_coeffs
+        _pesg_update(state, _backward_hidden(model_spec, params, Xb, coeffs, hidden), g, cfg)
+        return g.value
+
+    return update
+
+
+def _sgd_rule(model_spec, params, velocity, surrogate: SurrogateSpec, cfg: SgdConfig):
+    """Momentum SGD's ``update(Xb, yb, scores, hidden)`` for ``_fused_step``, on
+    cross-entropy or focal loss; updates ``params`` and ``velocity``."""
+
+    def update(Xb, yb, scores, hidden):
+        if surrogate.kind == "cross_entropy":
+            value, coeffs = _cross_entropy(scores, yb)
+        else:
+            value, coeffs = _focal(scores, yb, surrogate.focal_alpha, surrogate.focal_gamma)
+        grad = _backward_hidden(model_spec, params, Xb, coeffs, hidden) + cfg.weight_decay * params
+        velocity[:] = cfg.momentum * velocity + grad
+        params[:] -= cfg.lr * velocity
+        _require_finite("updated model parameters", params)
+        return value
+
+    return update
+
+
 def _train_epochs(model_spec, params, data, epochs, batch_size, seed, test_data,
-                  step, end_epoch) -> list[RunRecord]:
+                  update, end_epoch) -> list[RunRecord]:
     """Shuffled mini-batch epochs over one update rule; deterministic per seed.
 
-    ``step(Xb, yb, scores)`` updates ``params`` in place from a batch and its
-    scores and returns the batch loss. ``end_epoch(epoch)`` runs after the
-    epoch's evaluation and returns the (aux, eta) the epoch ran with.
+    Each batch is one ``_fused_step`` with ``update``, which updates ``params``
+    in place. ``end_epoch(epoch)`` runs after the epoch's evaluation and
+    returns the (aux, eta) the epoch ran with.
     """
     if data.n_pos == 0 or data.n_neg == 0:
         raise ValidationError("training set must contain both classes")
@@ -204,12 +265,9 @@ def _train_epochs(model_spec, params, data, epochs, batch_size, seed, test_data,
         loss_sum = 0.0
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            Xb, yb = data.X[idx], data.y[idx]
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    scores = forward_batch(model_spec, params, Xb)
-                    _require_finite("batch scores", scores)
-                    loss = step(Xb, yb, scores)
+                    loss = _fused_step(model_spec, params, data.X[idx], data.y[idx], update)
             except NumericalError as exc:
                 raise NumericalError(f"epoch {epoch}, iteration {t}: {exc}") from exc
             loss_sum += loss * idx.size
@@ -245,20 +303,13 @@ def pesg_train(
     params = np.array(params, dtype=np.float64, copy=True)
     state = MinMaxState(params=params, aux=AuxVars(), eta=cfg.eta0)
 
-    def step(Xb, yb, raw):
-        scores = batch_score_normalize(raw) if surrogate.bsn else raw
-        g = minmax_grads(scores, yb, state.aux, surrogate)
-        coeffs = bsn_vjp(raw, g.g_coeffs) if surrogate.bsn else g.g_coeffs
-        pesg_step(state, backward_vjp(model_spec, params, Xb, coeffs), g, cfg)
-        return g.value
-
     def end_epoch(epoch):
         aux, eta = state.aux, state.eta
         on_epoch_end(state, epoch, cfg)
         return aux, eta
 
     records = _train_epochs(model_spec, params, data, epochs, batch_size, seed, test_data,
-                            step, end_epoch)
+                            _pesg_rule(model_spec, state, surrogate, cfg), end_epoch)
     return params, state.aux, records
 
 
@@ -275,23 +326,9 @@ def sgd_train(
     if surrogate.kind not in ("cross_entropy", "focal"):
         raise ValidationError(f"sgd_train needs cross_entropy or focal, got {surrogate.kind!r}")
     params = np.array(params, dtype=np.float64, copy=True)
-    velocity = np.zeros_like(params)
-
-    def step(Xb, yb, scores):
-        if surrogate.kind == "cross_entropy":
-            value, coeffs = cross_entropy_loss_and_coeffs(scores, yb)
-        else:
-            value, coeffs = focal_loss_and_coeffs(
-                scores, yb, surrogate.focal_alpha, surrogate.focal_gamma
-            )
-        grad = backward_vjp(model_spec, params, Xb, coeffs) + cfg.weight_decay * params
-        velocity[:] = cfg.momentum * velocity + grad
-        params[:] -= cfg.lr * velocity
-        _require_finite("updated model parameters", params)
-        return value
-
+    update = _sgd_rule(model_spec, params, np.zeros_like(params), surrogate, cfg)
     records = _train_epochs(model_spec, params, data, cfg.epochs, cfg.batch_size, seed,
-                            test_data, step, lambda epoch: (AuxVars(), cfg.lr))
+                            test_data, update, lambda epoch: (AuxVars(), cfg.lr))
     return params, records
 
 

@@ -88,6 +88,9 @@ class TestConfigParsing:
         "data.easy_frac = -1", "data.easy_frac = 1.5", "data.easy_frac = nan",
         "loss.m = nan", "loss.kind = auc_square\nloss.m = inf", "loss.kind = auc_margin\nloss.m = 0",
         "model.init_scale = nan", "model.init_scale = inf", "model.init_scale = -0.1",
+        "loss.kind = focal\nloss.focal_gamma = nan", "loss.kind = focal\nloss.focal_alpha = nan",
+        "data.cov_scale = nan", "data.cov_scale = -1", "data.imratio = 2", "data.imratio = nan",
+        "model.kind = mlp\nmodel.elu_alpha = inf",
     ])
     def test_bad_settings_rejected(self, text):
         with pytest.raises(ValidationError, match="run.cfg"):

@@ -2,13 +2,20 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aucmax.data import GaussianToySpec, gen_gaussian_toy, make_imbalanced
 from aucmax.errors import NumericalError, ValidationError
 from aucmax.losses import (
+    AUC_KINDS,
     AuxVars,
     MinMaxGrads,
     SurrogateSpec,
+    batch_score_normalize,
+    bsn_vjp,
+    cross_entropy_loss_and_coeffs,
+    focal_loss_and_coeffs,
     minmax_grads,
     pairwise_square_loss,
 )
@@ -17,6 +24,10 @@ from aucmax.optimizer import (
     MinMaxState,
     PesgConfig,
     SgdConfig,
+    _fused_step,
+    _pesg_rule,
+    _pesg_update,
+    _sgd_rule,
     on_epoch_end,
     pesg_step,
     pesg_train,
@@ -88,6 +99,14 @@ class TestPesgStep:
         with pytest.raises(NumericalError):
             pesg_step(state, np.array([np.nan]), _grads(), PesgConfig())
 
+    @pytest.mark.parametrize("step, g_alpha", [(pesg_step, -1e308), (_pesg_update, np.nan)])
+    def test_nonfinite_dual_step_aborts_before_projection(self, step, g_alpha):
+        # eta * -1e308 overflows to -inf, and max(0.0, -inf) and max(0.0, nan) are both 0.0
+        state = MinMaxState(params=np.zeros(1), aux=AuxVars(), eta=10.0)
+        cfg = PesgConfig(eta0=10.0, project_alpha=True)
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="updated aux"):
+            step(state, np.zeros(1), _grads(g_alpha=g_alpha), cfg)
+
 
 class TestEpochEnd:
     def test_no_decay_points_is_noop(self):
@@ -132,6 +151,77 @@ class TestEpochEnd:
             PesgConfig(decay_epochs=(10, 10))
         with pytest.raises(ValidationError):
             PesgConfig(decay_epochs=(20, 10))
+
+
+_FUSED_SPECS = [ModelSpec("linear", 3), ModelSpec("mlp", 3, 5, 1.0), ModelSpec("mlp", 2, 8, 0.3)]
+
+
+def _bits(*values):
+    return np.concatenate([np.ravel(np.asarray(v, dtype=np.float64)) for v in values]).view(np.int64)
+
+
+def _fused_batch(spec, n, classes, seed):
+    """A batch as the loop sees it (int64 labels, one or both classes) and params."""
+    rng = np.random.default_rng(seed)
+    X = 1.5 * rng.normal(size=(n, spec.d_in))
+    y = {"pos": np.ones(n, dtype=np.int64), "neg": -np.ones(n, dtype=np.int64),
+         "both": np.where(np.arange(n) % 3 == 0, 1, -1)[rng.permutation(n)]}[classes]
+    return rng, X, y, init_params(spec, seed, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=st.sampled_from(_FUSED_SPECS), n=st.integers(2, 40),
+       classes=st.sampled_from(["both", "pos", "neg"]), kind=st.sampled_from(AUC_KINDS),
+       bsn=st.booleans(), project=st.booleans(), seed=st.integers(0, 2**16))
+def test_fused_pesg_step_is_bitwise_the_public_chain(spec, n, classes, kind, bsn, project, seed):
+    rng, X, y, params = _fused_batch(spec, n, classes, seed)
+    surrogate = SurrogateSpec(kind, p=rng.uniform(0.05, 0.95), m=rng.uniform(0.1, 1.0), bsn=bsn)
+    cfg = PesgConfig(eta0=0.1, gamma=rng.uniform(0, 2), weight_decay=1e-3, project_alpha=project)
+    aux = AuxVars(*rng.normal(size=3))
+    ref = rng.normal(size=params.size)
+    pub, fused = (MinMaxState(params=params.copy(), aux=aux, eta=rng.uniform(0.01, 0.5),
+                              ref_params=ref.copy(), ref_a=0.2, ref_b=-0.1) for _ in range(2))
+    fused.eta = pub.eta
+
+    raw = forward_batch(spec, pub.params, X)
+    scores = batch_score_normalize(raw) if bsn else raw
+    g = minmax_grads(scores, y, pub.aux, surrogate)
+    coeffs = bsn_vjp(raw, g.g_coeffs) if bsn else g.g_coeffs
+    pesg_step(pub, backward_vjp(spec, pub.params, X, coeffs), g, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = _fused_step(spec, fused.params, X, y, _pesg_rule(spec, fused, surrogate, cfg))
+
+    assert np.array_equal(
+        _bits(fused.params, fused.aux.a, fused.aux.b, fused.aux.alpha, loss),
+        _bits(pub.params, pub.aux.a, pub.aux.b, pub.aux.alpha, g.value))
+    assert np.array_equal(_bits(fused.sum_params, fused.sum_a, fused.sum_b),
+                          _bits(pub.sum_params, pub.sum_a, pub.sum_b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=st.sampled_from(_FUSED_SPECS), n=st.integers(2, 40),
+       classes=st.sampled_from(["both", "pos", "neg"]),
+       kind=st.sampled_from(["cross_entropy", "focal"]), seed=st.integers(0, 2**16))
+def test_fused_sgd_step_is_bitwise_the_public_chain(spec, n, classes, kind, seed):
+    rng, X, y, params = _fused_batch(spec, n, classes, seed)
+    surrogate = SurrogateSpec(kind, p=0.5, focal_alpha=rng.uniform(0.05, 0.95),
+                              focal_gamma=float(rng.choice([0.0, 0.5, 2.0])))
+    cfg = SgdConfig(lr=rng.uniform(0.01, 0.5), momentum=0.9, weight_decay=1e-3)
+    velocity = rng.normal(size=params.size)
+
+    scores = forward_batch(spec, params, X)
+    if kind == "cross_entropy":
+        value, coeffs = cross_entropy_loss_and_coeffs(scores, y)
+    else:
+        value, coeffs = focal_loss_and_coeffs(scores, y, surrogate.focal_alpha,
+                                              surrogate.focal_gamma)
+    grad = backward_vjp(spec, params, X, coeffs) + cfg.weight_decay * params
+    pub_velocity = cfg.momentum * velocity + grad
+    pub_params = params - cfg.lr * pub_velocity
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = _fused_step(spec, params, X, y, _sgd_rule(spec, params, velocity, surrogate, cfg))
+
+    assert np.array_equal(_bits(params, velocity, loss), _bits(pub_params, pub_velocity, value))
 
 
 def _toy_sets(seed=1):
