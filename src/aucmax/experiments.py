@@ -29,7 +29,7 @@ from .data import (
     load_csv,
     make_imbalanced,
 )
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .losses import SurrogateSpec
 from .metrics import auc_score
 from .models import ModelSpec, forward_batch, init_params, save_model
@@ -114,6 +114,9 @@ class DataSetting:
             if self.imratio is not None and not 0 < self.imratio <= p:
                 raise ValidationError(f"imratio must be in (0, {p:.6g}] for n_pos = "
                                       f"{self.n_pos}, n_neg = {self.n_neg}, got {self.imratio}")
+            if self.imratio is None and (self.noise_rate > 0 or self.easy_frac > 0):
+                raise ValidationError("noise_rate and easy_frac inject removed positives, "
+                                      "which need imratio to be set")
 
 
 @dataclass(frozen=True)
@@ -253,8 +256,9 @@ def prepare_data(setting: DataSetting, seed: int, model_for_scoring: ModelSpec |
         train, removed = make_imbalanced(train, setting.imratio, derive_seed(seed, 3))
 
     if setting.easy_frac > 0:
-        if removed is None or len(removed) == 0:
-            raise ValidationError("easy injection needs removed positives (set imratio)")
+        if len(removed) == 0:
+            raise ValidationError("easy injection needs removed positives (imratio below "
+                                  "the drawn prior)")
         scorer = model_for_scoring or ModelSpec("mlp", 2, 8, 1.0)
         params0 = init_params(scorer, derive_seed(seed, 4), 0.1)
         ce = SurrogateSpec("cross_entropy", p=train.p)
@@ -268,8 +272,9 @@ def prepare_data(setting: DataSetting, seed: int, model_for_scoring: ModelSpec |
         removed = removed.subset(rest)
 
     if setting.noise_rate > 0:
-        if removed is None or len(removed) == 0:
-            raise ValidationError("noise injection needs removed positives (set imratio)")
+        if len(removed) == 0:
+            raise ValidationError("noise injection needs removed positives (imratio below "
+                                  "the drawn prior)")
         train = inject_noise(train, removed, setting.noise_rate, derive_seed(seed, 6))
     return train, test
 
@@ -312,13 +317,18 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioSummary:
         train, test = prepare_data(cfg.data, seed)
         model_spec = cfg.model_spec(train.dim)
         dhash = dataset_hash(train)
-        params0 = _cell_start(cfg, model_spec, train, seed)
-        for setting in cfg.losses:
-            params, records = _train_one(model_spec, params0, train, test, setting,
-                                         cfg.epochs, cfg.batch_size, seed)
-            final = records[-1].test_auc if records else float("nan")
-            cells.append(CellResult(setting.label, seed, final, dhash, records, params,
-                                    model_spec))
+        stage = "warm start"
+        try:
+            params0 = _cell_start(cfg, model_spec, train, seed)
+            for setting in cfg.losses:
+                stage = setting.label
+                params, records = _train_one(model_spec, params0, train, test, setting,
+                                             cfg.epochs, cfg.batch_size, seed)
+                final = records[-1].test_auc if records else float("nan")
+                cells.append(CellResult(setting.label, seed, final, dhash, records, params,
+                                        model_spec))
+        except NumericalError as exc:
+            raise NumericalError(f"{stage}, seed {seed}: {exc}") from exc
     summary = ScenarioSummary(cfg.name, cells)
     if cfg.outputs:
         write_outputs(cfg, summary)

@@ -14,7 +14,8 @@ mean* objective.
 The public functions validate their inputs. Each has an unchecked core
 (``_minmax_grads``, ``_bsn``/``_bsn_vjp`` with the norm from ``_bsn_norm``,
 ``_cross_entropy``, ``_focal``) that the training loop calls on batches of a
-checked ``Dataset``.
+checked ``Dataset``. The min-max core takes the batch's columns of the
+label table from ``_minmax_weights``, which training builds once per run.
 """
 
 from __future__ import annotations
@@ -188,52 +189,63 @@ def _check_auc_batch(scores, labels, spec: SurrogateSpec, caller: str):
     return _check_batch(scores, labels)
 
 
-def _minmax_terms(s, y, aux: AuxVars, spec: SurrogateSpec):
-    """The shared terms of the min-max objective on a checked batch.
+def _minmax_weights(y, p: float) -> np.ndarray:
+    """The per-sample label table of the min-max objective, built once per run.
 
-    Returns (pos, neg, alpha, s - a, s - b, inner, value), where ``inner``
-    is the per-sample factor of 2 alpha and ``value`` the batch mean.
+    Rows: (1-p) pos, p neg, 2(1-p) pos, 2p neg, -2(1-p) pos, -2p neg, with
+    pos = (y > 0) and neg = ~pos as 0/1. The core multiplies by a batch's
+    columns instead of masking by class, so inf * 0 stays NaN and a masked
+    negative term stays -0.0: the bits are those of the per-class formula
+    ``(c * x) * mask``, except where ``c * x`` overflows for a finite x of the
+    masked class (|x| above DBL_MAX / 2), which gives 0 here and NaN there.
     """
-    p, m = spec.p, spec.effective_margin
     pos = y > 0
     neg = ~pos
+    return np.array([(1 - p) * pos, p * neg, 2 * (1 - p) * pos, 2 * p * neg,
+                     -2 * (1 - p) * pos, -2 * p * neg])
+
+
+def _minmax_terms(s, w, aux: AuxVars, spec: SurrogateSpec):
+    """The shared terms of the min-max objective on a batch with label table ``w``.
+
+    Returns (alpha, s - a, s - b, means), where ``means`` holds the batch
+    means of the value and of the per-sample g_a, g_b and 2 alpha factor.
+    """
+    p, m = spec.p, spec.effective_margin
+    w_pos, w_neg, _, _, w_a, w_b = w
     # numpy scalars so a diverging run overflows to inf instead of raising
     a, b, alpha = np.float64(aux.a), np.float64(aux.b), np.float64(aux.alpha)
     d_a = s - a
     d_b = s - b
-    inner = p * (1 - p) * m + p * s * neg - (1 - p) * s * pos
-    per = (
-        (1 - p) * d_a**2 * pos
-        + p * d_b**2 * neg
-        - p * (1 - p) * alpha**2
-        + 2 * alpha * inner
-    )
-    return pos, neg, alpha, d_a, d_b, inner, float(per.sum() / per.size)
+    terms = np.empty((4, s.size))
+    per, g_a, g_b, g_alpha = terms
+    inner = p * (1 - p) * m + s * w_neg - s * w_pos
+    np.add(d_a**2 * w_pos + d_b**2 * w_neg - p * (1 - p) * alpha**2, 2 * alpha * inner, out=per)
+    np.multiply(d_a, w_a, out=g_a)
+    np.multiply(d_b, w_b, out=g_b)
+    np.multiply(inner, 2.0, out=g_alpha)
+    return alpha, d_a, d_b, terms.sum(axis=1) / s.size
 
 
 def minmax_value(scores, labels, aux: AuxVars, spec: SurrogateSpec) -> float:
     """Batch mean of the decomposable per-sample min-max objective."""
     s, y = _check_auc_batch(scores, labels, spec, "minmax_value")
-    return _minmax_terms(s, y, aux, spec)[-1]
+    return float(_minmax_terms(s, _minmax_weights(y, spec.p), aux, spec)[-1][0])
 
 
 def minmax_grads(scores, labels, aux: AuxVars, spec: SurrogateSpec) -> MinMaxGrads:
     """Exact gradients of minmax_value w.r.t. scores, a, b and alpha."""
     s, y = _check_auc_batch(scores, labels, spec, "minmax_grads")
-    return _minmax_grads(s, y, aux, spec)
+    return _minmax_grads(s, _minmax_weights(y, spec.p), aux, spec)
 
 
-def _minmax_grads(s, y, aux: AuxVars, spec: SurrogateSpec) -> MinMaxGrads:
-    pos, neg, alpha, d_a, d_b, inner, value = _minmax_terms(s, y, aux, spec)
+def _minmax_grads(s, w, aux: AuxVars, spec: SurrogateSpec) -> MinMaxGrads:
+    alpha, d_a, d_b, means = _minmax_terms(s, w, aux, spec)
     p = spec.p
-    n = d_a.size
-    g_coeffs = (
-        2 * (1 - p) * (d_a - alpha) * pos + 2 * p * (d_b + alpha) * neg
-    ) / n
-    g_a = float((-2 * (1 - p) * d_a * pos).sum() / n)
-    g_b = float((-2 * p * d_b * neg).sum() / n)
-    g_alpha = float((2 * inner).sum() / n - 2 * p * (1 - p) * alpha)
-    return MinMaxGrads(g_coeffs=g_coeffs, g_a=g_a, g_b=g_b, g_alpha=g_alpha, value=value)
+    value, g_a, g_b, g_alpha = means.tolist()
+    g_coeffs = ((d_a - alpha) * w[2] + (d_b + alpha) * w[3]) / s.size
+    return MinMaxGrads(g_coeffs=g_coeffs, g_a=g_a, g_b=g_b,
+                       g_alpha=float(g_alpha - 2 * p * (1 - p) * alpha), value=value)
 
 
 def batch_score_normalize(scores) -> np.ndarray:
@@ -276,9 +288,10 @@ def cross_entropy_loss_and_coeffs(scores, labels) -> tuple[float, np.ndarray]:
 
 def _cross_entropy(s, y) -> tuple[float, np.ndarray]:
     n = s.size
-    value = float(np.logaddexp(0.0, -y * s).sum() / n)
-    coeffs = -y * expit(-y * s) / n
-    return value, coeffs
+    neg_y = -y
+    margin = neg_y * s
+    value = float(np.logaddexp(0.0, margin).sum() / n)
+    return value, neg_y * expit(margin) / n
 
 
 def focal_loss_and_coeffs(scores, labels, alpha_hat: float, gamma_hat: float) -> tuple[float, np.ndarray]:

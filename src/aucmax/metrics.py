@@ -43,8 +43,8 @@ def auc_score(scores, labels, tie_policy: str = "half") -> AucResult:
         raise ValidationError(f"tie_policy must be 'half' or 'geq', got {tie_policy!r}")
     s, y = _as_scored(scores, labels)
     pos = y > 0
-    n_pos = int(pos.sum())
-    n_neg = int(s.size - n_pos)
+    n_pos = int(np.count_nonzero(pos))
+    n_neg = s.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("AUC needs at least one sample of each class")
 

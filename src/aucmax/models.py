@@ -95,14 +95,6 @@ def _unpack_mlp(spec: ModelSpec, params: np.ndarray):
     return W, b_h, v, b_out
 
 
-def _elu(z: np.ndarray, alpha: float) -> np.ndarray:
-    return np.where(z > 0, z, alpha * np.expm1(np.minimum(z, 0.0)))
-
-
-def _elu_grad(z: np.ndarray, alpha: float) -> np.ndarray:
-    return np.where(z > 0, 1.0, alpha * np.exp(np.minimum(z, 0.0)))
-
-
 _BLOCK_ELEMS = 8192      # 64 KiB of float64
 _MIN_BLOCK_ROWS = 64
 
@@ -123,15 +115,18 @@ def _block_rows(spec: ModelSpec) -> int:
 
 
 def _forward_hidden(spec: ModelSpec, params: np.ndarray, X: np.ndarray):
-    """Unchecked one-pass scores of a non-empty batch, with the mlp's hidden
-    pre-activations and activations ``(Z, U)`` (None for linear) for
-    ``_backward_hidden``."""
+    """Unchecked one-pass scores of a non-empty batch, with what
+    ``_backward_hidden`` needs of the mlp's hidden layer (None for linear):
+    the ELU's branch ``Z > 0``, its negative part ``min(Z, 0)`` and the
+    activations ``U``."""
     if spec.kind == "linear":
         return X @ params, None
     W, b_h, v, b_out = _unpack_mlp(spec, params)
     Z = X @ W.T + b_h                     # (n, h)
-    U = _elu(Z, spec.elu_alpha)           # (n, h)
-    return U @ v + b_out, (Z, U)
+    pos = Z > 0
+    Z_neg = np.minimum(Z, 0.0)
+    U = np.where(pos, Z, spec.elu_alpha * np.expm1(Z_neg))   # ELU, (n, h)
+    return U @ v + b_out, (pos, Z_neg, U)
 
 
 def forward_batch(spec: ModelSpec, params: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -174,10 +169,11 @@ def _backward_hidden(spec: ModelSpec, params: np.ndarray, X: np.ndarray, coeffs:
     ``_forward_hidden`` returned for the same (pre-update) params."""
     if spec.kind == "linear":
         return X.T @ coeffs
-    Z, U = hidden
+    pos, Z_neg, U = hidden
     h, d = spec.d_hidden, spec.d_in
     v = params[h * d + h : h * d + 2 * h]
-    G = coeffs[:, None] * _elu_grad(Z, spec.elu_alpha) * v[None, :]  # d(sum)/dZ
+    elu_grad = np.where(pos, 1.0, spec.elu_alpha * np.exp(Z_neg))
+    G = coeffs[:, None] * elu_grad * v[None, :]  # d(sum)/dZ
     grad = np.empty(spec.n_params)
     grad[: h * d] = (G.T @ X).reshape(-1)
     grad[h * d : h * d + h] = G.sum(axis=0)

@@ -29,6 +29,7 @@ from .losses import (
     _cross_entropy,
     _focal,
     _minmax_grads,
+    _minmax_weights,
 )
 from .metrics import auc_score
 from .models import (
@@ -197,27 +198,29 @@ def on_epoch_end(state: MinMaxState, epoch: int, cfg: PesgConfig) -> MinMaxState
     return state
 
 
-def _fused_step(model_spec, params, Xb, yb, update) -> float:
+def _fused_step(model_spec, params, Xb, wb, update) -> float:
     """One training step on a batch of a checked ``Dataset``, with no input
     checks: the batch scores are checked here, and ``update`` checks what it
-    updates. Returns the batch loss."""
+    updates. ``wb`` is the batch's columns of the rule's label table. Returns
+    the batch loss."""
     scores, hidden = _forward_hidden(model_spec, params, Xb)
     _require_finite("batch scores", scores)
-    return update(Xb, yb, scores, hidden)
+    return update(Xb, wb, scores, hidden)
 
 
 def _pesg_rule(model_spec, state: MinMaxState, surrogate: SurrogateSpec, cfg: PesgConfig):
-    """PESG's ``update(Xb, yb, scores, hidden)`` for ``_fused_step``: optional
-    BSN, the min-max gradients, the VJP and the PESG update of ``state``."""
+    """PESG's ``update(Xb, wb, scores, hidden)`` for ``_fused_step``, on the
+    columns ``wb`` of ``_minmax_weights``: optional BSN, the min-max
+    gradients, the VJP and the PESG update of ``state``."""
     params = state.params
 
-    def update(Xb, yb, raw, hidden):
+    def update(Xb, wb, raw, hidden):
         if surrogate.bsn:
             norm = _bsn_norm(raw)
             scores = _bsn(raw, norm)
         else:
             scores = raw
-        g = _minmax_grads(scores, yb, state.aux, surrogate)
+        g = _minmax_grads(scores, wb, state.aux, surrogate)
         coeffs = _bsn_vjp(raw, g.g_coeffs, norm) if surrogate.bsn else g.g_coeffs
         _pesg_update(state, _backward_hidden(model_spec, params, Xb, coeffs, hidden), g, cfg)
         return g.value
@@ -227,7 +230,8 @@ def _pesg_rule(model_spec, state: MinMaxState, surrogate: SurrogateSpec, cfg: Pe
 
 def _sgd_rule(model_spec, params, velocity, surrogate: SurrogateSpec, cfg: SgdConfig):
     """Momentum SGD's ``update(Xb, yb, scores, hidden)`` for ``_fused_step``, on
-    cross-entropy or focal loss; updates ``params`` and ``velocity``."""
+    cross-entropy or focal loss, with the batch labels as its table; updates
+    ``params`` and ``velocity``."""
 
     def update(Xb, yb, scores, hidden):
         if surrogate.kind == "cross_entropy":
@@ -243,13 +247,15 @@ def _sgd_rule(model_spec, params, velocity, surrogate: SurrogateSpec, cfg: SgdCo
     return update
 
 
-def _train_epochs(model_spec, params, data, epochs, batch_size, seed, test_data,
+def _train_epochs(model_spec, params, data, table, epochs, batch_size, seed, test_data,
                   update, end_epoch) -> list[RunRecord]:
     """Shuffled mini-batch epochs over one update rule; deterministic per seed.
 
-    Each batch is one ``_fused_step`` with ``update``, which updates ``params``
-    in place. ``end_epoch(epoch)`` runs after the epoch's evaluation and
-    returns the (aux, eta) the epoch ran with.
+    ``table`` holds the rule's per-sample label terms, one column (or entry)
+    per row of ``data``. Each batch is one ``_fused_step`` with ``update`` on
+    its rows of the epoch's shuffled ``X`` and ``table``; ``update`` changes
+    ``params`` in place. ``end_epoch(epoch)`` runs after the epoch's
+    evaluation and returns the (aux, eta) the epoch ran with.
     """
     if data.n_pos == 0 or data.n_neg == 0:
         raise ValidationError("training set must contain both classes")
@@ -262,16 +268,18 @@ def _train_epochs(model_spec, params, data, epochs, batch_size, seed, test_data,
 
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
+        X, w = data.X[order], table[..., order]
         loss_sum = 0.0
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    loss = _fused_step(model_spec, params, data.X[idx], data.y[idx], update)
-            except NumericalError as exc:
-                raise NumericalError(f"epoch {epoch}, iteration {t}: {exc}") from exc
-            loss_sum += loss * idx.size
-            t += 1
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start in range(0, n, batch_size):
+                    Xb = X[start : start + batch_size]
+                    loss = _fused_step(model_spec, params, Xb, w[..., start : start + batch_size],
+                                       update)
+                    loss_sum += loss * len(Xb)
+                    t += 1
+        except NumericalError as exc:
+            raise NumericalError(f"epoch {epoch}, iteration {t}: {exc}") from exc
         train_auc = auc_score(forward_batch(model_spec, params, data.X), data.y).auc
         test_auc = train_auc if test_data is None else auc_score(
             forward_batch(model_spec, params, test_data.X), test_data.y).auc
@@ -308,7 +316,8 @@ def pesg_train(
         on_epoch_end(state, epoch, cfg)
         return aux, eta
 
-    records = _train_epochs(model_spec, params, data, epochs, batch_size, seed, test_data,
+    records = _train_epochs(model_spec, params, data, _minmax_weights(data.y, surrogate.p),
+                            epochs, batch_size, seed, test_data,
                             _pesg_rule(model_spec, state, surrogate, cfg), end_epoch)
     return params, state.aux, records
 
@@ -327,7 +336,7 @@ def sgd_train(
         raise ValidationError(f"sgd_train needs cross_entropy or focal, got {surrogate.kind!r}")
     params = np.array(params, dtype=np.float64, copy=True)
     update = _sgd_rule(model_spec, params, np.zeros_like(params), surrogate, cfg)
-    records = _train_epochs(model_spec, params, data, cfg.epochs, cfg.batch_size, seed,
+    records = _train_epochs(model_spec, params, data, data.y, cfg.epochs, cfg.batch_size, seed,
                             test_data, update, lambda epoch: (AuxVars(), cfg.lr))
     return params, records
 

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,7 @@ class TestConfigParsing:
         "loss.kind = focal\nloss.focal_gamma = nan", "loss.kind = focal\nloss.focal_alpha = nan",
         "data.cov_scale = nan", "data.cov_scale = -1", "data.imratio = 2", "data.imratio = nan",
         "model.kind = mlp\nmodel.elu_alpha = inf",
+        "data.noise_rate = 0.05", "data.easy_frac = 0.2",
     ])
     def test_bad_settings_rejected(self, text):
         with pytest.raises(ValidationError, match="run.cfg"):
@@ -338,6 +340,21 @@ class TestCliCommands:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "numerical abort" in capsys.readouterr().err
+
+    def test_numerical_abort_names_the_loss_and_seed(self, tmp_path, capsys):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(
+            "data.n_pos = 30\ndata.n_neg = 30\n"
+            "data.test_n_pos = 20\ndata.test_n_neg = 80\n"
+            "loss.kind = auc_square\n"
+            "optim.eta0 = 1e300\n"
+            "run.seeds = 1, 2\n"
+            "train.epochs = 2\ntrain.batch_size = 16\n"
+        )
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert re.search(r"numerical abort: auc_square, seed 1: epoch 1, iteration \d+: "
+                         r"non-finite", capsys.readouterr().err)
 
     def test_usage_error_exits_one(self, capsys):
         rc = main(["train", "--bogus-flag"])

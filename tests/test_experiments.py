@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aucmax.data import Dataset, dataset_hash, save_csv
-from aucmax.errors import ValidationError
+from aucmax.errors import NumericalError, ValidationError
 from aucmax.models import load_model
 from aucmax.experiments import (
     DataSetting,
@@ -25,7 +25,7 @@ from aucmax.experiments import (
     run_scenario,
     toy_figure,
 )
-from aucmax.optimizer import PesgConfig, RunRecord
+from aucmax.optimizer import PesgConfig, RunRecord, SgdConfig
 
 
 def _fast_scenario(**overrides):
@@ -154,6 +154,12 @@ class TestRunScenario:
             if name.endswith("_config.txt"):
                 continue  # records the output dir itself
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_diverging_warm_start_is_named(self):
+        cfg = _fast_scenario(warm_start=SgdConfig(lr=1e300, epochs=2, batch_size=16),
+                             seeds=(3,))
+        with pytest.raises(NumericalError, match=r"^warm start, seed 3: epoch 1, iteration"):
+            run_scenario(cfg)
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValidationError):

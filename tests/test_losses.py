@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from aucmax.errors import ValidationError
 from aucmax.losses import (
+    AUC_KINDS,
     AuxVars,
     SurrogateSpec,
     batch_score_normalize,
@@ -229,6 +230,66 @@ class TestMinMaxGrads:
             want = (2 * (1 - p) * (scores - sp.mean()) * pos
                     + 2 * p * (scores - sn.mean()) * ~pos) / n
             assert np.allclose(g.g_coeffs, want, rtol=1e-12, atol=1e-15)
+
+
+def _mask_formula(s, y, aux, spec):
+    """The per-class mask formula that the label-table core replaced, verbatim:
+    the oracle for its bits."""
+    p, m = spec.p, spec.effective_margin
+    pos = y > 0
+    neg = ~pos
+    a, b, alpha = np.float64(aux.a), np.float64(aux.b), np.float64(aux.alpha)
+    d_a = s - a
+    d_b = s - b
+    inner = p * (1 - p) * m + p * s * neg - (1 - p) * s * pos
+    per = (
+        (1 - p) * d_a**2 * pos
+        + p * d_b**2 * neg
+        - p * (1 - p) * alpha**2
+        + 2 * alpha * inner
+    )
+    value = float(per.sum() / per.size)
+    n = d_a.size
+    g_coeffs = (
+        2 * (1 - p) * (d_a - alpha) * pos + 2 * p * (d_b + alpha) * neg
+    ) / n
+    g_a = float((-2 * (1 - p) * d_a * pos).sum() / n)
+    g_b = float((-2 * p * d_b * neg).sum() / n)
+    g_alpha = float((2 * inner).sum() / n - 2 * p * (1 - p) * alpha)
+    return g_coeffs, g_a, g_b, g_alpha, value
+
+
+def _bits(*values):
+    flat = [np.ravel(np.asarray(v, dtype=np.float64)) for v in values]
+    return np.concatenate(flat).view(np.int64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.one_of(st.integers(1, 20), st.integers(1, 300)),
+       classes=st.sampled_from(["both", "pos", "neg"]), kind=st.sampled_from(AUC_KINDS),
+       scale=st.sampled_from([0.0, 1e-310, 1.0, 1e3, 1e160, 1e300]),
+       aux_scale=st.sampled_from([0.0, 1.0, 1e155]), signed_zeros=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_label_table_core_is_bitwise_the_mask_formula(n, classes, kind, scale, aux_scale,
+                                                      signed_zeros, seed):
+    # scores from 1e160 up overflow (s - a)**2 to inf and inf * 0 to NaN, as
+    # does an aux of 1e155; the bits must still agree, NaNs included. Scores
+    # stay below DBL_MAX / 2, where the table departs (see _minmax_weights)
+    rng = np.random.default_rng(seed)
+    s = scale * rng.normal(size=n)
+    if signed_zeros:
+        s[rng.random(n) < 0.3] = 0.0
+        s[rng.random(n) < 0.3] = -0.0
+    y = {"pos": np.ones(n), "neg": -np.ones(n),
+         "both": np.where(rng.random(n) < 0.4, 1.0, -1.0)}[classes]
+    spec = SurrogateSpec(kind, p=rng.uniform(0.01, 0.99), m=rng.uniform(0.1, 2.0))
+    aux = AuxVars(*(aux_scale * rng.normal(size=3)))
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        want = _mask_formula(s, y, aux, spec)
+        g = minmax_grads(s, y, aux, spec)
+        value = minmax_value(s, y, aux, spec)
+    assert np.array_equal(_bits(g.g_coeffs, g.g_a, g.g_b, g.g_alpha, g.value), _bits(*want))
+    assert np.array_equal(_bits(value), _bits(want[-1]))
 
 
 class TestBsn:

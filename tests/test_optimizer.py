@@ -16,6 +16,7 @@ from aucmax.losses import (
     bsn_vjp,
     cross_entropy_loss_and_coeffs,
     focal_loss_and_coeffs,
+    _minmax_weights,
     minmax_grads,
     pairwise_square_loss,
 )
@@ -189,7 +190,8 @@ def test_fused_pesg_step_is_bitwise_the_public_chain(spec, n, classes, kind, bsn
     coeffs = bsn_vjp(raw, g.g_coeffs) if bsn else g.g_coeffs
     pesg_step(pub, backward_vjp(spec, pub.params, X, coeffs), g, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
-        loss = _fused_step(spec, fused.params, X, y, _pesg_rule(spec, fused, surrogate, cfg))
+        loss = _fused_step(spec, fused.params, X, _minmax_weights(y, surrogate.p),
+                           _pesg_rule(spec, fused, surrogate, cfg))
 
     assert np.array_equal(
         _bits(fused.params, fused.aux.a, fused.aux.b, fused.aux.alpha, loss),
