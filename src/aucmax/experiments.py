@@ -37,6 +37,8 @@ from .optimizer import (
     PesgConfig,
     RunRecord,
     SgdConfig,
+    _pesg_train,
+    _sgd_train,
     pesg_train,
     sgd_train,
 )
@@ -228,18 +230,28 @@ class ScenarioSummary:
         return len({c.seed for c in self.cells})
 
 
+def _load_two_class_csv(path) -> Dataset:
+    """A CSV data file, rejected unless it holds both classes (AUC needs both)."""
+    data = load_csv(path)
+    if data.n_pos == 0 or data.n_neg == 0:
+        raise ValidationError(f"{path}: needs samples of both classes, got {data.n_pos} "
+                              f"positive and {data.n_neg} negative")
+    return data
+
+
 def prepare_data(setting: DataSetting, seed: int, model_for_scoring: ModelSpec | None = None
                  ) -> tuple[Dataset, Dataset | None]:
     """Build the (train, test) pair for one seed.
 
     A CSV source is returned as loaded, with test None when there is no test
-    file. Toy pipeline: draw -> imbalance -> easy injection (scored by a small
-    CE pretrain on the imbalanced set) -> noise injection. The noise pool is
-    the removed positives not re-added as easy samples.
+    file; a file without both classes is rejected here, before any training.
+    Toy pipeline: draw -> imbalance -> easy injection (scored by a small CE
+    pretrain on the imbalanced set) -> noise injection. The noise pool is the
+    removed positives not re-added as easy samples.
     """
     if setting.kind == "csv":
-        test = load_csv(setting.test_path) if setting.test_path else None
-        return load_csv(setting.path), test
+        train = _load_two_class_csv(setting.path)
+        return train, _load_two_class_csv(setting.test_path) if setting.test_path else None
     train = gen_gaussian_toy(GaussianToySpec(
         mean_pos=setting.mean_pos, mean_neg=setting.mean_neg,
         cov_scale=setting.cov_scale, n_pos=setting.n_pos, n_neg=setting.n_neg,
@@ -262,8 +274,8 @@ def prepare_data(setting: DataSetting, seed: int, model_for_scoring: ModelSpec |
         scorer = model_for_scoring or ModelSpec("mlp", 2, 8, 1.0)
         params0 = init_params(scorer, derive_seed(seed, 4), 0.1)
         ce = SurrogateSpec("cross_entropy", p=train.p)
-        pre_params, _ = sgd_train(scorer, params0, train, ce, setting.scorer_sgd,
-                                  derive_seed(seed, 5))
+        pre_params, _ = _sgd_train(scorer, params0, train, ce, setting.scorer_sgd,
+                                   derive_seed(seed, 5), evaluate=False)
         scores = forward_batch(scorer, pre_params, removed.X)
         k = int(setting.easy_frac * len(removed))
         top = np.argsort(-scores, kind="stable")[:k]
@@ -304,8 +316,8 @@ def _cell_start(cfg: ScenarioConfig, model_spec: ModelSpec, train: Dataset, seed
     if cfg.warm_start is None:
         return params0
     ce = SurrogateSpec("cross_entropy", p=train.p)
-    warm, _ = sgd_train(model_spec, params0, train, ce, cfg.warm_start,
-                        derive_seed(seed, 12))
+    warm, _ = _sgd_train(model_spec, params0, train, ce, cfg.warm_start,
+                         derive_seed(seed, 12), evaluate=False)
     return warm
 
 
@@ -385,7 +397,8 @@ def write_outputs(cfg: ScenarioConfig, summary: ScenarioSummary) -> list[str]:
             fh.write(f"{cfg.name},{cell.loss_label},{cell.seed},"
                      f"{cell.final_test_auc!r},{cell.data_hash}\n")
     written.append(spath)
-    # the full scenario config, so any run can be regenerated bit-identically
+    # the scenario config's repr, for a reader: nothing parses it back, and it
+    # records the output directory, so it cannot regenerate the run
     cpath = os.path.join(cfg.outputs, f"{cfg.name}_config.txt")
     with open(cpath, "w", encoding="ascii") as fh:
         fh.write(repr(cfg) + "\n")
@@ -583,7 +596,8 @@ def toy_figure(cfg: ScenarioConfig, easy_frac: float = 0.2, noise_rate: float = 
     params0 = init_params(model_spec, derive_seed(seed, 20), cfg.init_scale)
     ce = SurrogateSpec("cross_entropy", p=train.p)
     pre_cfg = SgdConfig(lr=0.05, epochs=max(cfg.epochs, 20), batch_size=cfg.batch_size)
-    pre_params, _ = sgd_train(model_spec, params0, train, ce, pre_cfg, derive_seed(seed, 21))
+    pre_params, _ = _sgd_train(model_spec, params0, train, ce, pre_cfg, derive_seed(seed, 21),
+                               evaluate=False)
     pre_auc = auc_score(forward_batch(model_spec, pre_params, train.X), train.y).auc
 
     losses = [ls for ls in cfg.losses if ls.kind in ("auc_square", "auc_margin")]
@@ -592,9 +606,9 @@ def toy_figure(cfg: ScenarioConfig, easy_frac: float = 0.2, noise_rate: float = 
 
     def retrain(setting: LossSetting, dataset: Dataset) -> np.ndarray:
         spec = setting.surrogate(dataset.p)
-        params, _, _ = pesg_train(model_spec, pre_params.copy(), dataset, spec,
-                                  setting.pesg, cfg.epochs, cfg.batch_size,
-                                  derive_seed(seed, 22))
+        params, _, _ = _pesg_train(model_spec, pre_params.copy(), dataset, spec,
+                                   setting.pesg, cfg.epochs, cfg.batch_size,
+                                   derive_seed(seed, 22), evaluate=False)
         return params
 
     def panel(title, dataset: Dataset, params, annotation=""):

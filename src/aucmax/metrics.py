@@ -23,13 +23,17 @@ class AucResult:
 
 
 def _as_scored(scores, labels):
+    """Checked ``(scores, labels, positive mask, positive count)``; the mask
+    comes from the label check's own compare."""
     s = np.asarray(scores, dtype=np.float64).ravel()
     y = np.asarray(labels).ravel()
     if s.shape != y.shape:
         raise ValidationError(f"scores {s.shape} and labels {y.shape} differ in length")
-    if np.count_nonzero(y == 1) + np.count_nonzero(y == -1) != y.size:
+    pos = y == 1
+    n_pos = int(np.count_nonzero(pos))
+    if n_pos + np.count_nonzero(y == -1) != y.size:
         raise ValidationError("labels must be +1 or -1")
-    return s, y
+    return s, y, pos, n_pos
 
 
 def auc_score(scores, labels, tie_policy: str = "half") -> AucResult:
@@ -41,25 +45,29 @@ def auc_score(scores, labels, tie_policy: str = "half") -> AucResult:
     """
     if tie_policy not in ("half", "geq"):
         raise ValidationError(f"tie_policy must be 'half' or 'geq', got {tie_policy!r}")
-    s, y = _as_scored(scores, labels)
-    pos = y > 0
-    n_pos = int(np.count_nonzero(pos))
+    s, _, pos, n_pos = _as_scored(scores, labels)
     n_neg = s.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("AUC needs at least one sample of each class")
 
     # NaNs sort last, and searchsorted orders them the same way, so NaNs of
     # both classes form one tied group above every number
-    neg_sorted = np.sort(s[~pos])
-    pos_sorted = np.sort(s[pos])
+    neg_sorted, pos_sorted = s[~pos], s[pos]
+    neg_sorted.sort()
+    pos_sorted.sort()
     below = np.searchsorted(neg_sorted, pos_sorted, side="left")
-    at_or_below = np.searchsorted(neg_sorted, pos_sorted, side="right")
     has_nan = bool(np.isnan(neg_sorted[-1]) or np.isnan(pos_sorted[-1]))
 
-    # exact integer pair counts; the AUC is one rounding of their ratio
+    # exact integer pair counts; the AUC is one rounding of their ratio. A
+    # positive ties a negative only if it equals the negative at its left
+    # insertion point, so the right-side count is needed only then (or for
+    # NaNs, which compare unequal but tie)
     n_wins = below.sum()
     wins = float(n_wins)
-    tie_pairs = float(at_or_below.sum() - n_wins)
+    if has_nan or (neg_sorted[np.minimum(below, n_neg - 1)] == pos_sorted).any():
+        tie_pairs = float(np.searchsorted(neg_sorted, pos_sorted, side="right").sum() - n_wins)
+    else:
+        tie_pairs = 0.0
     tie_mass = tie_pairs / (n_pos * n_neg)
     if has_nan:
         auc = float("nan")
@@ -71,7 +79,7 @@ def auc_score(scores, labels, tie_policy: str = "half") -> AucResult:
 
 def accuracy(scores, labels, threshold: float = 0.5) -> float:
     """Fraction of samples on the label's side of the threshold (ties count positive)."""
-    s, y = _as_scored(scores, labels)
+    s, y, _, _ = _as_scored(scores, labels)
     if s.size == 0:
         raise ValidationError("accuracy of an empty sample set is undefined")
     predicted = np.where(s >= threshold, 1, -1)

@@ -248,14 +248,16 @@ def _sgd_rule(model_spec, params, velocity, surrogate: SurrogateSpec, cfg: SgdCo
 
 
 def _train_epochs(model_spec, params, data, table, epochs, batch_size, seed, test_data,
-                  update, end_epoch) -> list[RunRecord]:
+                  update, end_epoch, evaluate) -> list[RunRecord]:
     """Shuffled mini-batch epochs over one update rule; deterministic per seed.
 
     ``table`` holds the rule's per-sample label terms, one column (or entry)
     per row of ``data``. Each batch is one ``_fused_step`` with ``update`` on
     its rows of the epoch's shuffled ``X`` and ``table``; ``update`` changes
-    ``params`` in place. ``end_epoch(epoch)`` runs after the epoch's
-    evaluation and returns the (aux, eta) the epoch ran with.
+    ``params`` in place, and a non-finite batch loss aborts the run.
+    ``end_epoch(epoch)`` runs after the epoch's evaluation and returns the
+    (aux, eta) the epoch ran with. Without ``evaluate`` no epoch is scored and
+    no record is kept, for runs whose records would be dropped.
     """
     if data.n_pos == 0 or data.n_neg == 0:
         raise ValidationError("training set must contain both classes")
@@ -276,10 +278,14 @@ def _train_epochs(model_spec, params, data, table, epochs, batch_size, seed, tes
                     Xb = X[start : start + batch_size]
                     loss = _fused_step(model_spec, params, Xb, w[..., start : start + batch_size],
                                        update)
+                    _require_finite_scalars("batch loss", loss)
                     loss_sum += loss * len(Xb)
                     t += 1
         except NumericalError as exc:
             raise NumericalError(f"epoch {epoch}, iteration {t}: {exc}") from exc
+        if not evaluate:
+            end_epoch(epoch)
+            continue
         train_auc = auc_score(forward_batch(model_spec, params, data.X), data.y).auc
         test_auc = train_auc if test_data is None else auc_score(
             forward_batch(model_spec, params, test_data.X), test_data.y).auc
@@ -306,6 +312,13 @@ def pesg_train(
     Mini-batches that happen to contain a single class are still processed:
     the missing class's loss terms vanish but the dual still moves.
     """
+    return _pesg_train(model_spec, params, data, surrogate, cfg, epochs, batch_size, seed,
+                       test_data)
+
+
+def _pesg_train(model_spec, params, data, surrogate, cfg, epochs, batch_size, seed,
+                test_data=None, evaluate=True):
+    """``pesg_train``; without ``evaluate`` it scores no epoch and returns no records."""
     if surrogate.kind not in ("auc_square", "auc_margin"):
         raise ValidationError(f"pesg_train needs an AUC surrogate, got {surrogate.kind!r}")
     params = np.array(params, dtype=np.float64, copy=True)
@@ -318,7 +331,7 @@ def pesg_train(
 
     records = _train_epochs(model_spec, params, data, _minmax_weights(data.y, surrogate.p),
                             epochs, batch_size, seed, test_data,
-                            _pesg_rule(model_spec, state, surrogate, cfg), end_epoch)
+                            _pesg_rule(model_spec, state, surrogate, cfg), end_epoch, evaluate)
     return params, state.aux, records
 
 
@@ -332,12 +345,17 @@ def sgd_train(
     test_data: Dataset | None = None,
 ) -> tuple[np.ndarray, list[RunRecord]]:
     """Momentum SGD on cross-entropy or focal loss; deterministic per seed."""
+    return _sgd_train(model_spec, params, data, surrogate, cfg, seed, test_data)
+
+
+def _sgd_train(model_spec, params, data, surrogate, cfg, seed, test_data=None, evaluate=True):
+    """``sgd_train``; without ``evaluate`` it scores no epoch and returns no records."""
     if surrogate.kind not in ("cross_entropy", "focal"):
         raise ValidationError(f"sgd_train needs cross_entropy or focal, got {surrogate.kind!r}")
     params = np.array(params, dtype=np.float64, copy=True)
     update = _sgd_rule(model_spec, params, np.zeros_like(params), surrogate, cfg)
     records = _train_epochs(model_spec, params, data, data.y, cfg.epochs, cfg.batch_size, seed,
-                            test_data, update, lambda epoch: (AuxVars(), cfg.lr))
+                            test_data, update, lambda epoch: (AuxVars(), cfg.lr), evaluate)
     return params, records
 
 

@@ -3,6 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
+import aucmax.experiments
+import aucmax.optimizer
+from aucmax.config import parse_config
 from aucmax.data import Dataset, dataset_hash, save_csv
 from aucmax.errors import NumericalError, ValidationError
 from aucmax.models import load_model
@@ -78,10 +81,44 @@ class TestPrepareData:
         _, no_test = prepare_data(DataSetting(kind="csv", path=str(tmp_path / "train.csv")), 0)
         assert no_test is None
 
+    @pytest.mark.parametrize("one_class", ["train.csv", "test.csv"])
+    def test_single_class_csv_rejected_before_training(self, tmp_path, monkeypatch, one_class):
+        _csv_pair(tmp_path)
+        X = np.random.default_rng(1).normal(size=(10, 3))
+        save_csv(Dataset(X, np.ones(10, dtype=int)), tmp_path / one_class)
+        steps = []
+        monkeypatch.setattr(aucmax.optimizer, "_fused_step", lambda *a: steps.append(a))
+        cfg = _fast_scenario(data=DataSetting(kind="csv", path=str(tmp_path / "train.csv"),
+                                              test_path=str(tmp_path / "test.csv")))
+        with pytest.raises(ValidationError, match="both classes") as exc:
+            run_scenario(cfg)
+        assert str(tmp_path / one_class) in str(exc.value)
+        assert steps == []
+
+    def test_easy_scorer_is_not_evaluated(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "forward_batch")
+        prepare_data(DataSetting(n_pos=200, n_neg=200, imratio=0.05, easy_frac=0.2), seed=0)
+        assert calls == [1]     # the removed positives, scored once
+
     @pytest.mark.parametrize("kw", [dict(kind="parquet"), dict(kind="csv")])
     def test_bad_source_rejected(self, kw):
         with pytest.raises(ValidationError):
             DataSetting(**kw)
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls to ``name`` made through the optimizer and experiments
+    modules; returns a one-element list holding the count."""
+    count = [0]
+    original = getattr(aucmax.optimizer, name)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    for module in (aucmax.optimizer, aucmax.experiments):
+        monkeypatch.setattr(module, name, counted)
+    return count
 
 
 def _csv_pair(tmp_path):
@@ -159,6 +196,23 @@ class TestRunScenario:
         cfg = _fast_scenario(warm_start=SgdConfig(lr=1e300, epochs=2, batch_size=16),
                              seeds=(3,))
         with pytest.raises(NumericalError, match=r"^warm start, seed 3: epoch 1, iteration"):
+            run_scenario(cfg)
+
+    def test_warm_start_records_are_not_evaluated(self, monkeypatch):
+        forward_calls = _count_calls(monkeypatch, "forward_batch")
+        auc_calls = _count_calls(monkeypatch, "auc_score")
+        cfg = _fast_scenario(warm_start=SgdConfig(epochs=3, batch_size=16))
+        run_scenario(cfg)
+        # train and test AUC per epoch of each loss; none for the warm start
+        assert forward_calls == auc_calls == [2 * cfg.epochs * len(cfg.losses)]
+
+    def test_nonfinite_batch_loss_names_the_loss_and_seed(self):
+        cfg = parse_config("data.n_pos = 40\ndata.n_neg = 40\n"
+                           "data.test_n_pos = 20\ndata.test_n_neg = 20\n"
+                           "model.init_scale = 1e160\nloss.kind = auc_square\n"
+                           "train.epochs = 2\n").scenario
+        with pytest.raises(NumericalError, match=r"^auc_square, seed 0: epoch 1, iteration 0: "
+                                                 r"non-finite batch loss"):
             run_scenario(cfg)
 
     def test_duplicate_labels_rejected(self):

@@ -122,6 +122,52 @@ class TestAucScore:
                     assert res.tie_mass == ties / (n_pos * n_neg)
 
 
+_GRID = [-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0]
+
+
+@st.composite
+def _tie_instances(draw):
+    """Per-class scores built to reach each branch of the tie count."""
+    case = draw(st.sampled_from(["at_insertion", "above_all", "signed_zeros", "nan_pos",
+                                 "nan_neg"]))
+    neg = draw(st.lists(st.sampled_from(_GRID), min_size=1, max_size=12))
+    if case == "at_insertion":
+        # cross-class ties only where a positive equals the negative at its
+        # left insertion point, mixed with untied positives in between
+        pos = draw(st.lists(st.sampled_from(neg + [v + 0.25 for v in _GRID]),
+                            min_size=1, max_size=12))
+    elif case == "above_all":
+        # every insertion point is past the last negative
+        pos = [max(neg) + draw(st.floats(1e-3, 1e3)) for _ in range(draw(st.integers(1, 12)))]
+    elif case == "signed_zeros":
+        neg = draw(st.lists(st.sampled_from([-0.0, 0.0, -1.0]), min_size=1, max_size=12))
+        pos = draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0]), min_size=1, max_size=12))
+    else:
+        pos = draw(st.lists(st.sampled_from(_GRID), min_size=1, max_size=12))
+        nan_class = pos if case == "nan_pos" else neg
+        nan_class += [np.nan] * draw(st.integers(1, 3))
+    order = draw(st.permutations(range(len(pos) + len(neg))))
+    scores = np.array(pos + neg)[order]
+    labels = np.repeat([1, -1], [len(pos), len(neg)])[order]
+    return scores, labels
+
+
+class TestAucTieCount:
+    @settings(max_examples=300, deadline=None)
+    @given(instance=_tie_instances(), policy=st.sampled_from(["half", "geq"]))
+    def test_counts_equal_pair_enumeration(self, instance, policy):
+        scores, labels = instance
+        res = auc_score(scores, labels, tie_policy=policy)
+        sp = scores[labels > 0][:, None]
+        sn = scores[labels < 0][None, :]
+        ties = np.sum((sp == sn) | (np.isnan(sp) & np.isnan(sn)))
+        assert res.tie_mass == ties / (sp.size * sn.size)
+        if np.isnan(scores).any():
+            assert np.isnan(res.auc)
+        else:
+            assert res.auc == auc_pair_count(scores, labels, tie_policy=policy)
+
+
 class TestIllustrationInstance:
     """25 samples, 3 positives perfectly ranked, two negatives over threshold."""
 

@@ -9,6 +9,8 @@ from aucmax.errors import ValidationError
 from aucmax.models import (
     ModelSpec,
     _block_rows,
+    _elu_in_place,
+    _forward_hidden,
     _unpack_mlp,
     backward_vjp,
     forward,
@@ -131,6 +133,56 @@ def test_blockwise_forward_batch_is_bitwise_one_pass(d_in, d_hidden, elu_alpha, 
     one_pass = np.where(Z > 0, Z, elu_alpha * np.expm1(np.minimum(Z, 0.0))) @ v + b_out
     got = forward_batch(spec, params, X)
     assert np.array_equal(got.view(np.int64), one_pass.view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d_in=st.integers(1, 5),
+    d_hidden=st.one_of(st.sampled_from([1, 8, 128, 129, 300]), st.integers(1, 64)),
+    elu_alpha=st.sampled_from([1.0, 0.3, 2.5]),
+    frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_training_forward_is_bitwise_the_eval_scorer(d_in, d_hidden, elu_alpha, frac, seed):
+    # one ELU formula: the training pass and the eval scorer agree on every
+    # batch that forward_batch scores in one pass (below two blocks, or any
+    # size for a layer too wide to block)
+    spec = ModelSpec("mlp", d_in, d_hidden, elu_alpha)
+    rows = _block_rows(spec)
+    n = 1 + int(frac * (2 * rows - 2 if rows else 300))
+    rng = np.random.default_rng(seed)
+    params = init_params(spec, seed, 2.0)
+    X = 2.0 * rng.normal(size=(n, d_in))
+    X[rng.random(X.shape) < 0.1] = 0.0      # some pre-activations are exactly the bias
+    trained = _forward_hidden(spec, params, X)[0]
+    assert np.array_equal(trained.view(np.int64), forward_batch(spec, params, X).view(np.int64))
+
+
+_SPECIAL_INPUTS = [-0.0, 0.0, 5e-324, -5e-324, -1e-300, 3e-320, 1.0, -1.0, 0.5, -2.0,
+                   1e308, -1e308]
+#                         W               b_h              v                b_out
+_SPECIAL_PARAMS = np.array([1.0, -1.0, 2.0, 0.0, -0.0, -0.0, 0.5, -0.25, 1.0, -0.0])
+
+
+@pytest.mark.parametrize("elu_alpha", [1.0, 0.3, 2.5, 1e-300])
+@pytest.mark.parametrize("n", [12, 4103])     # one pass; two blocks of 2048 rows
+def test_eval_scorer_on_signed_zeros_and_extremes(elu_alpha, n):
+    # pre-activations of exactly +0 and -0, subnormals and infinities, and
+    # (for the tiny alpha) alpha * expm1(Z) underflowing to -0
+    spec = ModelSpec("mlp", 1, 3, elu_alpha)
+    X = np.resize(np.array(_SPECIAL_INPUTS), n)[:, None]
+    with np.errstate(over="ignore"):    # 2 * 1e308
+        trained, (_, _, U) = _forward_hidden(spec, _SPECIAL_PARAMS, X)
+        scored = forward_batch(spec, _SPECIAL_PARAMS, X)
+        W, b_h, _, _ = _unpack_mlp(spec, _SPECIAL_PARAMS)
+        # the eval ELU, with scalar and with tile operands, gives the training
+        # activations bit for bit, signs of zero included
+        for operands in ((b_h, 0.0, -0.0), (np.tile(b_h, (n, 1)), np.zeros((n, 3)),
+                                            -np.zeros((n, 3)))):
+            Z = X @ W.T
+            _elu_in_place(Z, *operands, elu_alpha)
+            assert np.array_equal(Z.view(np.int64), U.view(np.int64))
+    assert np.array_equal(trained.view(np.int64), scored.view(np.int64))
 
 
 def test_block_rows_rule():

@@ -348,6 +348,16 @@ class TestPesgTrain:
             pesg_train(mspec, init_params(mspec, 0, 0.1), train, spec, cfg,
                        epochs=50, batch_size=64, seed=0)
 
+    def test_nonfinite_batch_loss_aborts(self):
+        # scores near 1e160 overflow (s - a)**2 to inf, and the masked class's
+        # inf * 0 makes the batch value NaN while the gradients stay finite
+        data = gen_gaussian_toy(GaussianToySpec(n_pos=40, n_neg=40, seed=0))
+        spec = SurrogateSpec("auc_square", p=data.p)
+        with pytest.raises(NumericalError,
+                           match=r"^epoch 1, iteration 0: non-finite batch loss"):
+            pesg_train(ModelSpec("linear", 2), np.array([1e160, 1e160]), data, spec,
+                       PesgConfig(), epochs=2, batch_size=32, seed=0)
+
 
 class TestSgdTrain:
     def test_zero_lr_keeps_params(self):
