@@ -2,8 +2,9 @@
 
 Subcommands: gen-data, train, eval, ablate, verify, plot. Runs are driven by
 a flat ``key = value`` config file (see aucmax.config.KEYS); ``--seed``
-overrides ``run.seeds`` with a single seed. Exit status: 0 on success, 1 on
-validation failure, 2 on numerical abort.
+overrides ``run.seeds`` with a single seed. ``train`` and ``ablate`` write
+``<run.name>_manifest.cfg``, the config that ran, which ``--config`` reruns.
+Exit status: 0 on success, 1 on validation failure, 2 on numerical abort.
 """
 
 from __future__ import annotations
@@ -13,11 +14,16 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import Config, load_config, parse_config
-from .data import dataset_hash, load_csv, save_csv
+import numpy as np
+import scipy
+
+from . import __version__
+from .config import Config, format_config, load_config, parse_config
+from .data import dataset_hash, save_csv
 from .errors import NumericalError, ValidationError
 from .experiments import (
     LossSetting,
+    _load_two_class_csv,
     ablate_alpha_constraint,
     ablate_bsn,
     ablate_margin,
@@ -82,6 +88,17 @@ def _config(args) -> Config:
     return replace(config, scenario=replace(config.scenario, seeds=seeds, outputs=args.out))
 
 
+def _write_manifest(command: str, config: Config, out: str) -> None:
+    """``<run.name>_manifest.cfg``: the config that ran, seeds included and
+    no output path, so runs into different directories write the same bytes."""
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, f"{config.scenario.name}_manifest.cfg")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# aucmax {command}; aucmax {__version__}, numpy {np.__version__}, "
+                 f"scipy {scipy.__version__}\n")
+        fh.write(format_config(config))
+
+
 def _cmd_gen_data(args) -> int:
     scenario = _config(args).scenario
     seed = scenario.seeds[0]
@@ -94,15 +111,17 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    summary = run_scenario(_config(args).scenario)
+    config = _config(args)
+    summary = run_scenario(config.scenario)
+    _write_manifest("train", config, args.out)
     print(summary.as_text())
-    print(f"wrote metrics, models, summary and config to {args.out}")
+    print(f"wrote metrics, models, summary and manifest to {args.out}")
     return 0
 
 
 def _cmd_eval(args) -> int:
     model_spec, params = load_model(args.model)
-    data = load_csv(args.data)
+    data = _load_two_class_csv(args.data)
     if data.dim != model_spec.d_in:
         raise ValidationError(
             f"model expects {model_spec.d_in}-D inputs, dataset has {data.dim}-D")
@@ -139,6 +158,7 @@ def _cmd_ablate(args) -> int:
             print(summary.as_text())
     else:
         raise ValidationError(f"unknown ablate.kind {kind!r}")
+    _write_manifest("ablate", config, args.out)
     return 0
 
 

@@ -5,7 +5,8 @@ One assignment per line, ``#`` starts a comment, keys are namespaced
 (``data.imratio``, ``optim.eta0``, ...). Unknown keys are errors so typos
 cannot silently fall back to defaults. KEYS names the dataclass field each
 key sets; a key left out of the file takes that field's default. The key
-table is reproduced in the README.
+table is reproduced in the README. ``format_config`` writes a parsed config
+back as a file that parses to the same config.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from .errors import ValidationError
 from .experiments import DataSetting, LossSetting, ScenarioConfig
 from .optimizer import PesgConfig, SgdConfig
 
-__all__ = ["parse_config", "load_config", "Config", "KEYS"]
+__all__ = ["parse_config", "load_config", "format_config", "Config", "KEYS"]
 
 
 @dataclass(frozen=True)
 class Config:
-    """A parsed config file: the scenario ``train`` runs, with its one loss,
-    and the keys that steer only ``ablate`` and ``plot``."""
+    """A parsed config file: the scenario ``train`` runs, with one loss per
+    listed ``loss.kind``, and the keys that steer only ``ablate`` and ``plot``."""
 
     scenario: ScenarioConfig
     project_alpha: bool | None = None     # unset: margin yes, square no
@@ -55,6 +56,20 @@ def _parse_float_list(s: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in s.split(",") if tok.strip())
 
 
+def _parse_name_list(s: str) -> tuple[str, ...]:
+    names = tuple(tok.strip() for tok in s.split(",") if tok.strip())
+    if not names:
+        raise ValueError("expected at least one name")
+    return names
+
+
+def _parse_count(s: str) -> int:
+    n = int(s)
+    if n < 0:
+        raise ValueError(f"must be >= 0, got {n}")
+    return n
+
+
 def _parse_pair(s: str) -> tuple[float, float]:
     vals = _parse_float_list(s)
     if len(vals) != 2:
@@ -62,7 +77,10 @@ def _parse_pair(s: str) -> tuple[float, float]:
     return vals
 
 
-# key -> (parser, (owner, field), ...): the dataclass fields the key sets
+# key -> (parser, (owner, field), ...): the dataclass fields the key sets.
+# Two keys are expanded by parse_config: loss.kind gives one LossSetting per
+# listed kind, and train.warm_start_epochs (0: none) a warm start with the
+# file's SGD settings and batch size.
 KEYS = {
     "data.kind": (str, (DataSetting, "kind")),
     "data.path": (str, (DataSetting, "path")),
@@ -81,7 +99,7 @@ KEYS = {
     "model.d_hidden": (int, (ScenarioConfig, "d_hidden")),
     "model.elu_alpha": (float, (ScenarioConfig, "elu_alpha")),
     "model.init_scale": (float, (ScenarioConfig, "init_scale")),
-    "loss.kind": (str, (LossSetting, "kind")),
+    "loss.kind": (_parse_name_list, (LossSetting, "kind")),
     "loss.m": (float, (LossSetting, "m")),
     "loss.focal_alpha": (float, (LossSetting, "focal_alpha")),
     "loss.focal_gamma": (float, (LossSetting, "focal_gamma")),
@@ -96,6 +114,7 @@ KEYS = {
     "optim.momentum": (float, (SgdConfig, "momentum")),
     "train.epochs": (int, (ScenarioConfig, "epochs")),
     "train.batch_size": (int, (ScenarioConfig, "batch_size")),
+    "train.warm_start_epochs": (_parse_count, (ScenarioConfig, "warm_start")),
     "ablate.kind": (str, (Config, "ablate_kind")),
     "ablate.margins": (_parse_float_list, (Config, "ablate_margins")),
     "ablate.noise_rates": (_parse_float_list, (Config, "ablate_noise_rates")),
@@ -128,19 +147,52 @@ def parse_config(text: str, source: str = "<config>") -> Config:
         for owner, name in fields:
             kw[owner][name] = parsed
 
-    label = kw[LossSetting].get("kind", LossSetting.kind)
+    kinds = kw[LossSetting].pop("kind", (LossSetting.kind,))
+    warm_epochs = kw[ScenarioConfig].pop("warm_start", 0)
     try:
-        loss = LossSetting(label, **kw[LossSetting], pesg=PesgConfig(**kw[PesgConfig]),
-                           sgd=SgdConfig(**kw[SgdConfig]))
-        scenario = ScenarioConfig(data=DataSetting(**kw[DataSetting]), losses=(loss,),
+        sgd = SgdConfig(**kw[SgdConfig])
+        if warm_epochs:
+            batch_size = kw[ScenarioConfig].get("batch_size", ScenarioConfig.batch_size)
+            kw[ScenarioConfig]["warm_start"] = replace(sgd, epochs=warm_epochs,
+                                                       batch_size=batch_size)
+        pesg = PesgConfig(**kw[PesgConfig])
+        losses = tuple(LossSetting(kind, kind=kind, **kw[LossSetting], pesg=pesg, sgd=sgd)
+                       for kind in kinds)
+        scenario = ScenarioConfig(data=DataSetting(**kw[DataSetting]), losses=losses,
                                   **kw[ScenarioConfig])
     except ValidationError as exc:
         raise ValidationError(f"{source}: {exc}") from exc
     config = Config(scenario, **kw[Config])
-    loss = replace(loss, pesg=config.pesg(loss.kind))
-    return replace(config, scenario=replace(scenario, losses=(loss,)))
+    losses = tuple(replace(ls, pesg=config.pesg(ls.kind)) for ls in losses)
+    return replace(config, scenario=replace(scenario, losses=losses))
 
 
 def load_config(path) -> Config:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read(), source=str(path))
+
+
+def _format_value(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(_format_value(v) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def format_config(config: Config) -> str:
+    """Every key that has a value, one per line in KEYS order, floats as
+    ``repr``: ``parse_config(format_config(c)) == c``."""
+    scenario = config.scenario
+    loss = scenario.losses[0]
+    owners = {DataSetting: scenario.data, ScenarioConfig: scenario, LossSetting: loss,
+              PesgConfig: loss.pesg, SgdConfig: loss.sgd, Config: config}
+    expanded = {"loss.kind": tuple(ls.kind for ls in scenario.losses),
+                "train.warm_start_epochs": scenario.warm_start.epochs if scenario.warm_start
+                else 0}
+    lines = []
+    for key, (_, (owner, name), *_) in KEYS.items():
+        value = expanded[key] if key in expanded else getattr(owners[owner], name)
+        if value is not None:
+            lines.append(f"{key} = {_format_value(value)}")
+    return "\n".join(lines) + "\n"

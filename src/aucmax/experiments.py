@@ -5,9 +5,12 @@ injection, or a CSV file used as loaded), a model, and a list of losses, then
 trains every loss on every seed with an identical dataset, initialization and
 batch order, so comparisons are paired.
 Outputs are one metrics CSV and one model file per (loss, seed), a summary
-CSV, the scenario config, and SVG curves.
+CSV, and SVG curves; ``aucmax train`` and ``ablate`` add a manifest, the
+config that ran, from which the same command regenerates every file.
 All cells are computed first and files are written by a single collector at
 the end, so a failed run leaves no torn outputs.
+The canonical robustness studies are config files packaged in
+``aucmax/configs``; the scenario factories below load them.
 """
 
 from __future__ import annotations
@@ -397,12 +400,6 @@ def write_outputs(cfg: ScenarioConfig, summary: ScenarioSummary) -> list[str]:
             fh.write(f"{cfg.name},{cell.loss_label},{cell.seed},"
                      f"{cell.final_test_auc!r},{cell.data_hash}\n")
     written.append(spath)
-    # the scenario config's repr, for a reader: nothing parses it back, and it
-    # records the output directory, so it cannot regenerate the run
-    cpath = os.path.join(cfg.outputs, f"{cfg.name}_config.txt")
-    with open(cpath, "w", encoding="ascii") as fh:
-        fh.write(repr(cfg) + "\n")
-    written.append(cpath)
     return written
 
 
@@ -505,54 +502,28 @@ def ablate_margin(cfg: ScenarioConfig, margins=(0.1, 0.3, 0.5, 0.7, 1.0)) -> Sce
 
 # --- canonical desk-scale studies ---------------------------------------------
 #
-# Fixed protocols for the three robustness phenomena, shared by the scripts
-# and the acceptance suite. Hyperparameters were picked once on these toys
-# (step sizes keep the aux dynamics stable: eta * 2 p (1-p) well below 2).
+# Fixed protocols for the robustness phenomena, shared by the CLI and the
+# acceptance suite. Hyperparameters were picked once on these toys (step sizes
+# keep the aux dynamics stable: eta * 2 p (1-p) well below 2).
+
+
+def _packaged_scenario(name: str, seeds, outputs) -> ScenarioConfig:
+    from .config import load_config     # config imports this module
+
+    path = os.path.join(os.path.dirname(__file__), "configs", f"{name}.cfg")
+    return replace(load_config(path).scenario, seeds=tuple(seeds), outputs=outputs)
 
 
 def noise_robustness_scenario(seeds=tuple(range(10)), outputs=None) -> ScenarioConfig:
-    """Noisy imbalanced toy: margin vs square, warm-started, BSN on.
-
-    Blobs are close enough (2.8 sigma apart) that ranking is sensitive to
-    corruption; both losses resume the same CE model so neither pays an
-    inversion-recovery penalty, and the square loss's unreachable unit gap
-    on normalized scores keeps it churning against the 5% label noise.
-    """
-    pesg_kw = dict(eta0=5.0, weight_decay=1e-4, decay_epochs=(30, 45), decay_factor=3.0)
-    return ScenarioConfig(
-        name="noise_robustness",
-        data=DataSetting(mean_pos=(1.0, 1.0), mean_neg=(-1.0, -1.0),
-                         n_pos=500, n_neg=500, imratio=0.01, noise_rate=0.05),
-        model_kind="mlp", d_hidden=8,
-        losses=(
-            auc_square(bsn=True, pesg=PesgConfig(project_alpha=False, **pesg_kw)),
-            auc_margin(m=0.3, bsn=True, pesg=PesgConfig(**pesg_kw)),
-        ),
-        epochs=60, batch_size=32, seeds=tuple(seeds), outputs=outputs,
-        warm_start=SgdConfig(lr=0.1, momentum=0.9, weight_decay=1e-4,
-                             epochs=40, batch_size=32),
-    )
+    """Noisy imbalanced toy: margin vs square, warm-started, BSN on
+    (``configs/noise_robustness.cfg``)."""
+    return _packaged_scenario("noise_robustness", seeds, outputs)
 
 
 def alpha_constraint_scenario(seeds=tuple(range(10)), outputs=None) -> ScenarioConfig:
-    """Easy-heavy toy (40% easy + 1% noisy, m = 0.1) for the projection ablation.
-
-    The warm-started model separates the classes past the margin immediately,
-    so the unconstrained dual dives negative and re-penalizes easy data.
-    """
-    return ScenarioConfig(
-        name="alpha_constraint",
-        data=DataSetting(n_pos=500, n_neg=500, imratio=0.01,
-                         noise_rate=0.01, easy_frac=0.4),
-        model_kind="mlp", d_hidden=8,
-        losses=(auc_margin(
-            m=0.1, bsn=True,
-            pesg=PesgConfig(eta0=0.5, weight_decay=1e-4,
-                            decay_epochs=(30, 45), decay_factor=3.0)),),
-        epochs=60, batch_size=32, seeds=tuple(seeds), outputs=outputs,
-        warm_start=SgdConfig(lr=0.1, momentum=0.9, weight_decay=1e-4,
-                             epochs=40, batch_size=32),
-    )
+    """Easy-heavy toy (40% easy + 1% noisy, m = 0.1) for the projection ablation
+    (``configs/alpha_constraint.cfg``)."""
+    return _packaged_scenario("alpha_constraint", seeds, outputs)
 
 
 def two_stage_protocol() -> dict:

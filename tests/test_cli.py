@@ -1,17 +1,25 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aucmax import cli
 from aucmax.cli import main
-from aucmax.config import KEYS, Config, parse_config
-from aucmax.data import GaussianToySpec, dataset_hash, gen_gaussian_toy, load_csv, save_csv
+from aucmax.config import KEYS, format_config, parse_config
+from aucmax.data import (
+    Dataset,
+    GaussianToySpec,
+    dataset_hash,
+    gen_gaussian_toy,
+    load_csv,
+    save_csv,
+)
 from aucmax.errors import ValidationError
 from aucmax.experiments import (
     DataSetting,
-    LossSetting,
-    ScenarioConfig,
     ScenarioSummary,
     auc_margin,
     auc_square,
@@ -22,6 +30,9 @@ from aucmax.experiments import (
 from aucmax.losses import SurrogateSpec
 from aucmax.models import ModelSpec, init_params, load_model, save_model
 from aucmax.optimizer import PesgConfig, SgdConfig, pesg_train, sgd_train
+
+README = (Path(__file__).parents[1] / "README.md").read_text()
+README_EXAMPLE = README.split("errors. Example:\n\n```\n")[1].split("```")[0]
 
 
 class TestConfigParsing:
@@ -56,22 +67,36 @@ class TestConfigParsing:
             parse_config("loss.kind auc_margin")
 
     def test_readme_key_table_matches_the_parser(self):
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
-        table = readme.split("| key | default | meaning |")[1].split("\n\n")[0]
+        table = README.split("| key | default | meaning |")[1].split("\n\n")[0]
         rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
         documented = {key.strip().strip("`"): default.strip() for key, default in rows}
         assert sorted(documented) == sorted(KEYS)
 
-        config = parse_config("")
-        loss = config.scenario.losses[0]
-        owners = {DataSetting: config.scenario.data, ScenarioConfig: config.scenario,
-                  LossSetting: loss, PesgConfig: loss.pesg, SgdConfig: loss.sgd,
-                  Config: config}
-        for key, (parser, *fields) in KEYS.items():
-            text = documented[key]
-            want = None if text == "unset" else parser("" if text == "empty" else text.strip("`"))
-            for owner, name in fields:
-                assert getattr(owners[owner], name) == want, key
+        # each documented default, written out, parses to the empty file's config
+        default = parse_config("")
+        written = format_config(default)
+        for key, text in documented.items():
+            if text == "unset":
+                assert f"\n{key} = " not in "\n" + written, key
+            else:
+                value = "" if text == "empty" else text.strip("`")
+                assert parse_config(f"{key} = {value}") == default, key
+
+    def test_readme_example_config_parses(self):
+        scenario = parse_config(README_EXAMPLE, source="README.md").scenario
+        assert scenario.name == "demo" and [ls.kind for ls in scenario.losses] == ["auc_margin"]
+
+    def test_loss_list_and_warm_start(self):
+        config = parse_config("loss.kind = auc_square, auc_margin\nloss.m = 0.3\n"
+                              "optim.lr = 0.2\noptim.weight_decay = 0.01\n"
+                              "train.batch_size = 32\ntrain.warm_start_epochs = 5\n")
+        square, margin = config.scenario.losses
+        assert (square.label, margin.label) == ("auc_square", "auc_margin")
+        assert square.m == margin.m == 0.3
+        assert (square.pesg.project_alpha, margin.pesg.project_alpha) == (False, True)
+        assert config.scenario.warm_start == SgdConfig(lr=0.2, weight_decay=0.01, epochs=5,
+                                                       batch_size=32)
+        assert parse_config("train.warm_start_epochs = 0").scenario.warm_start is None
 
     def test_unset_project_alpha_follows_the_loss_kind(self):
         for kind, projects in (("auc_margin", True), ("auc_square", False)):
@@ -93,6 +118,7 @@ class TestConfigParsing:
         "data.cov_scale = nan", "data.cov_scale = -1", "data.imratio = 2", "data.imratio = nan",
         "model.kind = mlp\nmodel.elu_alpha = inf",
         "data.noise_rate = 0.05", "data.easy_frac = 0.2",
+        "loss.kind = auc_margin, auc_margin", "loss.kind = ,", "train.warm_start_epochs = -1",
     ])
     def test_bad_settings_rejected(self, text):
         with pytest.raises(ValidationError, match="run.cfg"):
@@ -109,6 +135,74 @@ class TestConfigParsing:
     def test_removed_keys_are_unknown(self, key):
         with pytest.raises(ValidationError, match="unknown key"):
             parse_config(f"{key} = true")
+
+
+_KINDS = ("cross_entropy", "focal", "auc_square", "auc_margin")
+_names = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-./", min_size=1, max_size=12)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _listed(strategy, **kw):
+    return st.lists(strategy, **kw).map(", ".join)
+
+
+@st.composite
+def _config_texts(draw):
+    """A valid config file over most keys, with values as a user may write them."""
+    lines = {
+        "loss.kind": draw(_listed(st.sampled_from(_KINDS), min_size=1, max_size=4, unique=True)),
+        "loss.m": draw(_floats(0.01, 2.0)),
+        "loss.bsn": draw(st.sampled_from(["true", "off", "1", "no"])),
+        "model.kind": draw(st.sampled_from(["linear", "mlp"])),
+        "model.d_hidden": str(draw(st.integers(1, 64))),
+        "model.elu_alpha": draw(_floats(0.1, 5.0)),
+        "optim.eta0": draw(_floats(1e-4, 10.0)),
+        "optim.decay_epochs": draw(st.lists(st.integers(1, 99), unique=True)
+                                   .map(sorted).map(lambda v: ", ".join(map(str, v)))),
+        "optim.lr": draw(_floats(0.0, 1.0)),
+        "optim.momentum": draw(_floats(0.0, 0.99)),
+        "train.batch_size": str(draw(st.integers(2, 256))),
+        "train.warm_start_epochs": str(draw(st.integers(0, 50))),
+        "run.name": draw(_names),
+        "run.seeds": draw(_listed(st.integers(0, 2**31).map(str), min_size=1, max_size=5)),
+        "ablate.margins": draw(_listed(_floats(0.01, 2.0), max_size=5)),
+    }
+    if draw(st.booleans()):
+        lines["data.kind"] = "csv"
+        lines["data.path"] = draw(_names)
+        if draw(st.booleans()):
+            lines["data.test_path"] = draw(_names)
+    else:
+        lines["data.mean_pos"] = draw(_listed(_floats(0.5, 5.0), min_size=2, max_size=2))
+        lines["data.cov_scale"] = draw(_floats(0.1, 3.0))
+        if draw(st.booleans()):
+            lines["data.imratio"] = draw(_floats(0.01, 0.5))
+            lines["data.noise_rate"] = draw(_floats(0.0, 0.5))
+            lines["data.easy_frac"] = draw(_floats(0.0, 1.0))
+    project = draw(st.sampled_from([None, "true", "false"]))
+    if project is not None:
+        lines["optim.project_alpha"] = project
+    return "".join(f"{key} = {value}\n" for key, value in lines.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_config_texts())
+def test_format_config_round_trips(text):
+    config = parse_config(text)
+    assert parse_config(format_config(config)) == config
+
+
+CONFIGS = Path(cli.__file__).parent / "configs"
+
+
+def _assert_same_files(dir_a, dir_b):
+    names = sorted(p.name for p in dir_a.iterdir())
+    assert names == sorted(p.name for p in dir_b.iterdir())
+    for name in names:
+        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
 
 
 @pytest.fixture()
@@ -276,6 +370,58 @@ class TestCliCommands:
         assert rc == 0
         text = capsys.readouterr().out
         assert "auc=" in text and "accuracy@0.5=" in text
+
+    def test_eval_names_a_one_class_data_file(self, tmp_path, toy_config, capsys):
+        out = tmp_path / "out"
+        main(["train", "--config", str(toy_config), "--seed", "0", "--out", str(out)])
+        X = np.random.default_rng(1).normal(size=(2, 2))
+        save_csv(Dataset(X, np.ones(2, dtype=int)), tmp_path / "one.csv")
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(out / "smoke_auc_margin_s0.model"),
+                   "--data", str(tmp_path / "one.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "one.csv") in err and "both classes" in err
+
+    def test_train_runs_into_two_directories_write_the_same_bytes(self, tmp_path, toy_config):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        for out in (out_a, out_b):
+            assert main(["train", "--config", str(toy_config), "--seed", "0",
+                         "--out", str(out)]) == 0
+        _assert_same_files(out_a, out_b)
+        assert {p.suffix for p in out_a.iterdir()} == {".csv", ".model", ".cfg"}
+        manifest = (out_a / "smoke_manifest.cfg").read_text()
+        assert manifest.startswith("# aucmax train; aucmax ")
+        assert "run.seeds = 0\n" in manifest and str(tmp_path) not in manifest
+
+    @pytest.mark.parametrize("source", ["noise_robustness", "alpha_constraint", "readme"])
+    def test_the_manifest_reruns_the_run(self, tmp_path, source, capsys):
+        if source == "readme":
+            config = tmp_path / "demo.cfg"
+            config.write_text(README_EXAMPLE)
+            name = "demo"
+        else:
+            config = CONFIGS / f"{source}.cfg"
+            name = source
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["train", "--config", str(config), "--seed", "0", "--out", str(first)]) == 0
+        assert main(["train", "--config", str(first / f"{name}_manifest.cfg"),
+                     "--out", str(second)]) == 0
+        _assert_same_files(first, second)
+        assert len(list(first.glob("*_s0.model"))) == (2 if source == "noise_robustness" else 1)
+
+    def test_ablate_writes_a_manifest_that_reruns_it(self, tmp_path, capsys):
+        cfg = tmp_path / "ab.cfg"
+        cfg.write_text("run.name = ab\ndata.n_pos = 30\ndata.n_neg = 30\n"
+                       "data.test_n_pos = 20\ndata.test_n_neg = 80\n"
+                       "train.epochs = 2\ntrain.batch_size = 16\n"
+                       "ablate.kind = margin\nablate.margins = 0.1, 1.0\n")
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["ablate", "--config", str(cfg), "--seed", "3", "--out", str(first)]) == 0
+        assert main(["ablate", "--config", str(first / "ab_manifest.cfg"),
+                     "--out", str(second)]) == 0
+        _assert_same_files(first, second)
+        assert (first / "ab_margin_auc_margin_m0.1_s3.csv").exists()
 
     def test_plot_creates_svg(self, tmp_path, toy_config, capsys):
         out = tmp_path / "out"

@@ -1,11 +1,13 @@
 import hashlib
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
 import aucmax.experiments
 import aucmax.optimizer
-from aucmax.config import parse_config
+from aucmax.config import load_config, parse_config
 from aucmax.data import Dataset, dataset_hash, save_csv
 from aucmax.errors import NumericalError, ValidationError
 from aucmax.models import load_model
@@ -172,9 +174,9 @@ class TestRunScenario:
         cfg = _fast_scenario(outputs=str(tmp_path))
         summary = run_scenario(cfg)
         files = sorted(p.name for p in tmp_path.iterdir())
-        assert "t_summary.csv" in files
-        assert "t_auc_margin_s0.csv" in files
-        assert "t_config.txt" in files
+        # a metrics CSV and a model per (loss, seed), and the summary; the CLI adds a manifest
+        assert files == sorted([f"t_{ls.label}_s0{ext}" for ls in cfg.losses
+                                for ext in (".csv", ".model")] + ["t_summary.csv"])
         for cell in summary.cells:  # one model per (loss, seed), beside its metrics
             spec, params = load_model(tmp_path / f"t_{cell.loss_label}_s{cell.seed}.model")
             assert spec == cell.model_spec and np.array_equal(params, cell.params)
@@ -188,8 +190,6 @@ class TestRunScenario:
         names = sorted(p.name for p in out_a.iterdir())
         assert names == sorted(p.name for p in out_b.iterdir())
         for name in names:
-            if name.endswith("_config.txt"):
-                continue  # records the output dir itself
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_diverging_warm_start_is_named(self):
@@ -387,6 +387,24 @@ class TestBoundaryContour:
         for p1, p2 in segs:
             assert abs(score_fn(np.array([p1]))[0]) < 1e-3
             assert abs(score_fn(np.array([p2]))[0]) < 1e-3
+
+
+def test_every_packaged_config_parses():
+    configs = resources.files("aucmax") / "configs"
+    names = sorted(p.name for p in configs.iterdir() if p.name.endswith(".cfg"))
+    assert names == ["alpha_constraint.cfg", "bsn.cfg", "noise_robustness.cfg"]
+    for name in names:
+        assert load_config(configs / name).scenario.name == name[:-len(".cfg")]
+
+
+@pytest.mark.parametrize("make", [noise_robustness_scenario, alpha_constraint_scenario])
+def test_canonical_scenarios_are_the_packaged_files(make, tmp_path):
+    name = make.__name__[:-len("_scenario")]
+    packaged = load_config(resources.files("aucmax") / "configs" / f"{name}.cfg").scenario
+    assert packaged.seeds == tuple(range(10))
+    for s in (0, 7):
+        assert make(seeds=[s]) == replace(packaged, seeds=(s,))
+    assert make(seeds=[1], outputs=str(tmp_path)).outputs == str(tmp_path)
 
 
 # sha256 of each metrics CSV of the canonical scenarios at seed 0 (computed on
