@@ -2,7 +2,9 @@
 
 Subcommands: gen-data, train, eval, ablate, verify, plot. Runs are driven by
 a flat ``key = value`` config file (see aucmax.config.KEYS); ``--seed``
-overrides ``run.seeds`` with a single seed. ``train`` and ``ablate`` write
+overrides ``run.seeds`` with a single seed. ``train`` trains, and ``ablate``
+varies, exactly the losses ``loss.kind`` lists; ``ablate.kind = toy_figure``
+draws the decision-boundary figure as ``<run.name>.svg``. Both write
 ``<run.name>_manifest.cfg``, the config that ran, which ``--config`` reruns.
 Exit status: 0 on success, 1 on validation failure, 2 on numerical abort.
 """
@@ -22,18 +24,16 @@ from .config import Config, format_config, load_config, parse_config
 from .data import dataset_hash, save_csv
 from .errors import NumericalError, ValidationError
 from .experiments import (
-    LossSetting,
     _load_two_class_csv,
     ablate_alpha_constraint,
     ablate_bsn,
     ablate_margin,
     ablate_noise_easy,
-    auc_margin,
-    auc_square,
     emit_plot,
     prepare_data,
     read_metrics_csv,
     run_scenario,
+    toy_figure,
 )
 from .metrics import accuracy, auc_score, auc_sensitivity_demo
 from .models import forward_batch, load_model
@@ -88,15 +88,25 @@ def _config(args) -> Config:
     return replace(config, scenario=replace(config.scenario, seeds=seeds, outputs=args.out))
 
 
+def _blas() -> str:
+    """Name and version of the BLAS library numpy was built against."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):     # numpy before 1.26 reports no build info
+        return "unknown"
+    return f"{blas['name']} {blas['version']}"
+
+
 def _write_manifest(command: str, config: Config, out: str) -> None:
     """``<run.name>_manifest.cfg``: the config that ran, seeds included and
     no output path, so runs into different directories write the same bytes."""
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, f"{config.scenario.name}_manifest.cfg")
+    text = format_config(config)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# aucmax {command}; aucmax {__version__}, numpy {np.__version__}, "
-                 f"scipy {scipy.__version__}\n")
-        fh.write(format_config(config))
+                 f"scipy {scipy.__version__}, BLAS {_blas()}\n")
+        fh.write(text)
 
 
 def _cmd_gen_data(args) -> int:
@@ -134,12 +144,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _auc_pair(config: Config) -> tuple[LossSetting, LossSetting]:
-    """The square/margin pair of the bsn and noise_easy ablations."""
-    return (auc_square(pesg=config.pesg("auc_square")),
-            auc_margin(m=config.scenario.losses[0].m, pesg=config.pesg("auc_margin")))
-
-
 def _cmd_ablate(args) -> int:
     config = _config(args)
     scenario = config.scenario
@@ -149,15 +153,19 @@ def _cmd_ablate(args) -> int:
     elif kind == "alpha_constraint":
         print(ablate_alpha_constraint(scenario).as_text())
     elif kind == "bsn":
-        print(ablate_bsn(replace(scenario, losses=_auc_pair(config))).as_text())
+        print(ablate_bsn(scenario).as_text())
     elif kind == "noise_easy":
-        grid = ablate_noise_easy(replace(scenario, losses=_auc_pair(config)),
-                                 config.ablate_noise_rates, config.ablate_easy_fracs)
+        grid = ablate_noise_easy(scenario, config.ablate_noise_rates, config.ablate_easy_fracs)
         for (rate, frac), summary in sorted(grid.items()):
             print(f"-- noise={rate:g} easy={frac:g}")
             print(summary.as_text())
-    else:
-        raise ValidationError(f"unknown ablate.kind {kind!r}")
+    else:   # toy_figure, the last kind parse_config allows
+        svg = toy_figure(scenario)
+        os.makedirs(args.out, exist_ok=True)
+        path = os.path.join(args.out, f"{scenario.name}.svg")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(svg)
+        print(f"wrote {path}")
     _write_manifest("ablate", config, args.out)
     return 0
 

@@ -1,16 +1,19 @@
 """Flat ``key = value`` run configuration, parsed straight into the scenario
 dataclasses.
 
-One assignment per line, ``#`` starts a comment, keys are namespaced
-(``data.imratio``, ``optim.eta0``, ...). Unknown keys are errors so typos
-cannot silently fall back to defaults. KEYS names the dataclass field each
-key sets; a key left out of the file takes that field's default. The key
-table is reproduced in the README. ``format_config`` writes a parsed config
-back as a file that parses to the same config.
+One assignment per line; a ``#`` at the start of a line or right after
+whitespace starts a comment, so ``runs/#3/train.csv`` is one value. Keys are
+namespaced (``data.imratio``, ``optim.eta0``, ...). Unknown keys, and unknown
+``ablate.kind``/``plot.kind`` values, are errors so typos cannot silently fall
+back to defaults. KEYS names the dataclass field each key sets; a key left
+out of the file takes that field's default. The key table is reproduced in
+the README. ``format_config`` writes a parsed config back as a file that
+parses to the same config.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 
 from .errors import ValidationError
@@ -18,6 +21,10 @@ from .experiments import DataSetting, LossSetting, ScenarioConfig
 from .optimizer import PesgConfig, SgdConfig
 
 __all__ = ["parse_config", "load_config", "format_config", "Config", "KEYS"]
+
+ABLATE_KINDS = ("margin", "noise_easy", "alpha_constraint", "bsn", "toy_figure")
+PLOT_KINDS = ("auc_vs_epoch", "alpha_vs_epoch")
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 @dataclass(frozen=True)
@@ -27,16 +34,11 @@ class Config:
 
     scenario: ScenarioConfig
     project_alpha: bool | None = None     # unset: margin yes, square no
-    ablate_kind: str = "margin"           # margin | noise_easy | alpha_constraint | bsn
+    ablate_kind: str = "margin"           # one of ABLATE_KINDS
     ablate_margins: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 1.0)
     ablate_noise_rates: tuple[float, ...] = (0.01, 0.05)
     ablate_easy_fracs: tuple[float, ...] = (0.1, 0.2)
-    plot_kind: str = "auc_vs_epoch"       # auc_vs_epoch | alpha_vs_epoch
-
-    def pesg(self, kind: str) -> PesgConfig:
-        """The file's ``optim.*`` settings for a loss of ``kind``."""
-        project = kind == "auc_margin" if self.project_alpha is None else self.project_alpha
-        return replace(self.scenario.losses[0].pesg, project_alpha=project)
+    plot_kind: str = "auc_vs_epoch"       # one of PLOT_KINDS
 
 
 def _parse_bool(s: str) -> bool:
@@ -61,6 +63,14 @@ def _parse_name_list(s: str) -> tuple[str, ...]:
     if not names:
         raise ValueError("expected at least one name")
     return names
+
+
+def _choice(*allowed):
+    def parse(s: str) -> str:
+        if s not in allowed:
+            raise ValueError(f"expected one of {', '.join(allowed)}, got {s!r}")
+        return s
+    return parse
 
 
 def _parse_count(s: str) -> int:
@@ -115,13 +125,13 @@ KEYS = {
     "train.epochs": (int, (ScenarioConfig, "epochs")),
     "train.batch_size": (int, (ScenarioConfig, "batch_size")),
     "train.warm_start_epochs": (_parse_count, (ScenarioConfig, "warm_start")),
-    "ablate.kind": (str, (Config, "ablate_kind")),
+    "ablate.kind": (_choice(*ABLATE_KINDS), (Config, "ablate_kind")),
     "ablate.margins": (_parse_float_list, (Config, "ablate_margins")),
     "ablate.noise_rates": (_parse_float_list, (Config, "ablate_noise_rates")),
     "ablate.easy_fracs": (_parse_float_list, (Config, "ablate_easy_fracs")),
     "run.name": (str, (ScenarioConfig, "name")),
     "run.seeds": (_parse_int_list, (ScenarioConfig, "seeds")),
-    "plot.kind": (str, (Config, "plot_kind")),
+    "plot.kind": (_choice(*PLOT_KINDS), (Config, "plot_kind")),
 }
 
 
@@ -129,7 +139,7 @@ def parse_config(text: str, source: str = "<config>") -> Config:
     kw = {owner: {} for owner in (DataSetting, ScenarioConfig, LossSetting,
                                   PesgConfig, SgdConfig, Config)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -149,22 +159,24 @@ def parse_config(text: str, source: str = "<config>") -> Config:
 
     kinds = kw[LossSetting].pop("kind", (LossSetting.kind,))
     warm_epochs = kw[ScenarioConfig].pop("warm_start", 0)
+    project = kw[Config].get("project_alpha")
     try:
         sgd = SgdConfig(**kw[SgdConfig])
         if warm_epochs:
             batch_size = kw[ScenarioConfig].get("batch_size", ScenarioConfig.batch_size)
             kw[ScenarioConfig]["warm_start"] = replace(sgd, epochs=warm_epochs,
                                                        batch_size=batch_size)
-        pesg = PesgConfig(**kw[PesgConfig])
-        losses = tuple(LossSetting(kind, kind=kind, **kw[LossSetting], pesg=pesg, sgd=sgd)
-                       for kind in kinds)
+        # unset optim.project_alpha: the margin loss projects, the others do not
+        losses = tuple(
+            LossSetting(kind, kind=kind, **kw[LossSetting], sgd=sgd, pesg=PesgConfig(
+                **kw[PesgConfig],
+                project_alpha=kind == "auc_margin" if project is None else project))
+            for kind in kinds)
         scenario = ScenarioConfig(data=DataSetting(**kw[DataSetting]), losses=losses,
                                   **kw[ScenarioConfig])
     except ValidationError as exc:
         raise ValidationError(f"{source}: {exc}") from exc
-    config = Config(scenario, **kw[Config])
-    losses = tuple(replace(ls, pesg=config.pesg(ls.kind)) for ls in losses)
-    return replace(config, scenario=replace(scenario, losses=losses))
+    return Config(scenario, **kw[Config])
 
 
 def load_config(path) -> Config:
@@ -182,7 +194,9 @@ def _format_value(value) -> str:
 
 def format_config(config: Config) -> str:
     """Every key that has a value, one per line in KEYS order, floats as
-    ``repr``: ``parse_config(format_config(c)) == c``."""
+    ``repr``: ``parse_config(format_config(c)) == c``. A value that would not
+    read back (a line break, surrounding blanks, or a comment ``#``) is
+    rejected with its key."""
     scenario = config.scenario
     loss = scenario.losses[0]
     owners = {DataSetting: scenario.data, ScenarioConfig: scenario, LossSetting: loss,
@@ -193,6 +207,10 @@ def format_config(config: Config) -> str:
     lines = []
     for key, (_, (owner, name), *_) in KEYS.items():
         value = expanded[key] if key in expanded else getattr(owners[owner], name)
-        if value is not None:
-            lines.append(f"{key} = {_format_value(value)}")
+        if value is None:
+            continue
+        text = _format_value(value)
+        if text != text.strip() or len(text.splitlines()) > 1 or _COMMENT.search(" " + text):
+            raise ValidationError(f"{key} = {text!r} cannot be written to a config file")
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"

@@ -9,8 +9,9 @@ CSV, and SVG curves; ``aucmax train`` and ``ablate`` add a manifest, the
 config that ran, from which the same command regenerates every file.
 All cells are computed first and files are written by a single collector at
 the end, so a failed run leaves no torn outputs.
-The canonical robustness studies are config files packaged in
-``aucmax/configs``; the scenario factories below load them.
+Every run and ablation trains the losses its scenario lists, and nothing else.
+The canonical robustness studies and the toy figure are config files packaged
+in ``aucmax/configs``; the scenario factories below load them.
 """
 
 from __future__ import annotations
@@ -144,15 +145,6 @@ class LossSetting:
             focal_alpha=self.focal_alpha, focal_gamma=self.focal_gamma,
             bsn=self.bsn,
         )
-
-
-def auc_square(label="auc_square", **kw) -> LossSetting:
-    kw.setdefault("pesg", PesgConfig(project_alpha=False))
-    return LossSetting(label=label, kind="auc_square", **kw)
-
-
-def auc_margin(label="auc_margin", m=0.5, **kw) -> LossSetting:
-    return LossSetting(label=label, kind="auc_margin", m=m, **kw)
 
 
 @dataclass(frozen=True)
@@ -543,26 +535,27 @@ def two_stage_protocol() -> dict:
 # --- the six-panel toy figure ---------------------------------------------------
 
 
-def toy_figure(cfg: ScenarioConfig, easy_frac: float = 0.2, noise_rate: float = 0.05,
-               boundary_tol: float = 1e-4) -> str:
+def toy_figure(cfg: ScenarioConfig) -> str:
     """Decision boundaries before/after easy and noisy injection, per AUC loss.
 
-    Row per loss (square on top, margin below); columns: pretrained CE model,
-    retrained on easy-augmented data, retrained on noise-injected data.
-    Returns the SVG text; deterministic for a fixed config.
+    One row per AUC loss in ``cfg.losses``; columns: pretrained CE model,
+    retrained on data with ``cfg.data.easy_frac`` of the removed positives
+    re-added as easy samples, retrained on data with ``cfg.data.noise_rate``
+    label noise. Returns the SVG text; deterministic for a fixed config.
     """
     if cfg.model_kind != "mlp" or cfg.data.kind != "gaussian_toy":
         raise ValidationError("toy figure needs an mlp model on the 2-D toy data")
+    if cfg.data.easy_frac == 0 or cfg.data.noise_rate == 0:
+        raise ValidationError("toy figure needs data.easy_frac and data.noise_rate above 0")
+    losses = [ls for ls in cfg.losses if ls.kind in ("auc_square", "auc_margin")]
+    if not losses:
+        raise ValidationError("toy figure needs at least one AUC loss")
     model_spec = cfg.model_spec(2)
-    if cfg.data.imratio is None:
-        raise ValidationError("toy figure needs an imbalanced base (set imratio)")
     seed = cfg.seeds[0]
-    base_setting = replace(cfg.data, noise_rate=0.0, easy_frac=0.0)
-    train, _ = prepare_data(base_setting, seed)
-    easy_train, _ = prepare_data(replace(cfg.data, noise_rate=0.0, easy_frac=easy_frac),
-                                 seed, model_for_scoring=model_spec)
-    noisy_train, _ = prepare_data(replace(cfg.data, noise_rate=noise_rate, easy_frac=0.0),
-                                  seed)
+    train, _ = prepare_data(replace(cfg.data, noise_rate=0.0, easy_frac=0.0), seed)
+    easy_train, _ = prepare_data(replace(cfg.data, noise_rate=0.0), seed,
+                                 model_for_scoring=model_spec)
+    noisy_train, _ = prepare_data(replace(cfg.data, easy_frac=0.0), seed)
 
     params0 = init_params(model_spec, derive_seed(seed, 20), cfg.init_scale)
     ce = SurrogateSpec("cross_entropy", p=train.p)
@@ -570,10 +563,6 @@ def toy_figure(cfg: ScenarioConfig, easy_frac: float = 0.2, noise_rate: float = 
     pre_params, _ = _sgd_train(model_spec, params0, train, ce, pre_cfg, derive_seed(seed, 21),
                                evaluate=False)
     pre_auc = auc_score(forward_batch(model_spec, pre_params, train.X), train.y).auc
-
-    losses = [ls for ls in cfg.losses if ls.kind in ("auc_square", "auc_margin")]
-    if len(losses) < 2:
-        losses = [auc_square(), auc_margin(m=0.5)]
 
     def retrain(setting: LossSetting, dataset: Dataset) -> np.ndarray:
         spec = setting.surrogate(dataset.p)
@@ -593,11 +582,11 @@ def toy_figure(cfg: ScenarioConfig, easy_frac: float = 0.2, noise_rate: float = 
         }
 
     rows = []
-    for setting in losses[:2]:
+    for setting in losses:
         rows.append([
             panel("pretrained (CE)", train, pre_params, f"train AUC {pre_auc:.3f}"),
             panel(f"{setting.label} + easy", easy_train, retrain(setting, easy_train)),
             panel(f"{setting.label} + noisy", noisy_train, retrain(setting, noisy_train)),
         ])
     lim = max(abs(v) for v in (*cfg.data.mean_pos, *cfg.data.mean_neg)) + 3 * cfg.data.cov_scale
-    return scatter_boundary_panels(rows, (-lim, lim), (-lim, lim), tol=boundary_tol)
+    return scatter_boundary_panels(rows, (-lim, lim), (-lim, lim))

@@ -1,4 +1,6 @@
 import re
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +23,6 @@ from aucmax.errors import ValidationError
 from aucmax.experiments import (
     DataSetting,
     ScenarioSummary,
-    auc_margin,
-    auc_square,
     derive_seed,
     prepare_data,
     records_to_csv,
@@ -86,6 +86,30 @@ class TestConfigParsing:
         scenario = parse_config(README_EXAMPLE, source="README.md").scenario
         assert scenario.name == "demo" and [ls.kind for ls in scenario.losses] == ["auc_margin"]
 
+    def test_hash_inside_a_value_is_kept(self):
+        config = parse_config("data.kind = csv\ndata.path = runs/#3/train.csv  # a comment\n")
+        assert config.scenario.data.path == "runs/#3/train.csv"
+        assert "data.path = runs/#3/train.csv\n" in format_config(config)
+        assert parse_config(format_config(config)) == config
+
+    @pytest.mark.parametrize("source", ["README.md"] + sorted(
+        p.name for p in (Path(cli.__file__).parent / "configs").glob("*.cfg")))
+    def test_shipped_configs_parse_as_under_the_first_hash_rule(self, source):
+        # the shipped files put a blank before each comment, so cutting every
+        # line at its first '#' reads them the same
+        text = README_EXAMPLE if source == "README.md" else \
+            (Path(cli.__file__).parent / "configs" / source).read_text()
+        cut = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+        assert parse_config(text) == parse_config(cut)
+
+    @pytest.mark.parametrize("path", ["a #b", "#b", "a\nb", " a"])
+    def test_format_config_names_a_value_it_cannot_write(self, path):
+        config = parse_config("data.kind = csv\ndata.path = a")
+        data = replace(config.scenario.data, path=path)
+        config = replace(config, scenario=replace(config.scenario, data=data))
+        with pytest.raises(ValidationError, match="data.path"):
+            format_config(config)
+
     def test_loss_list_and_warm_start(self):
         config = parse_config("loss.kind = auc_square, auc_margin\nloss.m = 0.3\n"
                               "optim.lr = 0.2\noptim.weight_decay = 0.01\n"
@@ -119,6 +143,7 @@ class TestConfigParsing:
         "model.kind = mlp\nmodel.elu_alpha = inf",
         "data.noise_rate = 0.05", "data.easy_frac = 0.2",
         "loss.kind = auc_margin, auc_margin", "loss.kind = ,", "train.warm_start_epochs = -1",
+        "ablate.kind = bogus", "plot.kind = loss_vs_epoch",
     ])
     def test_bad_settings_rejected(self, text):
         with pytest.raises(ValidationError, match="run.cfg"):
@@ -138,7 +163,8 @@ class TestConfigParsing:
 
 
 _KINDS = ("cross_entropy", "focal", "auc_square", "auc_margin")
-_names = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-./", min_size=1, max_size=12)
+# a '#' inside a value is kept; a value cannot start with one (it follows the blank after '=')
+_names = st.from_regex(r"[a-z0-9_./-][a-z0-9_./#-]{0,11}", fullmatch=True)
 
 
 def _floats(lo, hi):
@@ -221,6 +247,17 @@ def toy_config(tmp_path):
         "train.batch_size = 16\n"
     )
     return cfg
+
+
+def _capture_ablations(monkeypatch):
+    """Replace the bsn and noise_easy ablations with stubs that record the
+    scenario they are given; returns the list they append to."""
+    seen = []
+    monkeypatch.setattr(cli, "ablate_bsn",
+                        lambda cfg: seen.append(cfg) or ScenarioSummary(cfg.name, []))
+    monkeypatch.setattr(cli, "ablate_noise_easy",
+                        lambda cfg, rates, fracs: seen.append(cfg) or {})
+    return seen
 
 
 class TestCliCommands:
@@ -336,13 +373,10 @@ class TestCliCommands:
     def test_ablation_pairs_follow_the_optim_keys(self, tmp_path, monkeypatch, ablation,
                                                   extra, eta0, square_projects,
                                                   margin_projects):
-        seen = []
-        monkeypatch.setattr(cli, "ablate_bsn",
-                            lambda cfg: seen.append(cfg) or ScenarioSummary(cfg.name, []))
-        monkeypatch.setattr(cli, "ablate_noise_easy",
-                            lambda cfg, rates, fracs: seen.append(cfg) or {})
+        seen = _capture_ablations(monkeypatch)
         cfg = tmp_path / "pair.cfg"
-        cfg.write_text(f"ablate.kind = {ablation}\nloss.m = 0.3\n" + extra)
+        cfg.write_text(f"ablate.kind = {ablation}\nloss.kind = auc_square, auc_margin\n"
+                       "loss.m = 0.3\n" + extra)
         assert main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         square, margin = seen[0].losses
         assert (square.kind, margin.kind, margin.m) == ("auc_square", "auc_margin", 0.3)
@@ -350,15 +384,16 @@ class TestCliCommands:
         assert square.pesg.project_alpha is square_projects
         assert margin.pesg.project_alpha is margin_projects
 
-    def test_noise_easy_pair_is_unchanged_under_the_default_config(self, tmp_path,
-                                                                   monkeypatch):
-        seen = []
-        monkeypatch.setattr(cli, "ablate_noise_easy",
-                            lambda cfg, rates, fracs: seen.append(cfg) or {})
-        cfg = tmp_path / "pair.cfg"
-        cfg.write_text("ablate.kind = noise_easy\n")
+    @pytest.mark.parametrize("ablation", ["bsn", "noise_easy"])
+    @pytest.mark.parametrize("kinds", ["auc_margin", "auc_square, auc_margin"])
+    def test_ablations_run_the_listed_losses(self, tmp_path, monkeypatch, ablation, kinds):
+        seen = _capture_ablations(monkeypatch)
+        text = f"ablate.kind = {ablation}\nloss.kind = {kinds}\nloss.bsn = true\n"
+        cfg = tmp_path / "listed.cfg"
+        cfg.write_text(text)
         assert main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        assert seen[0].losses == (auc_square(), auc_margin())
+        assert seen[0].losses == parse_config(text).scenario.losses
+        assert all(ls.bsn for ls in seen[0].losses)
 
     def test_eval_prints_auc(self, tmp_path, toy_config, capsys):
         out = tmp_path / "out"
@@ -394,6 +429,13 @@ class TestCliCommands:
         assert manifest.startswith("# aucmax train; aucmax ")
         assert "run.seeds = 0\n" in manifest and str(tmp_path) not in manifest
 
+    def test_manifest_names_the_blas_library(self, tmp_path, toy_config):
+        assert main(["train", "--config", str(toy_config), "--seed", "0",
+                     "--out", str(tmp_path)]) == 0
+        comment = (tmp_path / "smoke_manifest.cfg").read_text().splitlines()[0]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert comment.endswith(f", BLAS {blas['name']} {blas['version']}")
+
     @pytest.mark.parametrize("source", ["noise_robustness", "alpha_constraint", "readme"])
     def test_the_manifest_reruns_the_run(self, tmp_path, source, capsys):
         if source == "readme":
@@ -422,6 +464,23 @@ class TestCliCommands:
                      "--out", str(second)]) == 0
         _assert_same_files(first, second)
         assert (first / "ab_margin_auc_margin_m0.1_s3.csv").exists()
+
+    def test_ablate_toy_figure_writes_a_figure_its_manifest_reruns(self, tmp_path, capsys):
+        cfg = tmp_path / "fig.cfg"
+        cfg.write_text("run.name = fig\ndata.mean_pos = 2.0, 2.0\ndata.mean_neg = -2.0, -2.0\n"
+                       "data.n_pos = 60\ndata.n_neg = 60\ndata.imratio = 0.2\n"
+                       "data.easy_frac = 0.5\ndata.noise_rate = 0.2\n"
+                       "data.test_n_pos = 20\ndata.test_n_neg = 80\n"
+                       "model.kind = mlp\nmodel.d_hidden = 4\nloss.kind = auc_margin\n"
+                       "train.epochs = 6\ntrain.batch_size = 16\nablate.kind = toy_figure\n")
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["ablate", "--config", str(cfg), "--out", str(first)]) == 0
+        assert sorted(p.name for p in first.iterdir()) == ["fig.svg", "fig_manifest.cfg"]
+        assert main(["ablate", "--config", str(first / "fig_manifest.cfg"),
+                     "--out", str(second)]) == 0
+        _assert_same_files(first, second)
+        svg = (first / "fig.svg").read_text()
+        assert svg.count("panel ") == 3 and "auc_margin + noisy" in svg
 
     def test_plot_creates_svg(self, tmp_path, toy_config, capsys):
         out = tmp_path / "out"
@@ -457,6 +516,16 @@ class TestCliCommands:
         text = capsys.readouterr().out
         assert "7/7 checks passed" in text
         assert "PASS" in text and "FAIL" not in text
+
+    @pytest.mark.parametrize("line", ["ablate.kind = bogus", "plot.kind = bogus"])
+    def test_unknown_ablate_or_plot_kind_stops_train(self, tmp_path, line, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"train.epochs = 1\n{line}\n")
+        rc = main(["train", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{bad}:2: bad value for" in err and "expected one of" in err
+        assert not (tmp_path / "out").exists()
 
     def test_validation_failure_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -505,3 +574,25 @@ class TestCliCommands:
     def test_usage_error_exits_one(self, capsys):
         rc = main(["train", "--bogus-flag"])
         assert rc == 1
+
+
+_fractions = st.sampled_from([0.0, 0.1, 0.25, 0.5])
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.integers(20, 60), imratio=st.sampled_from([0.05, 0.1, 0.2, 0.4]),
+       noise=_fractions, easy=_fractions, seed=st.integers(0, 2**16))
+def test_library_gen_data_and_train_agree_on_the_dataset(n, imratio, noise, easy, seed):
+    text = (f"run.name = agree\ndata.n_pos = {n}\ndata.n_neg = {n}\n"
+            f"data.test_n_pos = 10\ndata.test_n_neg = 10\ndata.imratio = {imratio}\n"
+            f"data.noise_rate = {noise}\ndata.easy_frac = {easy}\ntrain.epochs = 1\n")
+    expected = dataset_hash(prepare_data(parse_config(text).scenario.data, seed)[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "agree.cfg", Path(tmp) / "out"
+        cfg.write_text(text)
+        argv = ["--config", str(cfg), "--seed", str(seed), "--out", str(out)]
+        assert main(["gen-data", *argv]) == 0
+        assert dataset_hash(load_csv(out / f"agree_s{seed}.csv")) == expected
+        assert main(["train", *argv]) == 0
+        summary = (out / "agree_summary.csv").read_text().splitlines()
+        assert summary[1].split(",")[-1] == expected

@@ -20,8 +20,6 @@ from aucmax.experiments import (
     ablate_margin,
     ablate_noise_easy,
     alpha_constraint_scenario,
-    auc_margin,
-    auc_square,
     emit_plot,
     noise_robustness_scenario,
     prepare_data,
@@ -32,6 +30,9 @@ from aucmax.experiments import (
 )
 from aucmax.optimizer import PesgConfig, RunRecord, SgdConfig
 
+SQUARE = LossSetting("auc_square", kind="auc_square", pesg=PesgConfig(project_alpha=False))
+MARGIN = LossSetting("auc_margin", kind="auc_margin")
+
 
 def _fast_scenario(**overrides):
     defaults = dict(
@@ -39,8 +40,8 @@ def _fast_scenario(**overrides):
         data=DataSetting(n_pos=40, n_neg=40, test_n_pos=50, test_n_neg=200),
         model_kind="linear",
         losses=(
-            auc_square(pesg=PesgConfig(project_alpha=False)),
-            auc_margin(m=0.5),
+            SQUARE,
+            MARGIN,
             LossSetting(label="ce", kind="cross_entropy"),
             LossSetting(label="focal", kind="focal"),
         ),
@@ -137,7 +138,7 @@ class TestRunScenario:
     def test_csv_source_sets_the_model_width(self, tmp_path):
         _csv_pair(tmp_path)
         cfg = _fast_scenario(data=DataSetting(kind="csv", path=str(tmp_path / "train.csv")),
-                             model_kind="mlp", d_hidden=4, losses=(auc_margin(),))
+                             model_kind="mlp", d_hidden=4, losses=(MARGIN,))
         (cell,) = run_scenario(cfg).cells
         assert cell.model_spec.d_in == 3
         assert all(r.test_auc == r.train_auc for r in cell.records)
@@ -217,7 +218,7 @@ class TestRunScenario:
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValidationError):
-            _fast_scenario(losses=(auc_margin(), auc_margin()))
+            _fast_scenario(losses=(MARGIN, MARGIN))
 
 
 class TestMetricsCsv:
@@ -280,12 +281,12 @@ class TestEmitPlot:
 
 class TestAblations:
     def test_margin_sweep_labels(self):
-        cfg = _fast_scenario(losses=(auc_margin(),))
+        cfg = _fast_scenario(losses=(MARGIN,))
         summary = ablate_margin(cfg, margins=(0.1, 1.0))
         assert set(summary.stats()) == {"auc_margin_m0.1", "auc_margin_m1"}
 
     def test_alpha_constraint_pairs(self):
-        cfg = _fast_scenario(losses=(auc_margin(m=0.1),))
+        cfg = _fast_scenario(losses=(replace(MARGIN, m=0.1),))
         summary = ablate_alpha_constraint(cfg)
         assert set(summary.stats()) == {"auc_margin_proj", "auc_margin_noproj"}
         projected = [c for c in summary.cells if c.loss_label == "auc_margin_proj"]
@@ -293,12 +294,12 @@ class TestAblations:
             assert min(r.alpha for r in cell.records) >= 0.0
 
     def test_alpha_constraint_needs_margin_loss(self):
-        cfg = _fast_scenario(losses=(auc_square(),))
+        cfg = _fast_scenario(losses=(SQUARE,))
         with pytest.raises(ValidationError):
             ablate_alpha_constraint(cfg)
 
     def test_bsn_pairs(self):
-        cfg = _fast_scenario(losses=(auc_square(), auc_margin()))
+        cfg = _fast_scenario(losses=(SQUARE, MARGIN))
         summary = ablate_bsn(cfg)
         assert set(summary.stats()) == {
             "auc_square_bsn", "auc_square_raw", "auc_margin_bsn", "auc_margin_raw",
@@ -308,7 +309,7 @@ class TestAblations:
         base = _fast_scenario(
             data=DataSetting(n_pos=60, n_neg=60, imratio=0.2,
                              test_n_pos=30, test_n_neg=120),
-            losses=(auc_square(), auc_margin()),
+            losses=(SQUARE, MARGIN),
         )
         grid = ablate_noise_easy(base, noise_rates=(0.0, 0.1), easy_fracs=(0.0,))
         assert set(grid) == {(0.0, 0.0), (0.1, 0.0)}
@@ -332,7 +333,7 @@ class TestAblations:
         base = _fast_scenario(
             data=DataSetting(n_pos=100, n_neg=100, imratio=0.05,
                              test_n_pos=30, test_n_neg=120),
-            losses=(auc_margin(),),
+            losses=(MARGIN,),
         )
         rate = 0.1
         train, _ = prepare_data(
@@ -346,13 +347,13 @@ def figure_svg():
     cfg = ScenarioConfig(
         name="fig",
         data=DataSetting(mean_pos=(2.0, 2.0), mean_neg=(-2.0, -2.0),
-                         n_pos=60, n_neg=60, imratio=0.2,
+                         n_pos=60, n_neg=60, imratio=0.2, easy_frac=0.5, noise_rate=0.2,
                          test_n_pos=20, test_n_neg=80),
         model_kind="mlp", d_hidden=4,
-        losses=(auc_square(), auc_margin(m=0.5)),
+        losses=(SQUARE, MARGIN),
         epochs=6, batch_size=16, seeds=(0,),
     )
-    return cfg, toy_figure(cfg, easy_frac=0.5, noise_rate=0.2)
+    return cfg, toy_figure(cfg)
 
 
 class TestToyFigure:
@@ -364,13 +365,26 @@ class TestToyFigure:
 
     def test_deterministic_bytes(self, figure_svg):
         cfg, text = figure_svg
-        assert toy_figure(cfg, easy_frac=0.5, noise_rate=0.2) == text
+        assert toy_figure(cfg) == text
 
     def test_linear_model_rejected(self):
         cfg = _fast_scenario(model_kind="linear",
                              data=DataSetting(n_pos=30, n_neg=30, imratio=0.2,
                                               test_n_pos=20, test_n_neg=80))
         with pytest.raises(ValidationError):
+            toy_figure(cfg)
+
+    @pytest.mark.parametrize("field", ["easy_frac", "noise_rate"])
+    def test_zero_injection_rejected(self, figure_svg, field):
+        cfg, _ = figure_svg
+        cfg = replace(cfg, data=replace(cfg.data, **{field: 0.0}))
+        with pytest.raises(ValidationError, match=field):
+            toy_figure(cfg)
+
+    def test_scenario_without_an_auc_loss_rejected(self, figure_svg):
+        cfg, _ = figure_svg
+        cfg = replace(cfg, losses=(LossSetting("ce", kind="cross_entropy"),))
+        with pytest.raises(ValidationError, match="AUC loss"):
             toy_figure(cfg)
 
 
@@ -392,7 +406,8 @@ class TestBoundaryContour:
 def test_every_packaged_config_parses():
     configs = resources.files("aucmax") / "configs"
     names = sorted(p.name for p in configs.iterdir() if p.name.endswith(".cfg"))
-    assert names == ["alpha_constraint.cfg", "bsn.cfg", "noise_robustness.cfg"]
+    assert names == ["alpha_constraint.cfg", "bsn.cfg", "noise_robustness.cfg",
+                     "toy_figure.cfg"]
     for name in names:
         assert load_config(configs / name).scenario.name == name[:-len(".cfg")]
 
