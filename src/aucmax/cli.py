@@ -3,8 +3,9 @@
 Subcommands: gen-data, train, eval, ablate, verify, plot. Runs are driven by
 a flat ``key = value`` config file (see aucmax.config.KEYS); ``--seed``
 overrides ``run.seeds`` with a single seed. ``train`` trains, and ``ablate``
-varies, exactly the losses ``loss.kind`` lists; ``ablate.kind = toy_figure``
-draws the decision-boundary figure as ``<run.name>.svg``. Both write
+varies, exactly the losses ``loss.kind`` lists; an ablation that would skip a
+listed loss is rejected before it trains. ``ablate.kind = toy_figure`` draws
+the decision-boundary figure as ``<run.name>.svg``. Both write
 ``<run.name>_manifest.cfg``, the config that ran, which ``--config`` reruns.
 Exit status: 0 on success, 1 on validation failure, 2 on numerical abort.
 """

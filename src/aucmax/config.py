@@ -1,30 +1,153 @@
-"""Flat ``key = value`` run configuration, parsed straight into the scenario
-dataclasses.
+"""The run schema and its flat ``key = value`` file format.
 
-One assignment per line; a ``#`` at the start of a line or right after
-whitespace starts a comment, so ``runs/#3/train.csv`` is one value. Keys are
-namespaced (``data.imratio``, ``optim.eta0``, ...). Unknown keys, and unknown
-``ablate.kind``/``plot.kind`` values, are errors so typos cannot silently fall
-back to defaults. KEYS names the dataclass field each key sets; a key left
-out of the file takes that field's default. The key table is reproduced in
-the README. ``format_config`` writes a parsed config back as a file that
-parses to the same config.
+A run is a ScenarioConfig: a data recipe (DataSetting), a model, one
+LossSetting per listed loss, the training length and the seeds. Config adds
+the keys that steer only ``ablate`` and ``plot``. Every field a run reads is
+set by a key of KEYS or by one of parse_config's two expansions, or it is a
+fixed constant the README lists (the easy-injection scorer's SGD settings,
+``DataSetting.scorer_sgd``).
+
+File format: one assignment per line; a ``#`` at the start of a line or right
+after whitespace starts a comment, so ``runs/#3/train.csv`` is one value. Keys
+are namespaced (``data.imratio``, ``optim.eta0``, ...). Unknown keys, and
+unknown ``ablate.kind``/``plot.kind`` values, are errors so typos cannot
+silently fall back to defaults. KEYS names the dataclass field each key sets;
+a key left out of the file takes that field's default. The key table is
+reproduced in the README. ``format_config`` writes a parsed config back as a
+file that parses to the same config.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
+from .data import GaussianToySpec
 from .errors import ValidationError
-from .experiments import DataSetting, LossSetting, ScenarioConfig
+from .losses import SurrogateSpec
+from .models import ModelSpec
 from .optimizer import PesgConfig, SgdConfig
 
-__all__ = ["parse_config", "load_config", "format_config", "Config", "KEYS"]
+__all__ = ["parse_config", "load_config", "format_config", "Config", "KEYS",
+           "DataSetting", "LossSetting", "ScenarioConfig"]
 
 ABLATE_KINDS = ("margin", "noise_easy", "alpha_constraint", "bsn", "toy_figure")
 PLOT_KINDS = ("auc_vs_epoch", "alpha_vs_epoch")
 _COMMENT = re.compile(r"(?:^|\s)#")
+
+
+@dataclass(frozen=True)
+class DataSetting:
+    """Where a scenario's data comes from.
+
+    ``gaussian_toy`` draws the training and test sets from the fields below,
+    then applies imbalance and easy/noise injection to the training draw.
+    ``csv`` uses the files at ``path`` and ``test_path`` as loaded; without a
+    test file the test AUC is the training AUC.
+    """
+
+    kind: str = "gaussian_toy"       # gaussian_toy | csv
+    path: str | None = None
+    test_path: str | None = None
+    mean_pos: tuple[float, float] = (1.5, 1.5)
+    mean_neg: tuple[float, float] = (-1.5, -1.5)
+    cov_scale: float = 1.0
+    n_pos: int = 500
+    n_neg: int = 500
+    test_n_pos: int = 1000
+    test_n_neg: int = 9000
+    imratio: float | None = None
+    noise_rate: float = 0.0
+    easy_frac: float = 0.0
+    # CE pretrain used only to score removed positives for easy injection;
+    # a fixed constant that no key sets
+    scorer_sgd: SgdConfig = field(default_factory=lambda: SgdConfig(lr=0.05, epochs=5))
+
+    def __post_init__(self):
+        if self.kind not in ("gaussian_toy", "csv"):
+            raise ValidationError(f"data kind must be gaussian_toy or csv, got {self.kind!r}")
+        if self.kind == "csv" and not self.path:
+            raise ValidationError("data kind csv needs a path")
+        if not 0 <= self.noise_rate < 1:
+            raise ValidationError(f"noise_rate must be in [0, 1), got {self.noise_rate}")
+        if not 0 <= self.easy_frac <= 1:
+            raise ValidationError(f"easy_frac must be in [0, 1], got {self.easy_frac}")
+        if self.kind == "gaussian_toy":
+            # the draws' own checks, at parse
+            GaussianToySpec(self.mean_pos, self.mean_neg, self.cov_scale, self.n_pos, self.n_neg)
+            GaussianToySpec(self.mean_pos, self.mean_neg, self.cov_scale,
+                            self.test_n_pos, self.test_n_neg)
+            p = self.n_pos / (self.n_pos + self.n_neg)
+            if self.imratio is not None and not 0 < self.imratio <= p:
+                raise ValidationError(f"imratio must be in (0, {p:.6g}] for n_pos = "
+                                      f"{self.n_pos}, n_neg = {self.n_neg}, got {self.imratio}")
+            if self.imratio is None and (self.noise_rate > 0 or self.easy_frac > 0):
+                raise ValidationError("noise_rate and easy_frac inject removed positives, "
+                                      "which need imratio to be set")
+
+
+@dataclass(frozen=True)
+class LossSetting:
+    label: str
+    kind: str = "auc_margin"         # cross_entropy | focal | auc_square | auc_margin
+    m: float = 0.5
+    focal_alpha: float = 0.25
+    focal_gamma: float = 2.0
+    bsn: bool = False
+    pesg: PesgConfig = field(default_factory=PesgConfig)
+    sgd: SgdConfig = field(default_factory=SgdConfig)
+
+    def __post_init__(self):
+        self.surrogate(0.5)     # the loss's own checks; the prior comes from the data
+
+    def surrogate(self, p: float) -> SurrogateSpec:
+        return SurrogateSpec(
+            kind=self.kind, p=p, m=self.m,
+            focal_alpha=self.focal_alpha, focal_gamma=self.focal_gamma,
+            bsn=self.bsn,
+        )
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    name: str = "run"
+    data: DataSetting = field(default_factory=DataSetting)
+    model_kind: str = "linear"       # linear | mlp
+    d_hidden: int = 16
+    elu_alpha: float = 1.0
+    init_scale: float = 0.1
+    losses: tuple[LossSetting, ...] = ()
+    epochs: int = 30
+    batch_size: int = 64
+    seeds: tuple[int, ...] = (0,)
+    outputs: str | None = None
+    # when set, every loss in a seed cell starts from the same CE model
+    # trained with this config on the cell's (post-injection) training set;
+    # the toy figure trains its CE pretrain with it
+    warm_start: SgdConfig | None = None
+
+    def __post_init__(self):
+        self.model_spec(1)      # the model's own checks; d_in comes from the data
+        if not self.seeds:
+            raise ValidationError("scenario needs at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValidationError(f"duplicate seeds in scenario: {list(self.seeds)}")
+        if not 0 <= self.init_scale < math.inf:
+            raise ValidationError(f"init_scale must be finite and >= 0, got {self.init_scale}")
+        if self.epochs < 0:
+            raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 2:
+            raise ValidationError(f"batch_size must be >= 2, got {self.batch_size}")
+        labels = [ls.label for ls in self.losses]
+        if len(set(labels)) != len(labels):
+            raise ValidationError(f"duplicate loss labels in scenario: {labels}")
+
+    def model_spec(self, d_in: int) -> ModelSpec:
+        if self.model_kind == "linear":
+            return ModelSpec("linear", d_in)
+        return ModelSpec(self.model_kind, d_in, self.d_hidden, self.elu_alpha)
 
 
 @dataclass(frozen=True)
@@ -56,6 +179,15 @@ def _parse_int_list(s: str) -> tuple[int, ...]:
 
 def _parse_float_list(s: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in s.split(",") if tok.strip())
+
+
+def _parse_grid(s: str) -> tuple[float, ...]:
+    vals = _parse_float_list(s)
+    if not vals:
+        raise ValueError("expected at least one value")
+    if len(set(vals)) != len(vals):
+        raise ValueError(f"expected distinct values, got {s!r}")
+    return vals
 
 
 def _parse_name_list(s: str) -> tuple[str, ...]:
@@ -126,9 +258,9 @@ KEYS = {
     "train.batch_size": (int, (ScenarioConfig, "batch_size")),
     "train.warm_start_epochs": (_parse_count, (ScenarioConfig, "warm_start")),
     "ablate.kind": (_choice(*ABLATE_KINDS), (Config, "ablate_kind")),
-    "ablate.margins": (_parse_float_list, (Config, "ablate_margins")),
-    "ablate.noise_rates": (_parse_float_list, (Config, "ablate_noise_rates")),
-    "ablate.easy_fracs": (_parse_float_list, (Config, "ablate_easy_fracs")),
+    "ablate.margins": (_parse_grid, (Config, "ablate_margins")),
+    "ablate.noise_rates": (_parse_grid, (Config, "ablate_noise_rates")),
+    "ablate.easy_fracs": (_parse_grid, (Config, "ablate_easy_fracs")),
     "run.name": (str, (ScenarioConfig, "name")),
     "run.seeds": (_parse_int_list, (ScenarioConfig, "seeds")),
     "plot.kind": (_choice(*PLOT_KINDS), (Config, "plot_kind")),
@@ -182,6 +314,13 @@ def parse_config(text: str, source: str = "<config>") -> Config:
 def load_config(path) -> Config:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read(), source=str(path))
+
+
+def _packaged_scenario(name: str, seeds, outputs) -> ScenarioConfig:
+    """The scenario of the packaged ``configs/<name>.cfg`` on ``seeds``,
+    writing to ``outputs``."""
+    path = os.path.join(os.path.dirname(__file__), "configs", f"{name}.cfg")
+    return replace(load_config(path).scenario, seeds=tuple(seeds), outputs=outputs)
 
 
 def _format_value(value) -> str:

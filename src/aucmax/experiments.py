@@ -1,28 +1,32 @@
-"""Scenario runner and ablations on the synthetic toy benchmarks.
+"""Scenario runner, outputs, ablations and the toy figure on the synthetic toy
+benchmarks.
 
-A scenario fixes a data recipe (a toy draw with imbalance and easy/noisy
-injection, or a CSV file used as loaded), a model, and a list of losses, then
-trains every loss on every seed with an identical dataset, initialization and
-batch order, so comparisons are paired.
+A scenario (``aucmax.config.ScenarioConfig``, the schema the config module
+owns) fixes a data recipe (a toy draw with imbalance and easy/noisy
+injection, or a CSV file used as loaded), a model, and a list of losses; the
+runner trains every loss on every seed with an identical dataset,
+initialization and batch order, so comparisons are paired.
 Outputs are one metrics CSV and one model file per (loss, seed), a summary
 CSV, and SVG curves; ``aucmax train`` and ``ablate`` add a manifest, the
 config that ran, from which the same command regenerates every file.
 All cells are computed first and files are written by a single collector at
 the end, so a failed run leaves no torn outputs.
-Every run and ablation trains the losses its scenario lists, and nothing else.
+Every run and ablation trains the losses its scenario lists, and nothing else:
+an ablation rejects a listed loss it would not train, and a noise/easy grid
+builds every cell's config, before anything is trained.
 The canonical robustness studies and the toy figure are config files packaged
 in ``aucmax/configs``; the scenario factories below load them.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import statistics
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import DataSetting, LossSetting, ScenarioConfig, _packaged_scenario
 from .data import (
     Dataset,
     GaussianToySpec,
@@ -49,9 +53,6 @@ from .optimizer import (
 from .plots import line_plot, scatter_boundary_panels
 
 __all__ = [
-    "DataSetting",
-    "LossSetting",
-    "ScenarioConfig",
     "ScenarioSummary",
     "prepare_data",
     "run_scenario",
@@ -74,114 +75,6 @@ def derive_seed(seed: int, purpose: int) -> int:
     """Deterministic, process-independent sub-seed for one purpose."""
     ss = np.random.SeedSequence(entropy=(_SEED_SALT, int(seed), int(purpose)))
     return int(ss.generate_state(1)[0])
-
-
-@dataclass(frozen=True)
-class DataSetting:
-    """Where a scenario's data comes from.
-
-    ``gaussian_toy`` draws the training and test sets from the fields below,
-    then applies imbalance and easy/noise injection to the training draw.
-    ``csv`` uses the files at ``path`` and ``test_path`` as loaded; without a
-    test file the test AUC is the training AUC.
-    """
-
-    kind: str = "gaussian_toy"       # gaussian_toy | csv
-    path: str | None = None
-    test_path: str | None = None
-    mean_pos: tuple[float, float] = (1.5, 1.5)
-    mean_neg: tuple[float, float] = (-1.5, -1.5)
-    cov_scale: float = 1.0
-    n_pos: int = 500
-    n_neg: int = 500
-    test_n_pos: int = 1000
-    test_n_neg: int = 9000
-    imratio: float | None = None
-    noise_rate: float = 0.0
-    easy_frac: float = 0.0
-    # CE pretrain used only to score removed positives for easy injection
-    scorer_sgd: SgdConfig = field(default_factory=lambda: SgdConfig(lr=0.05, epochs=5))
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian_toy", "csv"):
-            raise ValidationError(f"data kind must be gaussian_toy or csv, got {self.kind!r}")
-        if self.kind == "csv" and not self.path:
-            raise ValidationError("data kind csv needs a path")
-        if not 0 <= self.noise_rate < 1:
-            raise ValidationError(f"noise_rate must be in [0, 1), got {self.noise_rate}")
-        if not 0 <= self.easy_frac <= 1:
-            raise ValidationError(f"easy_frac must be in [0, 1], got {self.easy_frac}")
-        if self.kind == "gaussian_toy":
-            # the draws' own checks, at parse
-            GaussianToySpec(self.mean_pos, self.mean_neg, self.cov_scale, self.n_pos, self.n_neg)
-            GaussianToySpec(self.mean_pos, self.mean_neg, self.cov_scale,
-                            self.test_n_pos, self.test_n_neg)
-            p = self.n_pos / (self.n_pos + self.n_neg)
-            if self.imratio is not None and not 0 < self.imratio <= p:
-                raise ValidationError(f"imratio must be in (0, {p:.6g}] for n_pos = "
-                                      f"{self.n_pos}, n_neg = {self.n_neg}, got {self.imratio}")
-            if self.imratio is None and (self.noise_rate > 0 or self.easy_frac > 0):
-                raise ValidationError("noise_rate and easy_frac inject removed positives, "
-                                      "which need imratio to be set")
-
-
-@dataclass(frozen=True)
-class LossSetting:
-    label: str
-    kind: str = "auc_margin"         # cross_entropy | focal | auc_square | auc_margin
-    m: float = 0.5
-    focal_alpha: float = 0.25
-    focal_gamma: float = 2.0
-    bsn: bool = False
-    pesg: PesgConfig = field(default_factory=PesgConfig)
-    sgd: SgdConfig = field(default_factory=SgdConfig)
-
-    def __post_init__(self):
-        self.surrogate(0.5)     # the loss's own checks; the prior comes from the data
-
-    def surrogate(self, p: float) -> SurrogateSpec:
-        return SurrogateSpec(
-            kind=self.kind, p=p, m=self.m,
-            focal_alpha=self.focal_alpha, focal_gamma=self.focal_gamma,
-            bsn=self.bsn,
-        )
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    name: str = "run"
-    data: DataSetting = field(default_factory=DataSetting)
-    model_kind: str = "linear"       # linear | mlp
-    d_hidden: int = 16
-    elu_alpha: float = 1.0
-    init_scale: float = 0.1
-    losses: tuple[LossSetting, ...] = ()
-    epochs: int = 30
-    batch_size: int = 64
-    seeds: tuple[int, ...] = (0,)
-    outputs: str | None = None
-    # when set, every loss in a seed cell starts from the same CE model
-    # trained with this config on the cell's (post-injection) training set
-    warm_start: SgdConfig | None = None
-
-    def __post_init__(self):
-        self.model_spec(1)      # the model's own checks; d_in comes from the data
-        if not self.seeds:
-            raise ValidationError("scenario needs at least one seed")
-        if not 0 <= self.init_scale < math.inf:
-            raise ValidationError(f"init_scale must be finite and >= 0, got {self.init_scale}")
-        if self.epochs < 0:
-            raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 2:
-            raise ValidationError(f"batch_size must be >= 2, got {self.batch_size}")
-        labels = [ls.label for ls in self.losses]
-        if len(set(labels)) != len(labels):
-            raise ValidationError(f"duplicate loss labels in scenario: {labels}")
-
-    def model_spec(self, d_in: int) -> ModelSpec:
-        if self.model_kind == "linear":
-            return ModelSpec("linear", d_in)
-        return ModelSpec(self.model_kind, d_in, self.d_hidden, self.elu_alpha)
 
 
 @dataclass
@@ -417,19 +310,19 @@ def emit_plot(records_by_label: dict[str, list[RunRecord]], kind: str = "auc_vs_
 
 def ablate_noise_easy(base: ScenarioConfig, noise_rates, easy_fracs
                       ) -> dict[tuple[float, float], ScenarioSummary]:
-    """Full (noise rate x easy fraction) grid for the losses in ``base``."""
+    """Full (noise rate x easy fraction) grid for the losses in ``base``.
+
+    Every cell's config is built, and so checked, before the first cell trains.
+    """
     if base.data.kind != "gaussian_toy":
         raise ValidationError("noise/easy ablation injects into the toy draw; "
                               "a CSV source is used as loaded")
     if base.data.imratio is None:
         raise ValidationError("noise/easy ablation needs an imbalanced base (set imratio)")
-    out = {}
-    for rate in noise_rates:
-        for frac in easy_fracs:
-            name = f"{base.name}_n{rate:g}_e{frac:g}"
-            cfg = replace(base, name=name,
-                          data=replace(base.data, noise_rate=rate, easy_frac=frac))
-            out[(rate, frac)] = run_scenario(cfg)
+    cells = {(rate, frac): replace(base, name=f"{base.name}_n{rate:g}_e{frac:g}",
+                                   data=replace(base.data, noise_rate=rate, easy_frac=frac))
+             for rate in noise_rates for frac in easy_fracs}
+    out = {key: run_scenario(cfg) for key, cfg in cells.items()}
     if base.outputs:
         _write_grid_curves(base, out)
     return out
@@ -448,12 +341,37 @@ def _write_grid_curves(base: ScenarioConfig, grid) -> None:
             fh.write(svg)
 
 
-def ablate_alpha_constraint(cfg: ScenarioConfig) -> ScenarioSummary:
-    """Same margin run with and without the alpha >= 0 projection."""
+def _reject_unvaried(cfg: ScenarioConfig, varied: list[LossSetting], what: str) -> None:
+    """Reject a scenario that lists a loss the ablation would not train, before
+    anything is trained or written."""
+    skipped = [ls.label for ls in cfg.losses if ls not in varied]
+    if skipped:
+        raise ValidationError(f"{what} would not train {', '.join(skipped)}: "
+                              "list only the losses it varies")
+
+
+def _margin_loss(cfg: ScenarioConfig, what: str) -> LossSetting:
+    """The scenario's auc_margin loss, the only loss ``what`` varies; it may list
+    no other."""
     margin = [ls for ls in cfg.losses if ls.kind == "auc_margin"]
     if not margin:
-        raise ValidationError("alpha-constraint ablation needs an auc_margin loss")
-    ls = margin[0]
+        raise ValidationError(f"{what} needs an auc_margin loss")
+    _reject_unvaried(cfg, margin[:1], what)
+    return margin[0]
+
+
+def _auc_losses(cfg: ScenarioConfig, what: str) -> list[LossSetting]:
+    """The scenario's AUC losses, the losses ``what`` varies; it may list no other."""
+    auc = [ls for ls in cfg.losses if ls.kind in ("auc_square", "auc_margin")]
+    if not auc:
+        raise ValidationError(f"{what} needs at least one AUC loss")
+    _reject_unvaried(cfg, auc, what)
+    return auc
+
+
+def ablate_alpha_constraint(cfg: ScenarioConfig) -> ScenarioSummary:
+    """Same margin run with and without the alpha >= 0 projection."""
+    ls = _margin_loss(cfg, "alpha-constraint ablation")
     pair = (
         replace(ls, label=f"{ls.label}_proj", pesg=replace(ls.pesg, project_alpha=True)),
         replace(ls, label=f"{ls.label}_noproj", pesg=replace(ls.pesg, project_alpha=False)),
@@ -472,22 +390,16 @@ def ablate_alpha_constraint(cfg: ScenarioConfig) -> ScenarioSummary:
 
 def ablate_bsn(cfg: ScenarioConfig) -> ScenarioSummary:
     """Every AUC loss in the scenario, with and without batch score normalization."""
-    auc_losses = [ls for ls in cfg.losses if ls.kind in ("auc_square", "auc_margin")]
-    if not auc_losses:
-        raise ValidationError("BSN ablation needs at least one AUC loss")
     variants = []
-    for ls in auc_losses:
+    for ls in _auc_losses(cfg, "BSN ablation"):
         variants.append(replace(ls, label=f"{ls.label}_bsn", bsn=True))
         variants.append(replace(ls, label=f"{ls.label}_raw", bsn=False))
     return run_scenario(replace(cfg, name=f"{cfg.name}_bsn", losses=tuple(variants)))
 
 
-def ablate_margin(cfg: ScenarioConfig, margins=(0.1, 0.3, 0.5, 0.7, 1.0)) -> ScenarioSummary:
+def ablate_margin(cfg: ScenarioConfig, margins) -> ScenarioSummary:
     """Sweep the margin hyperparameter of the auc_margin loss."""
-    margin = [ls for ls in cfg.losses if ls.kind == "auc_margin"]
-    if not margin:
-        raise ValidationError("margin sweep needs an auc_margin loss")
-    ls = margin[0]
+    ls = _margin_loss(cfg, "margin sweep")
     variants = tuple(replace(ls, label=f"{ls.label}_m{m:g}", m=m) for m in margins)
     return run_scenario(replace(cfg, name=f"{cfg.name}_margin", losses=variants))
 
@@ -497,13 +409,6 @@ def ablate_margin(cfg: ScenarioConfig, margins=(0.1, 0.3, 0.5, 0.7, 1.0)) -> Sce
 # Fixed protocols for the robustness phenomena, shared by the CLI and the
 # acceptance suite. Hyperparameters were picked once on these toys (step sizes
 # keep the aux dynamics stable: eta * 2 p (1-p) well below 2).
-
-
-def _packaged_scenario(name: str, seeds, outputs) -> ScenarioConfig:
-    from .config import load_config     # config imports this module
-
-    path = os.path.join(os.path.dirname(__file__), "configs", f"{name}.cfg")
-    return replace(load_config(path).scenario, seeds=tuple(seeds), outputs=outputs)
 
 
 def noise_robustness_scenario(seeds=tuple(range(10)), outputs=None) -> ScenarioConfig:
@@ -538,20 +443,26 @@ def two_stage_protocol() -> dict:
 def toy_figure(cfg: ScenarioConfig) -> str:
     """Decision boundaries before/after easy and noisy injection, per AUC loss.
 
-    One row per AUC loss in ``cfg.losses``; columns: pretrained CE model,
-    retrained on data with ``cfg.data.easy_frac`` of the removed positives
-    re-added as easy samples, retrained on data with ``cfg.data.noise_rate``
-    label noise. Returns the SVG text; deterministic for a fixed config.
+    One row per loss in ``cfg.losses``, which must all be AUC losses; columns:
+    the CE pretrain (trained with ``cfg.warm_start``), then each loss retrained
+    from it on data with ``cfg.data.easy_frac`` of the removed positives
+    re-added as easy samples, and on data with ``cfg.data.noise_rate`` label
+    noise. Draws the scenario's one seed. Returns the SVG text; deterministic
+    for a fixed config.
     """
     if cfg.model_kind != "mlp" or cfg.data.kind != "gaussian_toy":
         raise ValidationError("toy figure needs an mlp model on the 2-D toy data")
     if cfg.data.easy_frac == 0 or cfg.data.noise_rate == 0:
         raise ValidationError("toy figure needs data.easy_frac and data.noise_rate above 0")
-    losses = [ls for ls in cfg.losses if ls.kind in ("auc_square", "auc_margin")]
-    if not losses:
-        raise ValidationError("toy figure needs at least one AUC loss")
+    if cfg.warm_start is None:
+        raise ValidationError("toy figure pretrains with the warm start: set "
+                              "train.warm_start_epochs")
+    if len(cfg.seeds) != 1:
+        raise ValidationError(f"toy figure draws one seed, got {list(cfg.seeds)}: list one "
+                              "in run.seeds or pick one with --seed")
+    losses = _auc_losses(cfg, "toy figure")
     model_spec = cfg.model_spec(2)
-    seed = cfg.seeds[0]
+    (seed,) = cfg.seeds
     train, _ = prepare_data(replace(cfg.data, noise_rate=0.0, easy_frac=0.0), seed)
     easy_train, _ = prepare_data(replace(cfg.data, noise_rate=0.0), seed,
                                  model_for_scoring=model_spec)
@@ -559,10 +470,6 @@ def toy_figure(cfg: ScenarioConfig) -> str:
 
     params0 = init_params(model_spec, derive_seed(seed, 20), cfg.init_scale)
     ce = SurrogateSpec("cross_entropy", p=train.p)
-    pre_cfg = SgdConfig(lr=0.05, epochs=max(cfg.epochs, 20), batch_size=cfg.batch_size)
-    pre_params, _ = _sgd_train(model_spec, params0, train, ce, pre_cfg, derive_seed(seed, 21),
-                               evaluate=False)
-    pre_auc = auc_score(forward_batch(model_spec, pre_params, train.X), train.y).auc
 
     def retrain(setting: LossSetting, dataset: Dataset) -> np.ndarray:
         spec = setting.surrogate(dataset.p)
@@ -581,12 +488,19 @@ def toy_figure(cfg: ScenarioConfig) -> str:
             "annotation": annotation,
         }
 
-    rows = []
-    for setting in losses:
-        rows.append([
-            panel("pretrained (CE)", train, pre_params, f"train AUC {pre_auc:.3f}"),
-            panel(f"{setting.label} + easy", easy_train, retrain(setting, easy_train)),
-            panel(f"{setting.label} + noisy", noisy_train, retrain(setting, noisy_train)),
-        ])
+    stage = "pretrain"
+    try:
+        pre_params, _ = _sgd_train(model_spec, params0, train, ce, cfg.warm_start,
+                                   derive_seed(seed, 21), evaluate=False)
+        pre_auc = auc_score(forward_batch(model_spec, pre_params, train.X), train.y).auc
+        rows = []
+        for setting in losses:
+            row = [panel("pretrained (CE)", train, pre_params, f"train AUC {pre_auc:.3f}")]
+            for dataset, injected in ((easy_train, "easy"), (noisy_train, "noisy")):
+                stage = f"{setting.label} + {injected}"
+                row.append(panel(stage, dataset, retrain(setting, dataset)))
+            rows.append(row)
+    except NumericalError as exc:
+        raise NumericalError(f"{stage}, seed {seed}: {exc}") from exc
     lim = max(abs(v) for v in (*cfg.data.mean_pos, *cfg.data.mean_neg)) + 3 * cfg.data.cov_scale
     return scatter_boundary_panels(rows, (-lim, lim), (-lim, lim))

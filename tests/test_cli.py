@@ -1,6 +1,8 @@
 import re
+import subprocess
+import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from aucmax import cli
 from aucmax.cli import main
-from aucmax.config import KEYS, format_config, parse_config
+from aucmax.config import KEYS, DataSetting, format_config, parse_config
 from aucmax.data import (
     Dataset,
     GaussianToySpec,
@@ -21,7 +23,6 @@ from aucmax.data import (
 )
 from aucmax.errors import ValidationError
 from aucmax.experiments import (
-    DataSetting,
     ScenarioSummary,
     derive_seed,
     prepare_data,
@@ -143,6 +144,7 @@ class TestConfigParsing:
         "model.kind = mlp\nmodel.elu_alpha = inf",
         "data.noise_rate = 0.05", "data.easy_frac = 0.2",
         "loss.kind = auc_margin, auc_margin", "loss.kind = ,", "train.warm_start_epochs = -1",
+        "run.seeds = 0, 0",
         "ablate.kind = bogus", "plot.kind = loss_vs_epoch",
     ])
     def test_bad_settings_rejected(self, text):
@@ -160,6 +162,57 @@ class TestConfigParsing:
     def test_removed_keys_are_unknown(self, key):
         with pytest.raises(ValidationError, match="unknown key"):
             parse_config(f"{key} = true")
+
+    @pytest.mark.parametrize("key", ["ablate.margins", "ablate.noise_rates", "ablate.easy_fracs"])
+    @pytest.mark.parametrize("value", ["", "0.1, 0.1"], ids=["empty", "repeated"])
+    def test_ablation_grid_needs_distinct_values(self, key, value):
+        with pytest.raises(ValidationError, match=f"run.cfg:2: bad value for {key}"):
+            parse_config(f"ablate.kind = noise_easy\n{key} = {value}", source="run.cfg")
+
+    def test_every_run_field_is_keyed_expanded_or_fixed(self):
+        # every loss kind and a warm start, so every nested field is reached
+        config = parse_config("loss.kind = cross_entropy, focal, auc_square, auc_margin\n"
+                              "train.warm_start_epochs = 3\n")
+        keyed = {target for _, *targets in KEYS.values() for target in targets}
+        seen, unset = set(), []
+
+        def walk(obj, prefix):
+            for f in fields(obj):
+                path, value = prefix + f.name, getattr(obj, f.name)
+                seen.add(path)
+                if path in UNKEYED_FIELDS:
+                    continue
+                items = value if isinstance(value, tuple) else (value,)
+                if items and all(is_dataclass(v) for v in items):
+                    for item in items:
+                        walk(item, path + ("[]." if isinstance(value, tuple) else "."))
+                elif path not in EXPANDED_FIELDS and (type(obj), f.name) not in keyed:
+                    unset.append(path)
+
+        walk(config, "")
+        assert unset == []
+        assert set(UNKEYED_FIELDS) | EXPANDED_FIELDS <= seen
+
+    def test_config_module_does_not_load_the_runner(self):
+        code = "import sys, aucmax.config; print('aucmax.experiments' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "False"
+
+
+# The fields of a run that no config key sets, each with the reason.
+UNKEYED_FIELDS = {
+    "scenario.outputs": "the output directory, set by --out",
+    "scenario.losses[].label": "a parsed loss is labelled by its loss.kind",
+    "scenario.losses[].sgd.epochs": "_train_one trains for train.epochs",
+    "scenario.losses[].sgd.batch_size": "_train_one batches by train.batch_size",
+    "scenario.data.scorer_sgd": "fixed: the easy-injection scorer's CE pretrain",
+}
+# The fields parse_config's two expansions set: loss.kind gives each loss its
+# projection default (unless optim.project_alpha is set), and
+# train.warm_start_epochs gives the warm start its length and train.batch_size.
+EXPANDED_FIELDS = {"scenario.losses[].pesg.project_alpha", "scenario.warm_start.epochs",
+                   "scenario.warm_start.batch_size"}
 
 
 _KINDS = ("cross_entropy", "focal", "auc_square", "auc_margin")
@@ -193,8 +246,10 @@ def _config_texts(draw):
         "train.batch_size": str(draw(st.integers(2, 256))),
         "train.warm_start_epochs": str(draw(st.integers(0, 50))),
         "run.name": draw(_names),
-        "run.seeds": draw(_listed(st.integers(0, 2**31).map(str), min_size=1, max_size=5)),
-        "ablate.margins": draw(_listed(_floats(0.01, 2.0), max_size=5)),
+        "run.seeds": draw(_listed(st.integers(0, 2**31).map(str), min_size=1, max_size=5,
+                                  unique=True)),
+        "ablate.margins": draw(_listed(_floats(0.01, 2.0), min_size=1, max_size=5,
+                                       unique=True)),
     }
     if draw(st.booleans()):
         lines["data.kind"] = "csv"
@@ -472,7 +527,8 @@ class TestCliCommands:
                        "data.easy_frac = 0.5\ndata.noise_rate = 0.2\n"
                        "data.test_n_pos = 20\ndata.test_n_neg = 80\n"
                        "model.kind = mlp\nmodel.d_hidden = 4\nloss.kind = auc_margin\n"
-                       "train.epochs = 6\ntrain.batch_size = 16\nablate.kind = toy_figure\n")
+                       "optim.lr = 0.05\ntrain.epochs = 6\ntrain.batch_size = 16\n"
+                       "train.warm_start_epochs = 20\nablate.kind = toy_figure\n")
         first, second = tmp_path / "first", tmp_path / "second"
         assert main(["ablate", "--config", str(cfg), "--out", str(first)]) == 0
         assert sorted(p.name for p in first.iterdir()) == ["fig.svg", "fig_manifest.cfg"]
@@ -481,6 +537,21 @@ class TestCliCommands:
         _assert_same_files(first, second)
         svg = (first / "fig.svg").read_text()
         assert svg.count("panel ") == 3 and "auc_margin + noisy" in svg
+
+    @pytest.mark.parametrize("lines, message", [
+        ("ablate.kind = alpha_constraint\nloss.kind = auc_square, auc_margin\n",
+         "would not train auc_square:"),
+        ("ablate.kind = noise_easy\ndata.imratio = 0.2\nablate.noise_rates = 0.01, 1.5\n"
+         "ablate.easy_fracs = 0\n", "noise_rate must be in"),
+    ], ids=["skipped_loss", "bad_grid_cell"])
+    def test_rejected_ablation_writes_nothing(self, tmp_path, capsys, lines, message):
+        cfg = tmp_path / "ab.cfg"
+        cfg.write_text("data.n_pos = 30\ndata.n_neg = 30\ndata.test_n_pos = 20\n"
+                       "data.test_n_neg = 80\ntrain.epochs = 2\ntrain.batch_size = 16\n" + lines)
+        rc = main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_plot_creates_svg(self, tmp_path, toy_config, capsys):
         out = tmp_path / "out"

@@ -7,14 +7,11 @@ import pytest
 
 import aucmax.experiments
 import aucmax.optimizer
-from aucmax.config import load_config, parse_config
+from aucmax.config import DataSetting, LossSetting, ScenarioConfig, load_config, parse_config
 from aucmax.data import Dataset, dataset_hash, save_csv
 from aucmax.errors import NumericalError, ValidationError
 from aucmax.models import load_model
 from aucmax.experiments import (
-    DataSetting,
-    LossSetting,
-    ScenarioConfig,
     ablate_alpha_constraint,
     ablate_bsn,
     ablate_margin,
@@ -220,6 +217,10 @@ class TestRunScenario:
         with pytest.raises(ValidationError):
             _fast_scenario(losses=(MARGIN, MARGIN))
 
+    def test_duplicate_seeds_rejected(self):
+        with pytest.raises(ValidationError, match=r"duplicate seeds in scenario: \[0, 0\]"):
+            _fast_scenario(seeds=(0, 0))
+
 
 class TestMetricsCsv:
     def test_round_trip(self, tmp_path):
@@ -293,6 +294,21 @@ class TestAblations:
         for cell in projected:
             assert min(r.alpha for r in cell.records) >= 0.0
 
+    @pytest.mark.parametrize("ablate, losses, skipped", [
+        (lambda cfg: ablate_margin(cfg, (0.1, 1.0)), (SQUARE, MARGIN), "auc_square"),
+        (ablate_alpha_constraint, (SQUARE, MARGIN), "auc_square"),
+        (ablate_alpha_constraint, (MARGIN, replace(MARGIN, label="m2")), "m2"),
+        (ablate_bsn, (MARGIN, LossSetting("ce", kind="cross_entropy")), "ce"),
+    ], ids=["margin", "alpha_constraint", "alpha_constraint_second_margin", "bsn"])
+    def test_listed_loss_the_ablation_would_not_train_is_rejected(
+            self, tmp_path, monkeypatch, ablate, losses, skipped):
+        drawn = []
+        monkeypatch.setattr(aucmax.experiments, "prepare_data", lambda *a, **k: drawn.append(a))
+        cfg = _fast_scenario(losses=losses, outputs=str(tmp_path / "out"))
+        with pytest.raises(ValidationError, match=f"would not train {skipped}:"):
+            ablate(cfg)
+        assert drawn == [] and not (tmp_path / "out").exists()
+
     def test_alpha_constraint_needs_margin_loss(self):
         cfg = _fast_scenario(losses=(SQUARE,))
         with pytest.raises(ValidationError):
@@ -321,6 +337,15 @@ class TestAblations:
                            epochs=base.epochs, batch_size=base.batch_size,
                            seeds=base.seeds))
         assert grid[(0.0, 0.0)].stats() == plain.stats()
+
+    def test_noise_easy_grid_checks_every_cell_before_training(self, tmp_path, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(aucmax.experiments, "prepare_data", lambda *a, **k: drawn.append(a))
+        base = _fast_scenario(data=DataSetting(n_pos=60, n_neg=60, imratio=0.2),
+                              outputs=str(tmp_path / "out"))
+        with pytest.raises(ValidationError, match="noise_rate must be in"):
+            ablate_noise_easy(base, noise_rates=(0.01, 1.5), easy_fracs=(0.0,))
+        assert drawn == [] and not (tmp_path / "out").exists()
 
     def test_noise_easy_grid_rejects_a_csv_source(self, tmp_path):
         _csv_pair(tmp_path)
@@ -352,6 +377,7 @@ def figure_svg():
         model_kind="mlp", d_hidden=4,
         losses=(SQUARE, MARGIN),
         epochs=6, batch_size=16, seeds=(0,),
+        warm_start=SgdConfig(lr=0.05, epochs=20, batch_size=16),
     )
     return cfg, toy_figure(cfg)
 
@@ -386,6 +412,35 @@ class TestToyFigure:
         cfg = replace(cfg, losses=(LossSetting("ce", kind="cross_entropy"),))
         with pytest.raises(ValidationError, match="AUC loss"):
             toy_figure(cfg)
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(losses=(MARGIN, LossSetting("ce", kind="cross_entropy"))), "would not train ce:"),
+        (dict(warm_start=None), "train.warm_start_epochs"),
+        (dict(seeds=(0, 1, 2)), r"one seed, got \[0, 1, 2\]"),
+    ], ids=["non_auc_loss", "no_pretrain", "three_seeds"])
+    def test_figure_that_would_not_draw_its_config_rejected(self, figure_svg, monkeypatch,
+                                                           kw, message):
+        drawn = []
+        monkeypatch.setattr(aucmax.experiments, "prepare_data", lambda *a, **k: drawn.append(a))
+        cfg, _ = figure_svg
+        with pytest.raises(ValidationError, match=message):
+            toy_figure(replace(cfg, **kw))
+        assert drawn == []
+
+    def test_pretrain_is_the_warm_start(self, figure_svg):
+        cfg, text = figure_svg
+        longer = replace(cfg, warm_start=replace(cfg.warm_start, epochs=21))
+        assert toy_figure(longer) != text
+
+    @pytest.mark.parametrize("kw, stage", [
+        (dict(warm_start=SgdConfig(lr=1e300, epochs=2, batch_size=16)), "pretrain"),
+        (dict(losses=(replace(SQUARE, pesg=PesgConfig(eta0=1e300, project_alpha=False)),)),
+         r"auc_square \+ easy"),
+    ], ids=["pretrain", "retrain"])
+    def test_numerical_abort_names_the_stage_and_seed(self, figure_svg, kw, stage):
+        cfg, _ = figure_svg
+        with pytest.raises(NumericalError, match=rf"^{stage}, seed 0: epoch 1, iteration"):
+            toy_figure(replace(cfg, **kw))
 
 
 class TestBoundaryContour:
@@ -455,6 +510,16 @@ GOLDEN_FAST_METRICS_SHA256 = {
     "t_focal_s0.csv":
         "a230cc3c91bc6eae3f8500a2841fc95ea5b9cf7847a742755d2556784dd0cd81",
 }
+
+
+# The packaged toy figure at seed 0, with the same provenance.
+GOLDEN_FIGURE_SHA256 = "e53dec770d804108c1897993683c5e2149002cd3f5e379ba9930d04afc110849"
+
+
+def test_packaged_figure_matches_golden_hash():
+    scenario = load_config(resources.files("aucmax") / "configs" / "toy_figure.cfg").scenario
+    svg = toy_figure(scenario)
+    assert hashlib.sha256(svg.encode("ascii")).hexdigest() == GOLDEN_FIGURE_SHA256
 
 
 def test_fast_scenario_metrics_csvs_match_golden_hashes(tmp_path):
