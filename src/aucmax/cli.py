@@ -7,6 +7,8 @@ varies, exactly the losses ``loss.kind`` lists; an ablation that would skip a
 listed loss is rejected before it trains. ``ablate.kind = toy_figure`` draws
 the decision-boundary figure as ``<run.name>.svg``. Both write
 ``<run.name>_manifest.cfg``, the config that ran, which ``--config`` reruns.
+Each command computes every summary, figure and curve first and writes its
+files only then, so one that fails writes nothing.
 Exit status: 0 on success, 1 on validation failure, 2 on numerical abort.
 """
 
@@ -35,6 +37,7 @@ from .experiments import (
     read_metrics_csv,
     run_scenario,
     toy_figure,
+    write_outputs,
 )
 from .metrics import accuracy, auc_score, auc_sensitivity_demo
 from .models import forward_batch, load_model
@@ -83,10 +86,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> Config:
-    """The config file (or the defaults), with ``--seed`` and ``--out`` applied."""
+    """The config file (or the defaults), with ``--seed`` applied."""
     config = load_config(args.config) if args.config else parse_config("")
     seeds = config.scenario.seeds if args.seed is None else (args.seed,)
-    return replace(config, scenario=replace(config.scenario, seeds=seeds, outputs=args.out))
+    return replace(config, scenario=replace(config.scenario, seeds=seeds))
 
 
 def _blas() -> str:
@@ -98,16 +101,27 @@ def _blas() -> str:
     return f"{blas['name']} {blas['version']}"
 
 
-def _write_manifest(command: str, config: Config, out: str) -> None:
-    """``<run.name>_manifest.cfg``: the config that ran, seeds included and
-    no output path, so runs into different directories write the same bytes."""
+def _write_text(out: str, name: str, text: str) -> str:
+    """Write ``text`` to file ``name`` in directory ``out``; returns its path."""
     os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, f"{config.scenario.name}_manifest.cfg")
-    text = format_config(config)
+    path = os.path.join(out, name)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# aucmax {command}; aucmax {__version__}, numpy {np.__version__}, "
-                 f"scipy {scipy.__version__}, BLAS {_blas()}\n")
         fh.write(text)
+    return path
+
+
+def _write_run(out: str, command: str, config: Config, summaries, svgs) -> None:
+    """Every file of a computed run: each summary's cell files, each
+    ``name -> SVG text``, and ``<run.name>_manifest.cfg``, the config that
+    ran, seeds included and no output path, so runs into different
+    directories write the same bytes."""
+    manifest = (f"# aucmax {command}; aucmax {__version__}, numpy {np.__version__}, "
+                f"scipy {scipy.__version__}, BLAS {_blas()}\n" + format_config(config))
+    for summary in summaries:
+        write_outputs(out, summary)
+    for name, svg in svgs.items():
+        _write_text(out, name, svg)
+    _write_text(out, f"{config.scenario.name}_manifest.cfg", manifest)
 
 
 def _cmd_gen_data(args) -> int:
@@ -124,7 +138,7 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     config = _config(args)
     summary = run_scenario(config.scenario)
-    _write_manifest("train", config, args.out)
+    _write_run(args.out, "train", config, [summary], {})
     print(summary.as_text())
     print(f"wrote metrics, models, summary and manifest to {args.out}")
     return 0
@@ -149,25 +163,35 @@ def _cmd_ablate(args) -> int:
     config = _config(args)
     scenario = config.scenario
     kind = config.ablate_kind
+    if kind in ("alpha_constraint", "noise_easy") and scenario.epochs == 0:
+        raise ValidationError(f"ablate.kind = {kind} draws curves over the epochs: "
+                              "train.epochs must be at least 1")
+    svgs = {}
     if kind == "margin":
-        print(ablate_margin(scenario, config.ablate_margins).as_text())
+        summaries = [ablate_margin(scenario, config.ablate_margins)]
     elif kind == "alpha_constraint":
-        print(ablate_alpha_constraint(scenario).as_text())
+        summaries = [ablate_alpha_constraint(scenario)]
+        svgs = {f"{summaries[0].name}_{plot}.svg": emit_plot(summaries[0].first_records(), plot)
+                for plot in ("alpha_vs_epoch", "auc_vs_epoch")}
     elif kind == "bsn":
-        print(ablate_bsn(scenario).as_text())
+        summaries = [ablate_bsn(scenario)]
     elif kind == "noise_easy":
         grid = ablate_noise_easy(scenario, config.ablate_noise_rates, config.ablate_easy_fracs)
-        for (rate, frac), summary in sorted(grid.items()):
+        summaries = [grid[key] for key in sorted(grid)]
+        svgs = {f"{s.name}_curves.svg": emit_plot(s.first_records(), "auc_vs_epoch")
+                for s in summaries}
+    else:   # toy_figure, the last kind parse_config allows
+        summaries = []
+        svgs = {f"{scenario.name}.svg": toy_figure(scenario)}
+    _write_run(args.out, "ablate", config, summaries, svgs)
+    if kind == "noise_easy":
+        for (rate, frac), summary in zip(sorted(grid), summaries):
             print(f"-- noise={rate:g} easy={frac:g}")
             print(summary.as_text())
-    else:   # toy_figure, the last kind parse_config allows
-        svg = toy_figure(scenario)
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"{scenario.name}.svg")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(svg)
-        print(f"wrote {path}")
-    _write_manifest("ablate", config, args.out)
+    elif summaries:
+        print(summaries[0].as_text())
+    else:
+        print(f"wrote {os.path.join(args.out, f'{scenario.name}.svg')}")
     return 0
 
 
@@ -190,11 +214,7 @@ def _cmd_plot(args) -> int:
         label = os.path.splitext(os.path.basename(path))[0]
         records[label] = read_metrics_csv(path)
     svg = emit_plot(records, config.plot_kind)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"{config.scenario.name}_{config.plot_kind}.svg")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(svg)
-    print(f"wrote {path}")
+    print(f"wrote {_write_text(args.out, f'{config.scenario.name}_{config.plot_kind}.svg', svg)}")
     return 0
 
 

@@ -24,7 +24,7 @@ import os
 import re
 from dataclasses import dataclass, field, replace
 
-from .data import GaussianToySpec
+from .data import GaussianToySpec, imbalanced_keep_count
 from .errors import ValidationError
 from .losses import SurrogateSpec
 from .models import ModelSpec
@@ -83,9 +83,12 @@ class DataSetting:
             if self.imratio is not None and not 0 < self.imratio <= p:
                 raise ValidationError(f"imratio must be in (0, {p:.6g}] for n_pos = "
                                       f"{self.n_pos}, n_neg = {self.n_neg}, got {self.imratio}")
-            if self.imratio is None and (self.noise_rate > 0 or self.easy_frac > 0):
-                raise ValidationError("noise_rate and easy_frac inject removed positives, "
-                                      "which need imratio to be set")
+            removed = 0 if self.imratio is None else \
+                self.n_pos - imbalanced_keep_count(self.n_pos, self.n_neg, self.imratio)
+            if removed == 0 and (self.noise_rate > 0 or self.easy_frac > 0):
+                raise ValidationError("noise_rate and easy_frac inject removed positives, but "
+                                      f"imratio = {self.imratio} removes none of n_pos = "
+                                      f"{self.n_pos}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,6 @@ class ScenarioConfig:
     epochs: int = 30
     batch_size: int = 64
     seeds: tuple[int, ...] = (0,)
-    outputs: str | None = None
     # when set, every loss in a seed cell starts from the same CE model
     # trained with this config on the cell's (post-injection) training set;
     # the toy figure trains its CE pretrain with it
@@ -316,11 +318,10 @@ def load_config(path) -> Config:
         return parse_config(fh.read(), source=str(path))
 
 
-def _packaged_scenario(name: str, seeds, outputs) -> ScenarioConfig:
-    """The scenario of the packaged ``configs/<name>.cfg`` on ``seeds``,
-    writing to ``outputs``."""
+def _packaged_scenario(name: str, seeds) -> ScenarioConfig:
+    """The scenario of the packaged ``configs/<name>.cfg`` on ``seeds``."""
     path = os.path.join(os.path.dirname(__file__), "configs", f"{name}.cfg")
-    return replace(load_config(path).scenario, seeds=tuple(seeds), outputs=outputs)
+    return replace(load_config(path).scenario, seeds=tuple(seeds))
 
 
 def _format_value(value) -> str:

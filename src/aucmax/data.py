@@ -117,6 +117,15 @@ def gen_gaussian_toy(spec: GaussianToySpec) -> Dataset:
     return Dataset(X[order], y[order])
 
 
+def imbalanced_keep_count(n_pos: int, n_neg: int, imratio: float) -> int:
+    """The positives make_imbalanced keeps: the count k in [1, n_pos] whose
+    fraction k / (k + n_neg) is closest to imratio, for 0 < imratio <= the prior."""
+    k_real = imratio * n_neg / (1.0 - imratio)
+    candidates = {max(1, int(np.floor(k_real))), max(1, int(np.ceil(k_real)))}
+    candidates = {min(k, n_pos) for k in candidates}
+    return min(candidates, key=lambda k: abs(k / (k + n_neg) - imratio))
+
+
 def make_imbalanced(data: Dataset, imratio: float, seed: int) -> tuple[Dataset, Dataset]:
     """Randomly drop positives until the positive fraction is closest to imratio.
 
@@ -127,13 +136,7 @@ def make_imbalanced(data: Dataset, imratio: float, seed: int) -> tuple[Dataset, 
         raise ValidationError(
             f"imratio must be in (0, {data.p:.6g}] for this dataset, got {imratio}"
         )
-    n_neg = data.n_neg
-    # keep k positives minimizing |k/(k+n_neg) - imratio|
-    k_real = imratio * n_neg / (1.0 - imratio)
-    candidates = {max(1, int(np.floor(k_real))), max(1, int(np.ceil(k_real)))}
-    candidates = {min(k, data.n_pos) for k in candidates}
-    keep_k = min(candidates, key=lambda k: abs(k / (k + n_neg) - imratio))
-
+    keep_k = imbalanced_keep_count(data.n_pos, data.n_neg, imratio)
     pos_idx = np.flatnonzero(data.y > 0)
     rng = np.random.default_rng(seed)
     kept_pos = rng.permutation(pos_idx)[:keep_k]
@@ -181,8 +184,13 @@ def inject_noise(data: Dataset, removed_pos: Dataset, rate: float, seed: int) ->
     return merged.subset(order)
 
 
-def inject_easy(data: Dataset, removed_pos: Dataset, scores_of_removed, top_frac: float) -> Dataset:
-    """Re-add the highest-scoring fraction of the removed positives, labeled +1."""
+def inject_easy(data: Dataset, removed_pos: Dataset, scores_of_removed, top_frac: float
+                ) -> tuple[Dataset, Dataset]:
+    """Re-add the highest-scoring fraction of the removed positives, labeled +1.
+
+    Returns (dataset with them added, removed positives not re-added, in their
+    original order), as make_imbalanced returns (kept, removed).
+    """
     if not 0.0 < top_frac <= 1.0:
         raise ValidationError(f"top_frac must be in (0,1], got {top_frac}")
     scores = np.asarray(scores_of_removed, dtype=np.float64).ravel()
@@ -191,15 +199,13 @@ def inject_easy(data: Dataset, removed_pos: Dataset, scores_of_removed, top_frac
             f"{scores.size} scores for {len(removed_pos)} removed positives"
         )
     k = int(top_frac * len(removed_pos))
-    if k == 0:
-        return data.subset(np.arange(len(data)))
-    top = np.argsort(-scores, kind="stable")[:k]
+    order = np.argsort(-scores, kind="stable")
     added = Dataset(
-        removed_pos.X[top].copy(),
+        removed_pos.X[order[:k]].copy(),
         np.ones(k, dtype=np.int64),
         np.zeros(k, dtype=np.int64),
     )
-    return concat([data, added])
+    return concat([data, added]), removed_pos.subset(np.sort(order[k:]))
 
 
 # --- CSV persistence --------------------------------------------------------

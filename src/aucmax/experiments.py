@@ -1,16 +1,16 @@
-"""Scenario runner, outputs, ablations and the toy figure on the synthetic toy
-benchmarks.
+"""Scenario runner, ablations and the toy figure on the synthetic toy
+benchmarks, and the formats of their output files.
 
 A scenario (``aucmax.config.ScenarioConfig``, the schema the config module
 owns) fixes a data recipe (a toy draw with imbalance and easy/noisy
 injection, or a CSV file used as loaded), a model, and a list of losses; the
 runner trains every loss on every seed with an identical dataset,
 initialization and batch order, so comparisons are paired.
-Outputs are one metrics CSV and one model file per (loss, seed), a summary
-CSV, and SVG curves; ``aucmax train`` and ``ablate`` add a manifest, the
-config that ran, from which the same command regenerates every file.
-All cells are computed first and files are written by a single collector at
-the end, so a failed run leaves no torn outputs.
+The runner, the ablations and the figure compute and return; none of them
+writes a file. ``write_outputs`` writes one summary's files, a metrics CSV and
+a model file per (loss, seed) and a summary CSV; ``aucmax.cli`` calls it,
+and writes the SVG curves and the run manifest, only once every cell has run
+and every figure has drawn, so a failed run leaves no torn outputs.
 Every run and ablation trains the losses its scenario lists, and nothing else:
 an ablation rejects a listed loss it would not train, and a noise/easy grid
 builds every cell's config, before anything is trained.
@@ -117,6 +117,10 @@ class ScenarioSummary:
     def _n_seeds(self) -> int:
         return len({c.seed for c in self.cells})
 
+    def first_records(self) -> dict[str, list[RunRecord]]:
+        """label -> the records of its first seed, the curve a plot draws."""
+        return {label: cells[0].records for label, cells in self.by_loss().items()}
+
 
 def _load_two_class_csv(path) -> Dataset:
     """A CSV data file, rejected unless it holds both classes (AUC needs both)."""
@@ -127,15 +131,15 @@ def _load_two_class_csv(path) -> Dataset:
     return data
 
 
-def prepare_data(setting: DataSetting, seed: int, model_for_scoring: ModelSpec | None = None
-                 ) -> tuple[Dataset, Dataset | None]:
+def prepare_data(setting: DataSetting, seed: int) -> tuple[Dataset, Dataset | None]:
     """Build the (train, test) pair for one seed.
 
     A CSV source is returned as loaded, with test None when there is no test
     file; a file without both classes is rejected here, before any training.
     Toy pipeline: draw -> imbalance -> easy injection (scored by a small CE
     pretrain on the imbalanced set) -> noise injection. The noise pool is the
-    removed positives not re-added as easy samples.
+    removed positives not re-added as easy samples. DataSetting checks at
+    parse that the imbalance removes positives for the injections to draw on.
     """
     if setting.kind == "csv":
         train = _load_two_class_csv(setting.path)
@@ -156,25 +160,15 @@ def prepare_data(setting: DataSetting, seed: int, model_for_scoring: ModelSpec |
         train, removed = make_imbalanced(train, setting.imratio, derive_seed(seed, 3))
 
     if setting.easy_frac > 0:
-        if len(removed) == 0:
-            raise ValidationError("easy injection needs removed positives (imratio below "
-                                  "the drawn prior)")
-        scorer = model_for_scoring or ModelSpec("mlp", 2, 8, 1.0)
+        scorer = ModelSpec("mlp", 2, 8, 1.0)     # whatever the run's model is
         params0 = init_params(scorer, derive_seed(seed, 4), 0.1)
         ce = SurrogateSpec("cross_entropy", p=train.p)
         pre_params, _ = _sgd_train(scorer, params0, train, ce, setting.scorer_sgd,
                                    derive_seed(seed, 5), evaluate=False)
         scores = forward_batch(scorer, pre_params, removed.X)
-        k = int(setting.easy_frac * len(removed))
-        top = np.argsort(-scores, kind="stable")[:k]
-        train = inject_easy(train, removed, scores, setting.easy_frac)
-        rest = np.setdiff1d(np.arange(len(removed)), top)
-        removed = removed.subset(rest)
+        train, removed = inject_easy(train, removed, scores, setting.easy_frac)
 
     if setting.noise_rate > 0:
-        if len(removed) == 0:
-            raise ValidationError("noise injection needs removed positives (imratio below "
-                                  "the drawn prior)")
         train = inject_noise(train, removed, setting.noise_rate, derive_seed(seed, 6))
     return train, test
 
@@ -229,10 +223,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioSummary:
                                         model_spec))
         except NumericalError as exc:
             raise NumericalError(f"{stage}, seed {seed}: {exc}") from exc
-    summary = ScenarioSummary(cfg.name, cells)
-    if cfg.outputs:
-        write_outputs(cfg, summary)
-    return summary
+    return ScenarioSummary(cfg.name, cells)
 
 
 # --- output files -------------------------------------------------------------
@@ -269,23 +260,20 @@ def read_metrics_csv(path) -> list[RunRecord]:
     return records
 
 
-def write_outputs(cfg: ScenarioConfig, summary: ScenarioSummary) -> list[str]:
-    os.makedirs(cfg.outputs, exist_ok=True)
-    written = []
+def write_outputs(out: str, summary: ScenarioSummary) -> None:
+    """Into directory ``out``: ``<name>_<loss>_s<seed>.csv`` (the metrics) and
+    ``.model`` per cell, and ``<name>_summary.csv``, for the summary's name."""
+    os.makedirs(out, exist_ok=True)
     for cell in summary.cells:
-        base = os.path.join(cfg.outputs, f"{cfg.name}_{cell.loss_label}_s{cell.seed}")
+        base = os.path.join(out, f"{summary.name}_{cell.loss_label}_s{cell.seed}")
         with open(base + ".csv", "w", encoding="ascii") as fh:
             fh.write(records_to_csv(cell.records))
         save_model(base + ".model", cell.model_spec, cell.params)
-        written += [base + ".csv", base + ".model"]
-    spath = os.path.join(cfg.outputs, f"{cfg.name}_summary.csv")
-    with open(spath, "w", encoding="ascii") as fh:
+    with open(os.path.join(out, f"{summary.name}_summary.csv"), "w", encoding="ascii") as fh:
         fh.write("scenario,loss,seed,final_test_auc,dataset_hash\n")
         for cell in summary.cells:
-            fh.write(f"{cfg.name},{cell.loss_label},{cell.seed},"
+            fh.write(f"{summary.name},{cell.loss_label},{cell.seed},"
                      f"{cell.final_test_auc!r},{cell.data_hash}\n")
-    written.append(spath)
-    return written
 
 
 def emit_plot(records_by_label: dict[str, list[RunRecord]], kind: str = "auc_vs_epoch") -> str:
@@ -322,23 +310,7 @@ def ablate_noise_easy(base: ScenarioConfig, noise_rates, easy_fracs
     cells = {(rate, frac): replace(base, name=f"{base.name}_n{rate:g}_e{frac:g}",
                                    data=replace(base.data, noise_rate=rate, easy_frac=frac))
              for rate in noise_rates for frac in easy_fracs}
-    out = {key: run_scenario(cfg) for key, cfg in cells.items()}
-    if base.outputs:
-        _write_grid_curves(base, out)
-    return out
-
-
-def _write_grid_curves(base: ScenarioConfig, grid) -> None:
-    os.makedirs(base.outputs, exist_ok=True)
-    for (rate, frac), summary in grid.items():
-        per_label: dict[str, list[RunRecord]] = {}
-        for cell in summary.cells:
-            # plot the first seed's curve per loss; summaries carry the rest
-            per_label.setdefault(cell.loss_label, cell.records)
-        svg = emit_plot(per_label, "auc_vs_epoch")
-        path = os.path.join(base.outputs, f"{summary.name}_curves.svg")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(svg)
+    return {key: run_scenario(cfg) for key, cfg in cells.items()}
 
 
 def _reject_unvaried(cfg: ScenarioConfig, varied: list[LossSetting], what: str) -> None:
@@ -376,16 +348,7 @@ def ablate_alpha_constraint(cfg: ScenarioConfig) -> ScenarioSummary:
         replace(ls, label=f"{ls.label}_proj", pesg=replace(ls.pesg, project_alpha=True)),
         replace(ls, label=f"{ls.label}_noproj", pesg=replace(ls.pesg, project_alpha=False)),
     )
-    summary = run_scenario(replace(cfg, name=f"{cfg.name}_alpha", losses=pair))
-    if cfg.outputs:
-        per_label = {}
-        for cell in summary.cells:
-            per_label.setdefault(cell.loss_label, cell.records)
-        for kind in ("alpha_vs_epoch", "auc_vs_epoch"):
-            path = os.path.join(cfg.outputs, f"{cfg.name}_alpha_{kind}.svg")
-            with open(path, "w", encoding="ascii") as fh:
-                fh.write(emit_plot(per_label, kind))
-    return summary
+    return run_scenario(replace(cfg, name=f"{cfg.name}_alpha", losses=pair))
 
 
 def ablate_bsn(cfg: ScenarioConfig) -> ScenarioSummary:
@@ -411,16 +374,16 @@ def ablate_margin(cfg: ScenarioConfig, margins) -> ScenarioSummary:
 # keep the aux dynamics stable: eta * 2 p (1-p) well below 2).
 
 
-def noise_robustness_scenario(seeds=tuple(range(10)), outputs=None) -> ScenarioConfig:
+def noise_robustness_scenario(seeds=tuple(range(10))) -> ScenarioConfig:
     """Noisy imbalanced toy: margin vs square, warm-started, BSN on
     (``configs/noise_robustness.cfg``)."""
-    return _packaged_scenario("noise_robustness", seeds, outputs)
+    return _packaged_scenario("noise_robustness", seeds)
 
 
-def alpha_constraint_scenario(seeds=tuple(range(10)), outputs=None) -> ScenarioConfig:
+def alpha_constraint_scenario(seeds=tuple(range(10))) -> ScenarioConfig:
     """Easy-heavy toy (40% easy + 1% noisy, m = 0.1) for the projection ablation
     (``configs/alpha_constraint.cfg``)."""
-    return _packaged_scenario("alpha_constraint", seeds, outputs)
+    return _packaged_scenario("alpha_constraint", seeds)
 
 
 def two_stage_protocol() -> dict:
@@ -464,8 +427,7 @@ def toy_figure(cfg: ScenarioConfig) -> str:
     model_spec = cfg.model_spec(2)
     (seed,) = cfg.seeds
     train, _ = prepare_data(replace(cfg.data, noise_rate=0.0, easy_frac=0.0), seed)
-    easy_train, _ = prepare_data(replace(cfg.data, noise_rate=0.0), seed,
-                                 model_for_scoring=model_spec)
+    easy_train, _ = prepare_data(replace(cfg.data, noise_rate=0.0), seed)
     noisy_train, _ = prepare_data(replace(cfg.data, easy_frac=0.0), seed)
 
     params0 = init_params(model_spec, derive_seed(seed, 20), cfg.init_scale)

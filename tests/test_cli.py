@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aucmax.experiments
 from aucmax import cli
 from aucmax.cli import main
 from aucmax.config import KEYS, DataSetting, format_config, parse_config
@@ -21,7 +22,7 @@ from aucmax.data import (
     load_csv,
     save_csv,
 )
-from aucmax.errors import ValidationError
+from aucmax.errors import NumericalError, ValidationError
 from aucmax.experiments import (
     ScenarioSummary,
     derive_seed,
@@ -143,6 +144,8 @@ class TestConfigParsing:
         "data.cov_scale = nan", "data.cov_scale = -1", "data.imratio = 2", "data.imratio = nan",
         "model.kind = mlp\nmodel.elu_alpha = inf",
         "data.noise_rate = 0.05", "data.easy_frac = 0.2",
+        "data.n_pos = 30\ndata.n_neg = 30\ndata.imratio = 0.5\ndata.noise_rate = 0.05",
+        "data.n_pos = 30\ndata.n_neg = 30\ndata.imratio = 0.499\ndata.easy_frac = 0.2",
         "loss.kind = auc_margin, auc_margin", "loss.kind = ,", "train.warm_start_epochs = -1",
         "run.seeds = 0, 0",
         "ablate.kind = bogus", "plot.kind = loss_vs_epoch",
@@ -202,7 +205,6 @@ class TestConfigParsing:
 
 # The fields of a run that no config key sets, each with the reason.
 UNKEYED_FIELDS = {
-    "scenario.outputs": "the output directory, set by --out",
     "scenario.losses[].label": "a parsed loss is labelled by its loss.kind",
     "scenario.losses[].sgd.epochs": "_train_one trains for train.epochs",
     "scenario.losses[].sgd.batch_size": "_train_one batches by train.batch_size",
@@ -260,7 +262,9 @@ def _config_texts(draw):
         lines["data.mean_pos"] = draw(_listed(_floats(0.5, 5.0), min_size=2, max_size=2))
         lines["data.cov_scale"] = draw(_floats(0.1, 3.0))
         if draw(st.booleans()):
-            lines["data.imratio"] = draw(_floats(0.01, 0.5))
+            # far enough below the default draw's prior (0.5) to remove positives
+            # for the injections; an imratio that removes none is rejected with them
+            lines["data.imratio"] = draw(_floats(0.01, 0.49))
             lines["data.noise_rate"] = draw(_floats(0.0, 0.5))
             lines["data.easy_frac"] = draw(_floats(0.0, 1.0))
     project = draw(st.sampled_from([None, "true", "false"]))
@@ -543,14 +547,66 @@ class TestCliCommands:
          "would not train auc_square:"),
         ("ablate.kind = noise_easy\ndata.imratio = 0.2\nablate.noise_rates = 0.01, 1.5\n"
          "ablate.easy_fracs = 0\n", "noise_rate must be in"),
-    ], ids=["skipped_loss", "bad_grid_cell"])
-    def test_rejected_ablation_writes_nothing(self, tmp_path, capsys, lines, message):
+        ("ablate.kind = noise_easy\ndata.imratio = 0.5\nablate.noise_rates = 0, 0.05\n"
+         "ablate.easy_fracs = 0\n", "imratio = 0.5 removes none of n_pos = 30"),
+        ("ablate.kind = alpha_constraint\ntrain.epochs = 0\n", "train.epochs must be at least 1"),
+        ("ablate.kind = noise_easy\ndata.imratio = 0.2\ntrain.epochs = 0\n",
+         "train.epochs must be at least 1"),
+    ], ids=["skipped_loss", "bad_grid_cell", "nothing_removed", "alpha_zero_epochs",
+            "grid_zero_epochs"])
+    def test_rejected_ablation_writes_nothing(self, tmp_path, monkeypatch, capsys, lines,
+                                              message):
+        drawn = []
+        monkeypatch.setattr(aucmax.experiments, "prepare_data", lambda *a: drawn.append(a))
         cfg = tmp_path / "ab.cfg"
         cfg.write_text("data.n_pos = 30\ndata.n_neg = 30\ndata.test_n_pos = 20\n"
                        "data.test_n_neg = 80\ntrain.epochs = 2\ntrain.batch_size = 16\n" + lines)
         rc = main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert message in capsys.readouterr().err
+        assert drawn == [] and not (tmp_path / "out").exists()
+
+    def test_train_on_data_that_removes_no_positive_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "none.cfg"
+        cfg.write_text("data.n_pos = 30\ndata.n_neg = 30\ndata.imratio = 0.5\n"
+                       "data.noise_rate = 0.05\n")
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}: noise_rate and easy_frac inject removed positives" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_aborted_in_its_second_cell_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        real, calls = aucmax.experiments.run_scenario, []
+
+        def second_cell_aborts(cfg):
+            calls.append(cfg.name)
+            if len(calls) == 2:
+                raise NumericalError(f"{cfg.name} diverged")
+            return real(cfg)
+
+        monkeypatch.setattr(aucmax.experiments, "run_scenario", second_cell_aborts)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("run.name = g\ndata.n_pos = 30\ndata.n_neg = 30\ndata.imratio = 0.2\n"
+                       "data.test_n_pos = 20\ndata.test_n_neg = 80\ntrain.epochs = 2\n"
+                       "train.batch_size = 16\nablate.kind = noise_easy\n"
+                       "ablate.noise_rates = 0, 0.05\nablate.easy_fracs = 0\n")
+        rc = main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2 and calls == ["g_n0_e0", "g_n0.05_e0"]
+        assert "g_n0.05_e0 diverged" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_figure_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        def no_plot(records, kind):
+            raise ValidationError(f"cannot draw {kind}")
+
+        monkeypatch.setattr(cli, "emit_plot", no_plot)
+        cfg = tmp_path / "alpha.cfg"
+        cfg.write_text("data.n_pos = 30\ndata.n_neg = 30\ndata.test_n_pos = 20\n"
+                       "data.test_n_neg = 80\ntrain.epochs = 2\ntrain.batch_size = 16\n"
+                       "ablate.kind = alpha_constraint\n")
+        rc = main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1 and "cannot draw" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_plot_creates_svg(self, tmp_path, toy_config, capsys):

@@ -123,23 +123,30 @@ class TestInjectEasy:
 
     def test_zero_fraction_unchanged(self):
         kept, removed, scores = self._setup()
-        out = inject_easy(kept, removed, scores, top_frac=1e-9)
+        out, rest = inject_easy(kept, removed, scores, top_frac=1e-9)
         assert dataset_hash(out) == dataset_hash(kept)
+        assert dataset_hash(rest) == dataset_hash(removed)
 
     def test_full_fraction_restores_all(self):
         kept, removed, scores = self._setup()
-        out = inject_easy(kept, removed, scores, top_frac=1.0)
+        out, rest = inject_easy(kept, removed, scores, top_frac=1.0)
         assert out.n_pos == kept.n_pos + len(removed)
+        assert len(rest) == 0
 
     def test_sorting_contract(self):
         kept, removed, scores = self._setup()
-        out = inject_easy(kept, removed, scores, top_frac=0.3)
+        out, rest = inject_easy(kept, removed, scores, top_frac=0.3)
         k = int(0.3 * len(removed))
         added = out.X[len(kept):]
         added_scores = sorted(scores, reverse=True)[:k]
         assert min(added_scores) >= max(sorted(scores, reverse=True)[k:])
         assert len(added) == k
         assert np.all(out.y[len(kept):] == 1)
+        # the rest are the removed positives not re-added, in their original order
+        not_added = [i for i in range(len(removed))
+                     if not any(np.array_equal(removed.X[i], x) for x in added)]
+        assert np.array_equal(rest.X, removed.X[not_added])
+        assert np.all(rest.y == 1) and np.all(rest.y_true == 0)
 
     def test_misaligned_scores_rejected(self):
         kept, removed, scores = self._setup()

@@ -24,6 +24,7 @@ from aucmax.experiments import (
     records_to_csv,
     run_scenario,
     toy_figure,
+    write_outputs,
 )
 from aucmax.optimizer import PesgConfig, RunRecord, SgdConfig
 
@@ -169,8 +170,9 @@ class TestRunScenario:
             assert mean >= 0.99, f"{label} reached only {mean}"
 
     def test_outputs_written(self, tmp_path):
-        cfg = _fast_scenario(outputs=str(tmp_path))
+        cfg = _fast_scenario()
         summary = run_scenario(cfg)
+        write_outputs(str(tmp_path), summary)
         files = sorted(p.name for p in tmp_path.iterdir())
         # a metrics CSV and a model per (loss, seed), and the summary; the CLI adds a manifest
         assert files == sorted([f"t_{ls.label}_s0{ext}" for ls in cfg.losses
@@ -183,8 +185,8 @@ class TestRunScenario:
 
     def test_replay_regenerates_identical_outputs(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        run_scenario(_fast_scenario(outputs=str(out_a)))
-        run_scenario(_fast_scenario(outputs=str(out_b)))
+        write_outputs(str(out_a), run_scenario(_fast_scenario()))
+        write_outputs(str(out_b), run_scenario(_fast_scenario()))
         names = sorted(p.name for p in out_a.iterdir())
         assert names == sorted(p.name for p in out_b.iterdir())
         for name in names:
@@ -301,13 +303,13 @@ class TestAblations:
         (ablate_bsn, (MARGIN, LossSetting("ce", kind="cross_entropy")), "ce"),
     ], ids=["margin", "alpha_constraint", "alpha_constraint_second_margin", "bsn"])
     def test_listed_loss_the_ablation_would_not_train_is_rejected(
-            self, tmp_path, monkeypatch, ablate, losses, skipped):
+            self, monkeypatch, ablate, losses, skipped):
         drawn = []
         monkeypatch.setattr(aucmax.experiments, "prepare_data", lambda *a, **k: drawn.append(a))
-        cfg = _fast_scenario(losses=losses, outputs=str(tmp_path / "out"))
+        cfg = _fast_scenario(losses=losses)
         with pytest.raises(ValidationError, match=f"would not train {skipped}:"):
             ablate(cfg)
-        assert drawn == [] and not (tmp_path / "out").exists()
+        assert drawn == []
 
     def test_alpha_constraint_needs_margin_loss(self):
         cfg = _fast_scenario(losses=(SQUARE,))
@@ -338,14 +340,13 @@ class TestAblations:
                            seeds=base.seeds))
         assert grid[(0.0, 0.0)].stats() == plain.stats()
 
-    def test_noise_easy_grid_checks_every_cell_before_training(self, tmp_path, monkeypatch):
+    def test_noise_easy_grid_checks_every_cell_before_training(self, monkeypatch):
         drawn = []
         monkeypatch.setattr(aucmax.experiments, "prepare_data", lambda *a, **k: drawn.append(a))
-        base = _fast_scenario(data=DataSetting(n_pos=60, n_neg=60, imratio=0.2),
-                              outputs=str(tmp_path / "out"))
+        base = _fast_scenario(data=DataSetting(n_pos=60, n_neg=60, imratio=0.2))
         with pytest.raises(ValidationError, match="noise_rate must be in"):
             ablate_noise_easy(base, noise_rates=(0.01, 1.5), easy_fracs=(0.0,))
-        assert drawn == [] and not (tmp_path / "out").exists()
+        assert drawn == []
 
     def test_noise_easy_grid_rejects_a_csv_source(self, tmp_path):
         _csv_pair(tmp_path)
@@ -468,13 +469,13 @@ def test_every_packaged_config_parses():
 
 
 @pytest.mark.parametrize("make", [noise_robustness_scenario, alpha_constraint_scenario])
-def test_canonical_scenarios_are_the_packaged_files(make, tmp_path):
+def test_canonical_scenarios_are_the_packaged_files(make):
     name = make.__name__[:-len("_scenario")]
     packaged = load_config(resources.files("aucmax") / "configs" / f"{name}.cfg").scenario
     assert packaged.seeds == tuple(range(10))
+    assert make() == packaged
     for s in (0, 7):
         assert make(seeds=[s]) == replace(packaged, seeds=(s,))
-    assert make(seeds=[1], outputs=str(tmp_path)).outputs == str(tmp_path)
 
 
 # sha256 of each metrics CSV of the canonical scenarios at seed 0 (computed on
@@ -492,7 +493,7 @@ GOLDEN_METRICS_SHA256 = {
 
 def test_canonical_metrics_csvs_match_golden_hashes(tmp_path):
     for make in (noise_robustness_scenario, alpha_constraint_scenario):
-        run_scenario(make(seeds=[0], outputs=str(tmp_path)))
+        write_outputs(str(tmp_path), run_scenario(make(seeds=[0])))
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN_METRICS_SHA256}
     assert got == GOLDEN_METRICS_SHA256
@@ -523,7 +524,7 @@ def test_packaged_figure_matches_golden_hash():
 
 
 def test_fast_scenario_metrics_csvs_match_golden_hashes(tmp_path):
-    run_scenario(_fast_scenario(outputs=str(tmp_path)))
+    write_outputs(str(tmp_path), run_scenario(_fast_scenario()))
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN_FAST_METRICS_SHA256}
     assert got == GOLDEN_FAST_METRICS_SHA256
