@@ -3,9 +3,9 @@
 A run is a ScenarioConfig: a data recipe (DataSetting), a model, one
 LossSetting per listed loss, the training length and the seeds. Config adds
 the keys that steer only ``ablate`` and ``plot``. Every field a run reads is
-set by a key of KEYS or by one of parse_config's two expansions, or it is a
-fixed constant the README lists (the easy-injection scorer's SGD settings,
-``DataSetting.scorer_sgd``).
+set by a key of KEYS or by one of parse_config's two expansions. The
+easy-injection scorer is no part of the schema: its model and SGD settings are
+fixed constants of ``aucmax.experiments`` (``SCORER_MODEL``, ``SCORER_SGD``).
 
 File format: one assignment per line; a ``#`` at the start of a line or right
 after whitespace starts a comment, so ``runs/#3/train.csv`` is one value. Keys
@@ -61,9 +61,6 @@ class DataSetting:
     imratio: float | None = None
     noise_rate: float = 0.0
     easy_frac: float = 0.0
-    # CE pretrain used only to score removed positives for easy injection;
-    # a fixed constant that no key sets
-    scorer_sgd: SgdConfig = field(default_factory=lambda: SgdConfig(lr=0.05, epochs=5))
 
     def __post_init__(self):
         if self.kind not in ("gaussian_toy", "csv"):
@@ -89,6 +86,11 @@ class DataSetting:
                 raise ValidationError("noise_rate and easy_frac inject removed positives, but "
                                       f"imratio = {self.imratio} removes none of n_pos = "
                                       f"{self.n_pos}")
+            # inject_easy re-adds int(easy_frac * removed); noise draws on the rest
+            if self.noise_rate > 0 and int(self.easy_frac * removed) == removed:
+                raise ValidationError(f"easy_frac = {self.easy_frac} re-adds all {removed} "
+                                      "removed positives, which leaves noise_rate = "
+                                      f"{self.noise_rate} an empty pool")
 
 
 @dataclass(frozen=True)

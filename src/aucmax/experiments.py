@@ -38,18 +38,10 @@ from .data import (
     make_imbalanced,
 )
 from .errors import NumericalError, ValidationError
-from .losses import SurrogateSpec
+from .losses import AUC_KINDS, SurrogateSpec
 from .metrics import auc_score
 from .models import ModelSpec, forward_batch, init_params, save_model
-from .optimizer import (
-    PesgConfig,
-    RunRecord,
-    SgdConfig,
-    _pesg_train,
-    _sgd_train,
-    pesg_train,
-    sgd_train,
-)
+from .optimizer import PesgConfig, RunRecord, SgdConfig, pesg_train, sgd_train
 from .plots import line_plot, scatter_boundary_panels
 
 __all__ = [
@@ -69,6 +61,10 @@ __all__ = [
 
 METRICS_HEADER = "epoch,iter,loss,train_auc,test_auc,a,b,alpha,eta"
 _SEED_SALT = 0x5EED_A0C
+# The easy-injection scorer, whatever the run's model is: a CE pretrain on the
+# imbalanced toy draw. Fixed constants; no config key sets them.
+SCORER_MODEL = ModelSpec("mlp", 2, 8, 1.0)
+SCORER_SGD = SgdConfig(lr=0.05, epochs=5)
 
 
 def derive_seed(seed: int, purpose: int) -> int:
@@ -160,12 +156,11 @@ def prepare_data(setting: DataSetting, seed: int) -> tuple[Dataset, Dataset | No
         train, removed = make_imbalanced(train, setting.imratio, derive_seed(seed, 3))
 
     if setting.easy_frac > 0:
-        scorer = ModelSpec("mlp", 2, 8, 1.0)     # whatever the run's model is
-        params0 = init_params(scorer, derive_seed(seed, 4), 0.1)
+        params0 = init_params(SCORER_MODEL, derive_seed(seed, 4), 0.1)
         ce = SurrogateSpec("cross_entropy", p=train.p)
-        pre_params, _ = _sgd_train(scorer, params0, train, ce, setting.scorer_sgd,
-                                   derive_seed(seed, 5), evaluate=False)
-        scores = forward_batch(scorer, pre_params, removed.X)
+        pre_params, _ = sgd_train(SCORER_MODEL, params0, train, ce, SCORER_SGD,
+                                  derive_seed(seed, 5))
+        scores = forward_batch(SCORER_MODEL, pre_params, removed.X)
         train, removed = inject_easy(train, removed, scores, setting.easy_frac)
 
     if setting.noise_rate > 0:
@@ -173,37 +168,11 @@ def prepare_data(setting: DataSetting, seed: int) -> tuple[Dataset, Dataset | No
     return train, test
 
 
-def _train_one(model_spec: ModelSpec, params0: np.ndarray, train: Dataset, test: Dataset | None,
-               setting: LossSetting, epochs: int, batch_size: int, seed: int
-               ) -> tuple[np.ndarray, list[RunRecord]]:
-    """Train one loss from the given start; batch order depends only on ``seed``.
-
-    Returns the final params and the per-epoch records.
-    """
-    batch_seed = derive_seed(seed, 11)
-    spec = setting.surrogate(train.p)
-    if setting.kind in ("auc_square", "auc_margin"):
-        params, _, records = pesg_train(model_spec, params0.copy(), train, spec,
-                                        setting.pesg, epochs, batch_size, batch_seed, test)
-    else:
-        sgd_cfg = replace(setting.sgd, epochs=epochs, batch_size=batch_size)
-        params, records = sgd_train(model_spec, params0.copy(), train, spec, sgd_cfg,
-                                    batch_seed, test)
-    return params, records
-
-
-def _cell_start(cfg: ScenarioConfig, model_spec: ModelSpec, train: Dataset, seed: int
-                ) -> np.ndarray:
-    params0 = init_params(model_spec, derive_seed(seed, 10), cfg.init_scale)
-    if cfg.warm_start is None:
-        return params0
-    ce = SurrogateSpec("cross_entropy", p=train.p)
-    warm, _ = _sgd_train(model_spec, params0, train, ce, cfg.warm_start,
-                         derive_seed(seed, 12), evaluate=False)
-    return warm
-
-
 def run_scenario(cfg: ScenarioConfig) -> ScenarioSummary:
+    """Train every listed loss on every seed. Within a seed every loss starts
+    from the same params (the warm start's CE model when there is one) and sees
+    the same batch order; AUC losses train with PESG, the others with SGD for
+    ``cfg.epochs`` at ``cfg.batch_size``."""
     if not cfg.losses:
         raise ValidationError("scenario has no losses to run")
     cells: list[CellResult] = []
@@ -211,13 +180,24 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioSummary:
         train, test = prepare_data(cfg.data, seed)
         model_spec = cfg.model_spec(train.dim)
         dhash = dataset_hash(train)
+        batch_seed = derive_seed(seed, 11)
         stage = "warm start"
         try:
-            params0 = _cell_start(cfg, model_spec, train, seed)
+            params0 = init_params(model_spec, derive_seed(seed, 10), cfg.init_scale)
+            if cfg.warm_start is not None:
+                ce = SurrogateSpec("cross_entropy", p=train.p)
+                params0, _ = sgd_train(model_spec, params0, train, ce, cfg.warm_start,
+                                       derive_seed(seed, 12))
             for setting in cfg.losses:
                 stage = setting.label
-                params, records = _train_one(model_spec, params0, train, test, setting,
-                                             cfg.epochs, cfg.batch_size, seed)
+                spec = setting.surrogate(train.p)
+                if setting.kind in AUC_KINDS:
+                    params, _, records = pesg_train(model_spec, params0, train, spec, setting.pesg,
+                                                    cfg.epochs, cfg.batch_size, batch_seed, test)
+                else:
+                    sgd = replace(setting.sgd, epochs=cfg.epochs, batch_size=cfg.batch_size)
+                    params, records = sgd_train(model_spec, params0, train, spec, sgd,
+                                                batch_seed, test)
                 final = records[-1].test_auc if records else float("nan")
                 cells.append(CellResult(setting.label, seed, final, dhash, records, params,
                                         model_spec))
@@ -334,7 +314,7 @@ def _margin_loss(cfg: ScenarioConfig, what: str) -> LossSetting:
 
 def _auc_losses(cfg: ScenarioConfig, what: str) -> list[LossSetting]:
     """The scenario's AUC losses, the losses ``what`` varies; it may list no other."""
-    auc = [ls for ls in cfg.losses if ls.kind in ("auc_square", "auc_margin")]
+    auc = [ls for ls in cfg.losses if ls.kind in AUC_KINDS]
     if not auc:
         raise ValidationError(f"{what} needs at least one AUC loss")
     _reject_unvaried(cfg, auc, what)
@@ -435,9 +415,8 @@ def toy_figure(cfg: ScenarioConfig) -> str:
 
     def retrain(setting: LossSetting, dataset: Dataset) -> np.ndarray:
         spec = setting.surrogate(dataset.p)
-        params, _, _ = _pesg_train(model_spec, pre_params.copy(), dataset, spec,
-                                   setting.pesg, cfg.epochs, cfg.batch_size,
-                                   derive_seed(seed, 22), evaluate=False)
+        params, _, _ = pesg_train(model_spec, pre_params, dataset, spec, setting.pesg,
+                                  cfg.epochs, cfg.batch_size, derive_seed(seed, 22))
         return params
 
     def panel(title, dataset: Dataset, params, annotation=""):
@@ -452,8 +431,8 @@ def toy_figure(cfg: ScenarioConfig) -> str:
 
     stage = "pretrain"
     try:
-        pre_params, _ = _sgd_train(model_spec, params0, train, ce, cfg.warm_start,
-                                   derive_seed(seed, 21), evaluate=False)
+        pre_params, _ = sgd_train(model_spec, params0, train, ce, cfg.warm_start,
+                                  derive_seed(seed, 21))
         pre_auc = auc_score(forward_batch(model_spec, pre_params, train.X), train.y).auc
         rows = []
         for setting in losses:

@@ -20,6 +20,7 @@ import numpy as np
 from .data import Dataset
 from .errors import NumericalError, ValidationError
 from .losses import (
+    AUC_KINDS,
     AuxVars,
     MinMaxGrads,
     SurrogateSpec,
@@ -109,7 +110,6 @@ class MinMaxState:
     sum_b: float = 0.0
     stage_count: int = 0
     n_decays: int = 0
-    t: int = 0  # global iteration counter
 
     def __post_init__(self):
         if self.ref_params is None:
@@ -175,7 +175,6 @@ def _pesg_update(state: MinMaxState, model_grad: np.ndarray, grads: MinMaxGrads,
     state.sum_a += a
     state.sum_b += b
     state.stage_count += 1
-    state.t += 1
     return state
 
 
@@ -248,7 +247,7 @@ def _sgd_rule(model_spec, params, velocity, surrogate: SurrogateSpec, cfg: SgdCo
 
 
 def _train_epochs(model_spec, params, data, table, epochs, batch_size, seed, test_data,
-                  update, end_epoch, evaluate) -> list[RunRecord]:
+                  update, end_epoch) -> list[RunRecord]:
     """Shuffled mini-batch epochs over one update rule; deterministic per seed.
 
     ``table`` holds the rule's per-sample label terms, one column (or entry)
@@ -256,8 +255,7 @@ def _train_epochs(model_spec, params, data, table, epochs, batch_size, seed, tes
     its rows of the epoch's shuffled ``X`` and ``table``; ``update`` changes
     ``params`` in place, and a non-finite batch loss aborts the run.
     ``end_epoch(epoch)`` runs after the epoch's evaluation and returns the
-    (aux, eta) the epoch ran with. Without ``evaluate`` no epoch is scored and
-    no record is kept, for runs whose records would be dropped.
+    (aux, eta) the epoch ran with.
     """
     if data.n_pos == 0 or data.n_neg == 0:
         raise ValidationError("training set must contain both classes")
@@ -283,9 +281,6 @@ def _train_epochs(model_spec, params, data, table, epochs, batch_size, seed, tes
                     t += 1
         except NumericalError as exc:
             raise NumericalError(f"epoch {epoch}, iteration {t}: {exc}") from exc
-        if not evaluate:
-            end_epoch(epoch)
-            continue
         train_auc = auc_score(forward_batch(model_spec, params, data.X), data.y).auc
         test_auc = train_auc if test_data is None else auc_score(
             forward_batch(model_spec, params, test_data.X), test_data.y).auc
@@ -312,14 +307,7 @@ def pesg_train(
     Mini-batches that happen to contain a single class are still processed:
     the missing class's loss terms vanish but the dual still moves.
     """
-    return _pesg_train(model_spec, params, data, surrogate, cfg, epochs, batch_size, seed,
-                       test_data)
-
-
-def _pesg_train(model_spec, params, data, surrogate, cfg, epochs, batch_size, seed,
-                test_data=None, evaluate=True):
-    """``pesg_train``; without ``evaluate`` it scores no epoch and returns no records."""
-    if surrogate.kind not in ("auc_square", "auc_margin"):
+    if surrogate.kind not in AUC_KINDS:
         raise ValidationError(f"pesg_train needs an AUC surrogate, got {surrogate.kind!r}")
     params = np.array(params, dtype=np.float64, copy=True)
     state = MinMaxState(params=params, aux=AuxVars(), eta=cfg.eta0)
@@ -331,7 +319,7 @@ def _pesg_train(model_spec, params, data, surrogate, cfg, epochs, batch_size, se
 
     records = _train_epochs(model_spec, params, data, _minmax_weights(data.y, surrogate.p),
                             epochs, batch_size, seed, test_data,
-                            _pesg_rule(model_spec, state, surrogate, cfg), end_epoch, evaluate)
+                            _pesg_rule(model_spec, state, surrogate, cfg), end_epoch)
     return params, state.aux, records
 
 
@@ -345,17 +333,12 @@ def sgd_train(
     test_data: Dataset | None = None,
 ) -> tuple[np.ndarray, list[RunRecord]]:
     """Momentum SGD on cross-entropy or focal loss; deterministic per seed."""
-    return _sgd_train(model_spec, params, data, surrogate, cfg, seed, test_data)
-
-
-def _sgd_train(model_spec, params, data, surrogate, cfg, seed, test_data=None, evaluate=True):
-    """``sgd_train``; without ``evaluate`` it scores no epoch and returns no records."""
-    if surrogate.kind not in ("cross_entropy", "focal"):
+    if surrogate.kind in AUC_KINDS:
         raise ValidationError(f"sgd_train needs cross_entropy or focal, got {surrogate.kind!r}")
     params = np.array(params, dtype=np.float64, copy=True)
     update = _sgd_rule(model_spec, params, np.zeros_like(params), surrogate, cfg)
     records = _train_epochs(model_spec, params, data, data.y, cfg.epochs, cfg.batch_size, seed,
-                            test_data, update, lambda epoch: (AuxVars(), cfg.lr), evaluate)
+                            test_data, update, lambda epoch: (AuxVars(), cfg.lr))
     return params, records
 
 

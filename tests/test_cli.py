@@ -146,6 +146,7 @@ class TestConfigParsing:
         "data.noise_rate = 0.05", "data.easy_frac = 0.2",
         "data.n_pos = 30\ndata.n_neg = 30\ndata.imratio = 0.5\ndata.noise_rate = 0.05",
         "data.n_pos = 30\ndata.n_neg = 30\ndata.imratio = 0.499\ndata.easy_frac = 0.2",
+        "data.imratio = 0.2\ndata.noise_rate = 0.05\ndata.easy_frac = 1",
         "loss.kind = auc_margin, auc_margin", "loss.kind = ,", "train.warm_start_epochs = -1",
         "run.seeds = 0, 0",
         "ablate.kind = bogus", "plot.kind = loss_vs_epoch",
@@ -206,9 +207,8 @@ class TestConfigParsing:
 # The fields of a run that no config key sets, each with the reason.
 UNKEYED_FIELDS = {
     "scenario.losses[].label": "a parsed loss is labelled by its loss.kind",
-    "scenario.losses[].sgd.epochs": "_train_one trains for train.epochs",
-    "scenario.losses[].sgd.batch_size": "_train_one batches by train.batch_size",
-    "scenario.data.scorer_sgd": "fixed: the easy-injection scorer's CE pretrain",
+    "scenario.losses[].sgd.epochs": "run_scenario trains for train.epochs",
+    "scenario.losses[].sgd.batch_size": "run_scenario batches by train.batch_size",
 }
 # The fields parse_config's two expansions set: loss.kind gives each loss its
 # projection default (unless optim.project_alpha is set), and
@@ -266,7 +266,8 @@ def _config_texts(draw):
             # for the injections; an imratio that removes none is rejected with them
             lines["data.imratio"] = draw(_floats(0.01, 0.49))
             lines["data.noise_rate"] = draw(_floats(0.0, 0.5))
-            lines["data.easy_frac"] = draw(_floats(0.0, 1.0))
+            # below 1: easy_frac = 1 leaves noise injection no pool, and is rejected
+            lines["data.easy_frac"] = draw(_floats(0.0, 0.9))
     project = draw(st.sampled_from([None, "true", "false"]))
     if project is not None:
         lines["optim.project_alpha"] = project
@@ -549,11 +550,13 @@ class TestCliCommands:
          "ablate.easy_fracs = 0\n", "noise_rate must be in"),
         ("ablate.kind = noise_easy\ndata.imratio = 0.5\nablate.noise_rates = 0, 0.05\n"
          "ablate.easy_fracs = 0\n", "imratio = 0.5 removes none of n_pos = 30"),
+        ("ablate.kind = noise_easy\ndata.imratio = 0.2\nablate.noise_rates = 0, 0.05\n"
+         "ablate.easy_fracs = 1\n", "easy_frac = 1.0 re-adds all 22 removed positives"),
         ("ablate.kind = alpha_constraint\ntrain.epochs = 0\n", "train.epochs must be at least 1"),
         ("ablate.kind = noise_easy\ndata.imratio = 0.2\ntrain.epochs = 0\n",
          "train.epochs must be at least 1"),
-    ], ids=["skipped_loss", "bad_grid_cell", "nothing_removed", "alpha_zero_epochs",
-            "grid_zero_epochs"])
+    ], ids=["skipped_loss", "bad_grid_cell", "nothing_removed", "easy_empties_noise_pool",
+            "alpha_zero_epochs", "grid_zero_epochs"])
     def test_rejected_ablation_writes_nothing(self, tmp_path, monkeypatch, capsys, lines,
                                               message):
         drawn = []

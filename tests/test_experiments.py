@@ -96,30 +96,10 @@ class TestPrepareData:
         assert str(tmp_path / one_class) in str(exc.value)
         assert steps == []
 
-    def test_easy_scorer_is_not_evaluated(self, monkeypatch):
-        calls = _count_calls(monkeypatch, "forward_batch")
-        prepare_data(DataSetting(n_pos=200, n_neg=200, imratio=0.05, easy_frac=0.2), seed=0)
-        assert calls == [1]     # the removed positives, scored once
-
     @pytest.mark.parametrize("kw", [dict(kind="parquet"), dict(kind="csv")])
     def test_bad_source_rejected(self, kw):
         with pytest.raises(ValidationError):
             DataSetting(**kw)
-
-
-def _count_calls(monkeypatch, name):
-    """Count the calls to ``name`` made through the optimizer and experiments
-    modules; returns a one-element list holding the count."""
-    count = [0]
-    original = getattr(aucmax.optimizer, name)
-
-    def counted(*args, **kwargs):
-        count[0] += 1
-        return original(*args, **kwargs)
-
-    for module in (aucmax.optimizer, aucmax.experiments):
-        monkeypatch.setattr(module, name, counted)
-    return count
 
 
 def _csv_pair(tmp_path):
@@ -197,14 +177,6 @@ class TestRunScenario:
                              seeds=(3,))
         with pytest.raises(NumericalError, match=r"^warm start, seed 3: epoch 1, iteration"):
             run_scenario(cfg)
-
-    def test_warm_start_records_are_not_evaluated(self, monkeypatch):
-        forward_calls = _count_calls(monkeypatch, "forward_batch")
-        auc_calls = _count_calls(monkeypatch, "auc_score")
-        cfg = _fast_scenario(warm_start=SgdConfig(epochs=3, batch_size=16))
-        run_scenario(cfg)
-        # train and test AUC per epoch of each loss; none for the warm start
-        assert forward_calls == auc_calls == [2 * cfg.epochs * len(cfg.losses)]
 
     def test_nonfinite_batch_loss_names_the_loss_and_seed(self):
         cfg = parse_config("data.n_pos = 40\ndata.n_neg = 40\n"

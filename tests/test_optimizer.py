@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from aucmax.data import GaussianToySpec, gen_gaussian_toy, make_imbalanced
 from aucmax.errors import NumericalError, ValidationError
+from aucmax.experiments import prepare_data, two_stage_protocol
 from aucmax.losses import (
     AUC_KINDS,
     AuxVars,
@@ -29,6 +33,7 @@ from aucmax.optimizer import (
     _pesg_rule,
     _pesg_update,
     _sgd_rule,
+    from_scratch_pesg,
     on_epoch_end,
     pesg_step,
     pesg_train,
@@ -48,7 +53,7 @@ class TestPesgStep:
                   PesgConfig(eta0=1.0))
         assert np.array_equal(state.params, [1.0, 2.0])
         assert (state.aux.a, state.aux.b, state.aux.alpha) == (0.3, -0.2, 0.1)
-        assert state.t == 1 and state.stage_count == 1
+        assert state.stage_count == 1
 
     def test_reduces_to_plain_sgda(self):
         eta = 0.05
@@ -464,3 +469,21 @@ class TestTwoStage:
         with pytest.raises(ValidationError):
             two_stage_train(ModelSpec("linear", 2), train, stage1, spec, PesgConfig(),
                             stage2_epochs=1, stage2_batch_size=64, seed=0)
+
+    def test_script_prints_the_library_numbers(self, monkeypatch, capsys):
+        path = Path(__file__).parents[1] / "scripts" / "run_two_stage.py"
+        module_spec = importlib.util.spec_from_file_location("run_two_stage", path)
+        script = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(script)
+        monkeypatch.setattr(sys, "argv", [str(path), "--seeds", "1"])
+        script.main()
+        row = capsys.readouterr().out.splitlines()[1]
+
+        proto = two_stage_protocol()
+        train, test = prepare_data(proto["data"], 0)
+        spec = SurrogateSpec("auc_margin", p=train.p, m=proto["margin"])
+        _, _, two = two_stage_train(proto["model"], train, proto["stage1"], spec, proto["pesg"],
+                                    proto["epochs"], proto["batch_size"], 0, test_data=test)
+        _, _, scratch = from_scratch_pesg(proto["model"], train, spec, proto["pesg"],
+                                          proto["epochs"], proto["batch_size"], 0, test_data=test)
+        assert row.split() == ["0", f"{two[-1].test_auc:.4f}", f"{scratch[-1].test_auc:.4f}"]
