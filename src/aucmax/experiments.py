@@ -5,7 +5,9 @@ A scenario (``aucmax.config.ScenarioConfig``, the schema the config module
 owns) fixes a data recipe (a toy draw with imbalance and easy/noisy
 injection, or a CSV file used as loaded), a model, and a list of losses; the
 runner trains every loss on every seed with an identical dataset,
-initialization and batch order, so comparisons are paired.
+initialization and batch order, so comparisons are paired. A seed's data and
+warm start, and each (seed, loss) training, are independent tasks that run in
+parallel worker processes, with the outputs of running them one by one.
 The runner, the ablations and the figure compute and return; none of them
 writes a file. ``write_outputs`` writes one summary's files, a metrics CSV and
 a model file per (loss, seed) and a summary CSV; ``aucmax.cli`` calls it,
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import DataSetting, LossSetting, ScenarioConfig, _packaged_scenario
+from .config import DataSetting, LossSetting, ScenarioConfig, _packaged_scenario, noise_easy_grid
 from .data import (
     Dataset,
     GaussianToySpec,
@@ -168,41 +170,120 @@ def prepare_data(setting: DataSetting, seed: int) -> tuple[Dataset, Dataset | No
     return train, test
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (1 where the OS does not say)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _in_order(task, jobs: list[tuple]) -> tuple[list, Exception | None]:
+    """``task(*job)`` for every job: the results in job order up to the first
+    job that raised, and that job's exception (None when none raised).
+
+    The jobs must be independent. They run in this process when there is one
+    job, one usable CPU or no ``fork`` start method, and otherwise in a fork
+    pool of min(jobs, CPUs) worker processes that is shut down, its workers
+    joined, before this returns; the jobs after a failed one that have not
+    started are cancelled. Either way the results and the error are those of
+    running the jobs one after another.
+    """
+    workers = min(len(jobs), _usable_cpus())
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    results = []
+    if workers <= 1:
+        for job in jobs:
+            try:
+                results.append(task(*job))
+            except Exception as exc:
+                return results, exc
+        return results, None
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a spawned worker imports numpy and aucmax afresh, which
+    # takes longer than a benchmark cell. The pool forks its workers before it
+    # starts its own threads, and OpenBLAS stops its threads before a fork.
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(task, *job) for job in jobs]
+        for future in futures:
+            exc = future.exception()
+            if exc is not None:
+                for later in futures:
+                    later.cancel()
+                return results, exc
+            results.append(future.result())
+    return results, None
+
+
+@dataclass
+class _SeedStart:
+    """What every loss of one seed trains from."""
+    seed: int
+    train: Dataset
+    test: Dataset | None
+    model_spec: ModelSpec
+    data_hash: str
+    params0: np.ndarray
+
+
+def _seed_start(cfg: ScenarioConfig, seed: int) -> _SeedStart:
+    """A seed's data and starting params: the warm start's CE model when there
+    is one, else the initialization."""
+    train, test = prepare_data(cfg.data, seed)
+    model_spec = cfg.model_spec(train.dim)
+    dhash = dataset_hash(train)
+    try:
+        params0 = init_params(model_spec, derive_seed(seed, 10), cfg.init_scale)
+        if cfg.warm_start is not None:
+            ce = SurrogateSpec("cross_entropy", p=train.p)
+            params0, _ = sgd_train(model_spec, params0, train, ce, cfg.warm_start,
+                                   derive_seed(seed, 12))
+    except NumericalError as exc:
+        raise NumericalError(f"warm start, seed {seed}: {exc}") from exc
+    return _SeedStart(seed, train, test, model_spec, dhash, params0)
+
+
+def _train_loss(cfg: ScenarioConfig, setting: LossSetting, start: _SeedStart) -> CellResult:
+    """One (seed, loss) run from the seed's start: PESG for an AUC loss, else
+    SGD for ``cfg.epochs`` at ``cfg.batch_size``."""
+    spec = setting.surrogate(start.train.p)
+    batch_seed = derive_seed(start.seed, 11)
+    try:
+        if setting.kind in AUC_KINDS:
+            params, _, records = pesg_train(start.model_spec, start.params0, start.train, spec,
+                                            setting.pesg, cfg.epochs, cfg.batch_size,
+                                            batch_seed, start.test)
+        else:
+            sgd = replace(setting.sgd, epochs=cfg.epochs, batch_size=cfg.batch_size)
+            params, records = sgd_train(start.model_spec, start.params0, start.train, spec, sgd,
+                                        batch_seed, start.test)
+    except NumericalError as exc:
+        raise NumericalError(f"{setting.label}, seed {start.seed}: {exc}") from exc
+    final = records[-1].test_auc if records else float("nan")
+    return CellResult(setting.label, start.seed, final, start.data_hash, records, params,
+                      start.model_spec)
+
+
 def run_scenario(cfg: ScenarioConfig) -> ScenarioSummary:
     """Train every listed loss on every seed. Within a seed every loss starts
     from the same params (the warm start's CE model when there is one) and sees
-    the same batch order; AUC losses train with PESG, the others with SGD for
-    ``cfg.epochs`` at ``cfg.batch_size``."""
+    the same batch order.
+
+    The seeds' starts, then the (seed, loss) runs, are independent tasks that
+    run in parallel over the usable CPUs (``_in_order``). The cells, and the
+    error raised if a task fails, are those of training seed by seed and loss
+    by loss: a failed start stops its seed and every later one.
+    """
     if not cfg.losses:
         raise ValidationError("scenario has no losses to run")
-    cells: list[CellResult] = []
-    for seed in cfg.seeds:
-        train, test = prepare_data(cfg.data, seed)
-        model_spec = cfg.model_spec(train.dim)
-        dhash = dataset_hash(train)
-        batch_seed = derive_seed(seed, 11)
-        stage = "warm start"
-        try:
-            params0 = init_params(model_spec, derive_seed(seed, 10), cfg.init_scale)
-            if cfg.warm_start is not None:
-                ce = SurrogateSpec("cross_entropy", p=train.p)
-                params0, _ = sgd_train(model_spec, params0, train, ce, cfg.warm_start,
-                                       derive_seed(seed, 12))
-            for setting in cfg.losses:
-                stage = setting.label
-                spec = setting.surrogate(train.p)
-                if setting.kind in AUC_KINDS:
-                    params, _, records = pesg_train(model_spec, params0, train, spec, setting.pesg,
-                                                    cfg.epochs, cfg.batch_size, batch_seed, test)
-                else:
-                    sgd = replace(setting.sgd, epochs=cfg.epochs, batch_size=cfg.batch_size)
-                    params, records = sgd_train(model_spec, params0, train, spec, sgd,
-                                                batch_seed, test)
-                final = records[-1].test_auc if records else float("nan")
-                cells.append(CellResult(setting.label, seed, final, dhash, records, params,
-                                        model_spec))
-        except NumericalError as exc:
-            raise NumericalError(f"{stage}, seed {seed}: {exc}") from exc
+    starts, start_error = _in_order(_seed_start, [(cfg, seed) for seed in cfg.seeds])
+    cells, train_error = _in_order(_train_loss, [(cfg, setting, start) for start in starts
+                                                 for setting in cfg.losses])
+    error = train_error or start_error
+    if error is not None:
+        raise error
     return ScenarioSummary(cfg.name, cells)
 
 
@@ -282,14 +363,7 @@ def ablate_noise_easy(base: ScenarioConfig, noise_rates, easy_fracs
 
     Every cell's config is built, and so checked, before the first cell trains.
     """
-    if base.data.kind != "gaussian_toy":
-        raise ValidationError("noise/easy ablation injects into the toy draw; "
-                              "a CSV source is used as loaded")
-    if base.data.imratio is None:
-        raise ValidationError("noise/easy ablation needs an imbalanced base (set imratio)")
-    cells = {(rate, frac): replace(base, name=f"{base.name}_n{rate:g}_e{frac:g}",
-                                   data=replace(base.data, noise_rate=rate, easy_frac=frac))
-             for rate in noise_rates for frac in easy_fracs}
+    cells = noise_easy_grid(base, noise_rates, easy_fracs)
     return {key: run_scenario(cfg) for key, cfg in cells.items()}
 
 

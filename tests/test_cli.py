@@ -436,7 +436,7 @@ class TestCliCommands:
         seen = _capture_ablations(monkeypatch)
         cfg = tmp_path / "pair.cfg"
         cfg.write_text(f"ablate.kind = {ablation}\nloss.kind = auc_square, auc_margin\n"
-                       "loss.m = 0.3\n" + extra)
+                       "loss.m = 0.3\ndata.imratio = 0.2\n" + extra)
         assert main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         square, margin = seen[0].losses
         assert (square.kind, margin.kind, margin.m) == ("auc_square", "auc_margin", 0.3)
@@ -448,7 +448,8 @@ class TestCliCommands:
     @pytest.mark.parametrize("kinds", ["auc_margin", "auc_square, auc_margin"])
     def test_ablations_run_the_listed_losses(self, tmp_path, monkeypatch, ablation, kinds):
         seen = _capture_ablations(monkeypatch)
-        text = f"ablate.kind = {ablation}\nloss.kind = {kinds}\nloss.bsn = true\n"
+        text = (f"ablate.kind = {ablation}\nloss.kind = {kinds}\nloss.bsn = true\n"
+                "data.imratio = 0.2\n")
         cfg = tmp_path / "listed.cfg"
         cfg.write_text(text)
         assert main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
@@ -568,6 +569,21 @@ class TestCliCommands:
         assert rc == 1
         assert message in capsys.readouterr().err
         assert drawn == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid, message", [
+        ("ablate.noise_rates = 0.01, 1.5\nablate.easy_fracs = 0\n",
+         "noise_rate must be in [0, 1), got 1.5"),
+        ("ablate.noise_rates = 0, 0.05\nablate.easy_fracs = 1\n",
+         "easy_frac = 1.0 re-adds all 30 removed positives"),
+    ], ids=["bad_grid_cell", "easy_empties_noise_pool"])
+    def test_bad_grid_cell_names_the_file(self, tmp_path, capsys, grid, message):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("data.n_pos = 40\ndata.n_neg = 40\ndata.imratio = 0.2\n"
+                       "ablate.kind = noise_easy\n" + grid)
+        rc = main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_train_on_data_that_removes_no_positive_names_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "none.cfg"

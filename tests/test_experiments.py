@@ -1,4 +1,5 @@
 import hashlib
+import multiprocessing
 from dataclasses import replace
 from importlib import resources
 
@@ -51,6 +52,12 @@ def _fast_scenario(**overrides):
     return ScenarioConfig(**defaults)
 
 
+def _set_cpus(monkeypatch, cpus):
+    """Make run_scenario see ``cpus`` usable CPUs: 1 runs every task in this
+    process, more run them in a pool of worker processes."""
+    monkeypatch.setattr(aucmax.experiments, "_usable_cpus", lambda: cpus)
+
+
 class TestPrepareData:
     def test_pipeline_shapes(self):
         setting = DataSetting(n_pos=200, n_neg=200, imratio=0.05,
@@ -88,6 +95,7 @@ class TestPrepareData:
         X = np.random.default_rng(1).normal(size=(10, 3))
         save_csv(Dataset(X, np.ones(10, dtype=int)), tmp_path / one_class)
         steps = []
+        _set_cpus(monkeypatch, 1)     # a worker's steps would not reach this list
         monkeypatch.setattr(aucmax.optimizer, "_fused_step", lambda *a: steps.append(a))
         cfg = _fast_scenario(data=DataSetting(kind="csv", path=str(tmp_path / "train.csv"),
                                               test_path=str(tmp_path / "test.csv")))
@@ -194,6 +202,63 @@ class TestRunScenario:
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ValidationError, match=r"duplicate seeds in scenario: \[0, 0\]"):
             _fast_scenario(seeds=(0, 0))
+
+
+def _fails_at(job):
+    if job in (1, 3):
+        raise ValueError(f"job {job}")
+    return job * 10
+
+
+class TestParallelRuns:
+    """Worker processes change where a scenario's tasks run, not what they give."""
+
+    @pytest.fixture(params=[1, 2], ids=["in_process", "pooled"])
+    def cpus(self, request, monkeypatch):
+        _set_cpus(monkeypatch, request.param)
+        return request.param
+
+    @pytest.mark.parametrize("make", [lambda: _fast_scenario(seeds=(0, 1)),
+                                      lambda: noise_robustness_scenario(seeds=[0])],
+                             ids=["fast_two_seeds", "noise_robustness"])
+    def test_both_paths_write_the_same_bytes(self, tmp_path, monkeypatch, make):
+        for cpus in (1, 2):
+            _set_cpus(monkeypatch, cpus)
+            write_outputs(str(tmp_path / str(cpus)), run_scenario(make()))
+            assert multiprocessing.active_children() == []
+        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_first_error_in_order_is_raised(self, cpus):
+        cfg = _fast_scenario(losses=(SQUARE, MARGIN), seeds=(0, 1), init_scale=1e160)
+        with pytest.raises(NumericalError, match=r"^auc_square, seed 0: epoch 1, iteration 0: "
+                                                 r"non-finite batch loss"):
+            run_scenario(cfg)
+        assert multiprocessing.active_children() == []
+
+    def test_a_failed_start_stops_its_seed_after_earlier_seeds_train(self, cpus, monkeypatch):
+        real = aucmax.experiments.prepare_data
+
+        def seed_1_fails(setting, seed):
+            if seed == 1:
+                raise ValidationError("no data for seed 1")
+            return real(setting, seed)
+
+        monkeypatch.setattr(aucmax.experiments, "prepare_data", seed_1_fails)
+        with pytest.raises(ValidationError, match="^no data for seed 1$"):
+            run_scenario(_fast_scenario(seeds=(0, 1, 2)))
+        # a loss of an earlier seed fails first in the sequential order
+        with pytest.raises(NumericalError, match=r"^auc_square, seed 0: "):
+            run_scenario(_fast_scenario(seeds=(0, 1, 2), init_scale=1e160))
+        assert multiprocessing.active_children() == []
+
+    def test_in_order_returns_the_results_before_the_first_failure(self, cpus):
+        results, error = aucmax.experiments._in_order(_fails_at, [(j,) for j in range(5)])
+        assert results == [0] and str(error) == "job 1" and type(error) is ValueError
+        assert aucmax.experiments._in_order(_fails_at, [(0,), (2,)]) == ([0, 20], None)
+        assert multiprocessing.active_children() == []
 
 
 class TestMetricsCsv:

@@ -238,11 +238,20 @@ def test_labels_other_than_plus_minus_one_rejected(metric, bad):
         metric([0.3, -0.2, 0.1], [1, -1, bad])
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, aucmax; print('scipy.stats' in sys.modules)"
+def _loaded_by_import_aucmax(module: str) -> bool:
+    code = f"import sys, aucmax; print({module!r} in sys.modules)"
     src = os.path.dirname(os.path.dirname(aucmax.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    assert not _loaded_by_import_aucmax("scipy.stats")
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # only a scenario that runs tasks in worker processes imports it
+    assert not _loaded_by_import_aucmax("multiprocessing")
