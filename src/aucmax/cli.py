@@ -176,7 +176,11 @@ def _cmd_ablate(args) -> int:
     elif kind == "bsn":
         summaries = [ablate_bsn(scenario)]
     elif kind == "noise_easy":
-        grid = ablate_noise_easy(scenario, config.ablate_noise_rates, config.ablate_easy_fracs)
+        try:
+            grid = ablate_noise_easy(scenario, config.ablate_noise_rates,
+                                     config.ablate_easy_fracs)
+        except ValidationError as exc:   # a grid cell's data, set by the config file
+            raise ValidationError(f"{args.config}: {exc}") from exc
         summaries = [grid[key] for key in sorted(grid)]
         svgs = {f"{s.name}_curves.svg": emit_plot(s.first_records(), "auc_vs_epoch")
                 for s in summaries}

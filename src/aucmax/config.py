@@ -31,7 +31,7 @@ from .models import ModelSpec
 from .optimizer import PesgConfig, SgdConfig
 
 __all__ = ["parse_config", "load_config", "format_config", "Config", "KEYS",
-           "DataSetting", "LossSetting", "ScenarioConfig", "noise_easy_grid"]
+           "DataSetting", "LossSetting", "ScenarioConfig"]
 
 ABLATE_KINDS = ("margin", "noise_easy", "alpha_constraint", "bsn", "toy_figure")
 PLOT_KINDS = ("auc_vs_epoch", "alpha_vs_epoch")
@@ -310,26 +310,9 @@ def parse_config(text: str, source: str = "<config>") -> Config:
             for kind in kinds)
         scenario = ScenarioConfig(data=DataSetting(**kw[DataSetting]), losses=losses,
                                   **kw[ScenarioConfig])
-        config = Config(scenario, **kw[Config])
-        if config.ablate_kind == "noise_easy":     # a bad grid cell names this file
-            noise_easy_grid(scenario, config.ablate_noise_rates, config.ablate_easy_fracs)
     except ValidationError as exc:
         raise ValidationError(f"{source}: {exc}") from exc
-    return config
-
-
-def noise_easy_grid(base: ScenarioConfig, noise_rates, easy_fracs
-                    ) -> dict[tuple[float, float], ScenarioConfig]:
-    """(noise rate, easy fraction) -> the scenario of that cell of a noise/easy
-    grid on ``base``'s imbalanced toy draw; building a cell checks its data."""
-    if base.data.kind != "gaussian_toy":
-        raise ValidationError("noise/easy ablation injects into the toy draw; "
-                              "a CSV source is used as loaded")
-    if base.data.imratio is None:
-        raise ValidationError("noise/easy ablation needs an imbalanced base (set imratio)")
-    return {(rate, frac): replace(base, name=f"{base.name}_n{rate:g}_e{frac:g}",
-                                  data=replace(base.data, noise_rate=rate, easy_frac=frac))
-            for rate in noise_rates for frac in easy_fracs}
+    return Config(scenario, **kw[Config])
 
 
 def load_config(path) -> Config:

@@ -7,7 +7,8 @@ injection, or a CSV file used as loaded), a model, and a list of losses; the
 runner trains every loss on every seed with an identical dataset,
 initialization and batch order, so comparisons are paired. A seed's data and
 warm start, and each (seed, loss) training, are independent tasks that run in
-parallel worker processes, with the outputs of running them one by one.
+parallel worker processes when the process is single-threaded (its BLAS held
+to one thread), with the outputs of running them one by one.
 The runner, the ablations and the figure compute and return; none of them
 writes a file. ``write_outputs`` writes one summary's files, a metrics CSV and
 a model file per (loss, seed) and a summary CSV; ``aucmax.cli`` calls it,
@@ -25,10 +26,11 @@ from __future__ import annotations
 import os
 import statistics
 from dataclasses import dataclass, field, replace
+from itertools import starmap
 
 import numpy as np
 
-from .config import DataSetting, LossSetting, ScenarioConfig, _packaged_scenario, noise_easy_grid
+from .config import DataSetting, LossSetting, ScenarioConfig, _packaged_scenario
 from .data import (
     Dataset,
     GaussianToySpec,
@@ -171,50 +173,66 @@ def prepare_data(setting: DataSetting, seed: int) -> tuple[Dataset, Dataset | No
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on (1 where the OS does not say)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    """The CPUs this process may fork worker processes onto: 1 where the OS
+    does not say, and 1 while the process runs more than one thread. A fork
+    copies only the calling thread, so a lock another thread holds stays held
+    in the child (Python 3.12+ warns); numpy's BLAS runs threads of its own
+    unless it is held to one, e.g. by OPENBLAS_NUM_THREADS=1."""
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+        return len(os.sched_getaffinity(0)) if threads == 1 else 1
+    except (OSError, AttributeError):
+        return 1
 
 
-def _in_order(task, jobs: list[tuple]) -> tuple[list, Exception | None]:
-    """``task(*job)`` for every job: the results in job order up to the first
-    job that raised, and that job's exception (None when none raised).
+class _Tasks:
+    """Runs lists of independent tasks for one scenario, each list in order.
 
-    The jobs must be independent. They run in this process when there is one
-    job, one usable CPU or no ``fork`` start method, and otherwise in a fork
-    pool of min(jobs, CPUs) worker processes that is shut down, its workers
-    joined, before this returns; the jobs after a failed one that have not
-    started are cancelled. Either way the results and the error are those of
-    running the jobs one after another.
+    A list of one task runs in this process. A longer one runs in a fork pool
+    of min(``max_jobs``, CPUs) worker processes when ``_usable_cpus`` allows
+    more than one; the pool is forked at the first such list, so that it is
+    forked once, from a single-threaded process, and later lists share it.
+    Leaving the ``with`` block shuts the pool down and joins its workers.
     """
-    workers = min(len(jobs), _usable_cpus())
-    if workers > 1:
-        import multiprocessing
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
-    results = []
-    if workers <= 1:
-        for job in jobs:
-            try:
-                results.append(task(*job))
-            except Exception as exc:
-                return results, exc
+    def __init__(self, max_jobs: int):
+        self._max_jobs = max_jobs
+        self._pool = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+
+    def in_order(self, task, jobs: list[tuple]) -> tuple[list, Exception | None]:
+        """``task(*job)`` for every job: the results in job order up to the
+        first job that raised, and that job's exception (None when none
+        raised); the later jobs that have not started are cancelled. On either
+        path these are the results and the error of running the jobs one
+        after another."""
+        if len(jobs) > 1 and self._pool is None:
+            workers = min(self._max_jobs, _usable_cpus())
+            if workers > 1:
+                import multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
+
+                # fork, not spawn: a spawned worker imports numpy and aucmax
+                # afresh, which takes longer than a benchmark cell. From
+                # Python 3.11 the pool forks every worker before it starts
+                # its own threads.
+                self._pool = ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context("fork"))
+        pooled = len(jobs) > 1 and self._pool is not None
+        calls = self._pool.map(task, *zip(*jobs)) if pooled else starmap(task, jobs)
+        results = []
+        try:
+            for result in calls:
+                results.append(result)
+        except Exception as exc:
+            return results, exc
         return results, None
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, not spawn: a spawned worker imports numpy and aucmax afresh, which
-    # takes longer than a benchmark cell. The pool forks its workers before it
-    # starts its own threads, and OpenBLAS stops its threads before a fork.
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(task, *job) for job in jobs]
-        for future in futures:
-            exc = future.exception()
-            if exc is not None:
-                for later in futures:
-                    later.cancel()
-                return results, exc
-            results.append(future.result())
-    return results, None
 
 
 @dataclass
@@ -272,15 +290,18 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioSummary:
     the same batch order.
 
     The seeds' starts, then the (seed, loss) runs, are independent tasks that
-    run in parallel over the usable CPUs (``_in_order``). The cells, and the
-    error raised if a task fails, are those of training seed by seed and loss
-    by loss: a failed start stops its seed and every later one.
+    run in parallel over the usable CPUs of a single-threaded process
+    (``_Tasks``). The cells, and the error raised if a task fails, are those
+    of training seed by seed and loss by loss: a failed start stops its seed
+    and every later one.
     """
     if not cfg.losses:
         raise ValidationError("scenario has no losses to run")
-    starts, start_error = _in_order(_seed_start, [(cfg, seed) for seed in cfg.seeds])
-    cells, train_error = _in_order(_train_loss, [(cfg, setting, start) for start in starts
-                                                 for setting in cfg.losses])
+    with _Tasks(len(cfg.seeds) * len(cfg.losses)) as tasks:
+        starts, start_error = tasks.in_order(_seed_start, [(cfg, seed) for seed in cfg.seeds])
+        cells, train_error = tasks.in_order(_train_loss, [(cfg, setting, start)
+                                                          for start in starts
+                                                          for setting in cfg.losses])
     error = train_error or start_error
     if error is not None:
         raise error
@@ -363,7 +384,14 @@ def ablate_noise_easy(base: ScenarioConfig, noise_rates, easy_fracs
 
     Every cell's config is built, and so checked, before the first cell trains.
     """
-    cells = noise_easy_grid(base, noise_rates, easy_fracs)
+    if base.data.kind != "gaussian_toy":
+        raise ValidationError("noise/easy ablation injects into the toy draw; "
+                              "a CSV source is used as loaded")
+    if base.data.imratio is None:
+        raise ValidationError("noise/easy ablation needs an imbalanced base (set imratio)")
+    cells = {(rate, frac): replace(base, name=f"{base.name}_n{rate:g}_e{frac:g}",
+                                   data=replace(base.data, noise_rate=rate, easy_frac=frac))
+             for rate in noise_rates for frac in easy_fracs}
     return {key: run_scenario(cfg) for key, cfg in cells.items()}
 
 

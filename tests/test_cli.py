@@ -436,7 +436,7 @@ class TestCliCommands:
         seen = _capture_ablations(monkeypatch)
         cfg = tmp_path / "pair.cfg"
         cfg.write_text(f"ablate.kind = {ablation}\nloss.kind = auc_square, auc_margin\n"
-                       "loss.m = 0.3\ndata.imratio = 0.2\n" + extra)
+                       "loss.m = 0.3\n" + extra)
         assert main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         square, margin = seen[0].losses
         assert (square.kind, margin.kind, margin.m) == ("auc_square", "auc_margin", 0.3)
@@ -448,8 +448,7 @@ class TestCliCommands:
     @pytest.mark.parametrize("kinds", ["auc_margin", "auc_square, auc_margin"])
     def test_ablations_run_the_listed_losses(self, tmp_path, monkeypatch, ablation, kinds):
         seen = _capture_ablations(monkeypatch)
-        text = (f"ablate.kind = {ablation}\nloss.kind = {kinds}\nloss.bsn = true\n"
-                "data.imratio = 0.2\n")
+        text = f"ablate.kind = {ablation}\nloss.kind = {kinds}\nloss.bsn = true\n"
         cfg = tmp_path / "listed.cfg"
         cfg.write_text(text)
         assert main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0

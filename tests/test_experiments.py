@@ -1,5 +1,9 @@
 import hashlib
-import multiprocessing
+import json
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import replace
 from importlib import resources
 
@@ -204,61 +208,141 @@ class TestRunScenario:
             _fast_scenario(seeds=(0, 0))
 
 
+_ONE_BLAS_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                          "MKL_NUM_THREADS")}
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _pooled(case: str, *args):
+    """``case(*args)``, a function of this module, run in a fresh interpreter
+    held to one BLAS thread: a single-threaded process, so run_scenario forks
+    its worker pool there. Warnings are errors there too. Checks that worker
+    processes ran and that none is left, and returns the case's (JSON) result."""
+    code = ("import json, multiprocessing, resource, sys\n"
+            "import test_experiments as t\n"
+            f"result = t.{case}(*json.loads(sys.argv[1]))\n"
+            "print(json.dumps([result, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,\n"
+            "                  len(multiprocessing.active_children())]))\n")
+    src = os.path.dirname(os.path.dirname(aucmax.experiments.__file__))
+    path = [os.path.dirname(__file__), src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, **_ONE_BLAS_THREAD, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code, json.dumps(args)],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    result, children_maxrss, left = json.loads(out.stdout.splitlines()[-1])
+    assert children_maxrss > 0, "no worker process ran"
+    assert left == 0
+    return result
+
+
+_SCENARIOS = {"fast_two_seeds": lambda: _fast_scenario(seeds=(0, 1)),
+              "noise_robustness": lambda: noise_robustness_scenario(seeds=[0])}
+
+
+def _write_scenario(name, out):
+    write_outputs(out, run_scenario(_SCENARIOS[name]()))
+
+
+def _error_of(run):
+    try:
+        run()
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+    return None
+
+
+def _first_error():
+    cfg = _fast_scenario(losses=(SQUARE, MARGIN), seeds=(0, 1), init_scale=1e160)
+    return _error_of(lambda: run_scenario(cfg))
+
+
+def _seed_1_start_fails():
+    real = aucmax.experiments.prepare_data
+
+    def seed_1_fails(setting, seed):
+        if seed == 1:
+            raise ValidationError("no data for seed 1")
+        return real(setting, seed)
+
+    aucmax.experiments.prepare_data = seed_1_fails
+    try:
+        return [_error_of(lambda: run_scenario(_fast_scenario(seeds=(0, 1, 2)))),
+                _error_of(lambda: run_scenario(_fast_scenario(seeds=(0, 1, 2),
+                                                              init_scale=1e160)))]
+    finally:
+        aucmax.experiments.prepare_data = real
+
+
 def _fails_at(job):
     if job in (1, 3):
         raise ValueError(f"job {job}")
     return job * 10
 
 
+def _two_lists_in_order():
+    with aucmax.experiments._Tasks(5) as tasks:
+        results, error = tasks.in_order(_fails_at, [(j,) for j in range(5)])
+        again = tasks.in_order(_fails_at, [(0,), (2,)])
+    return [results, type(error).__name__, str(error), *again]
+
+
+def _needs_two_cpus():
+    if _CPUS < 2:
+        pytest.skip("a worker pool needs two usable CPUs")
+
+
 class TestParallelRuns:
-    """Worker processes change where a scenario's tasks run, not what they give."""
+    """Worker processes change where a scenario's tasks run, not what they give.
+    The pooled path runs in a subprocess held to one BLAS thread (``_pooled``);
+    the in-process path is forced here."""
 
-    @pytest.fixture(params=[1, 2], ids=["in_process", "pooled"])
-    def cpus(self, request, monkeypatch):
-        _set_cpus(monkeypatch, request.param)
-        return request.param
+    @pytest.fixture(params=["in_process", "pooled"])
+    def run(self, request, monkeypatch):
+        """Runs a case function of this module on the path the param names."""
+        if request.param == "pooled":
+            _needs_two_cpus()
+            return _pooled
+        _set_cpus(monkeypatch, 1)
+        return lambda case, *args: globals()[case](*args)
 
-    @pytest.mark.parametrize("make", [lambda: _fast_scenario(seeds=(0, 1)),
-                                      lambda: noise_robustness_scenario(seeds=[0])],
-                             ids=["fast_two_seeds", "noise_robustness"])
-    def test_both_paths_write_the_same_bytes(self, tmp_path, monkeypatch, make):
-        for cpus in (1, 2):
-            _set_cpus(monkeypatch, cpus)
-            write_outputs(str(tmp_path / str(cpus)), run_scenario(make()))
-            assert multiprocessing.active_children() == []
-        names = sorted(p.name for p in (tmp_path / "1").iterdir())
-        assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+    @pytest.mark.parametrize("name", sorted(_SCENARIOS))
+    def test_both_paths_write_the_same_bytes(self, tmp_path, monkeypatch, name):
+        _needs_two_cpus()
+        _pooled("_write_scenario", name, str(tmp_path / "pooled"))
+        _set_cpus(monkeypatch, 1)
+        _write_scenario(name, str(tmp_path / "in_process"))
+        names = sorted(p.name for p in (tmp_path / "in_process").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "pooled").iterdir())
         for name in names:
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+            assert ((tmp_path / "in_process" / name).read_bytes()
+                    == (tmp_path / "pooled" / name).read_bytes())
 
-    def test_first_error_in_order_is_raised(self, cpus):
-        cfg = _fast_scenario(losses=(SQUARE, MARGIN), seeds=(0, 1), init_scale=1e160)
-        with pytest.raises(NumericalError, match=r"^auc_square, seed 0: epoch 1, iteration 0: "
-                                                 r"non-finite batch loss"):
-            run_scenario(cfg)
-        assert multiprocessing.active_children() == []
+    def test_first_error_in_order_is_raised(self, run):
+        kind, message = run("_first_error")
+        assert kind == "NumericalError"
+        assert message.startswith("auc_square, seed 0: epoch 1, iteration 0: "
+                                  "non-finite batch loss")
 
-    def test_a_failed_start_stops_its_seed_after_earlier_seeds_train(self, cpus, monkeypatch):
-        real = aucmax.experiments.prepare_data
-
-        def seed_1_fails(setting, seed):
-            if seed == 1:
-                raise ValidationError("no data for seed 1")
-            return real(setting, seed)
-
-        monkeypatch.setattr(aucmax.experiments, "prepare_data", seed_1_fails)
-        with pytest.raises(ValidationError, match="^no data for seed 1$"):
-            run_scenario(_fast_scenario(seeds=(0, 1, 2)))
+    def test_a_failed_start_stops_its_seed_after_earlier_seeds_train(self, run):
+        failed_start, earlier_loss = run("_seed_1_start_fails")
+        assert failed_start == ["ValidationError", "no data for seed 1"]
         # a loss of an earlier seed fails first in the sequential order
-        with pytest.raises(NumericalError, match=r"^auc_square, seed 0: "):
-            run_scenario(_fast_scenario(seeds=(0, 1, 2), init_scale=1e160))
-        assert multiprocessing.active_children() == []
+        assert earlier_loss[0] == "NumericalError"
+        assert earlier_loss[1].startswith("auc_square, seed 0: ")
 
-    def test_in_order_returns_the_results_before_the_first_failure(self, cpus):
-        results, error = aucmax.experiments._in_order(_fails_at, [(j,) for j in range(5)])
-        assert results == [0] and str(error) == "job 1" and type(error) is ValueError
-        assert aucmax.experiments._in_order(_fails_at, [(0,), (2,)]) == ([0, 20], None)
-        assert multiprocessing.active_children() == []
+    def test_in_order_returns_the_results_before_the_first_failure(self, run):
+        # the second list shares the pool the first forked
+        assert run("_two_lists_in_order") == [[0], "ValueError", "job 1", [0, 20], None]
+
+    def test_a_threaded_process_forks_no_pool(self):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert aucmax.experiments._usable_cpus() == 1
+        finally:
+            stop.set()
+            thread.join()
 
 
 class TestMetricsCsv:
