@@ -138,6 +138,8 @@ class ScenarioConfig:
             raise ValidationError("scenario needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValidationError(f"duplicate seeds in scenario: {list(self.seeds)}")
+        if min(self.seeds) < 0:
+            raise ValidationError(f"seeds must be >= 0, got {list(self.seeds)}")
         if not 0 <= self.init_scale < math.inf:
             raise ValidationError(f"init_scale must be finite and >= 0, got {self.init_scale}")
         if self.epochs < 0:

@@ -272,7 +272,12 @@ def load_csv(path) -> Dataset:
             y_true.append(0)
     if not y:
         raise ValidationError(f"{path}: no data rows")
-    return Dataset(np.array(X), np.array(y), np.array(y_true))
+    X = np.array(X)
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        lineno = [i for i, line in enumerate(lines[1:], start=2) if line][np.argmin(finite)]
+        raise ValidationError(f"{path}:{lineno}: features must be finite")
+    return Dataset(X, np.array(y), np.array(y_true))
 
 
 def dataset_hash(data: Dataset) -> str:

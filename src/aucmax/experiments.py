@@ -333,12 +333,12 @@ def read_metrics_csv(path) -> list[RunRecord]:
         cells = line.split(",")
         if len(cells) != 9:
             raise ValidationError(f"{path}:{lineno}: expected 9 columns")
-        records.append(RunRecord(
-            epoch=int(cells[0]), iter=int(cells[1]), loss=float(cells[2]),
-            train_auc=float(cells[3]), test_auc=float(cells[4]),
-            a=float(cells[5]), b=float(cells[6]), alpha=float(cells[7]),
-            eta=float(cells[8]),
-        ))
+        try:
+            records.append(RunRecord(int(cells[0]), int(cells[1]), *map(float, cells[2:])))
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: unparseable metrics value") from exc
+    if not records:
+        raise ValidationError(f"{path}: no metrics rows")
     return records
 
 

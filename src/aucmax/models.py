@@ -17,8 +17,10 @@ All functions are pure; gradients are hand-written vector-Jacobian products
 (`backward_vjp`), checked against central finite differences in the tests.
 The public functions validate their inputs; the training loop calls the
 unchecked `_forward_hidden`/`_backward_hidden` pair, which keeps a batch's
-hidden activations from the forward pass for the backward pass. Evaluation
-(`forward_batch`) scores an mlp through `_score_mlp`, which keeps nothing.
+ELU negative part and activations from the forward pass for the backward
+pass. Evaluation (`forward_batch`) scores an mlp through `_score_mlp`, which
+keeps nothing. Training, evaluation and the VJP share one ELU formula,
+``max(Z, -0.0) + alpha * expm1(min(Z, 0))``, with no branch mask.
 """
 
 from __future__ import annotations
@@ -127,26 +129,24 @@ def _elu_negative(Z_neg: np.ndarray, alpha: float, out=None) -> np.ndarray:
 def _forward_hidden(spec: ModelSpec, params: np.ndarray, X: np.ndarray):
     """Unchecked one-pass scores of a non-empty batch, with what
     ``_backward_hidden`` needs of the mlp's hidden layer (None for linear):
-    the ELU's branch ``Z > 0``, its negative part ``min(Z, 0)`` and the
-    activations ``U``."""
+    the ELU's negative part ``Z_neg = min(Z, 0)`` and the activations ``U``.
+    The ELU ``max(Z, -0.0) + alpha * expm1(Z_neg)`` needs no mask: its second
+    term is +0.0 where ``Z > 0``, and adding -0.0 changes no value."""
     if spec.kind == "linear":
         return X @ params, None
     W, b_h, v, b_out = _unpack_mlp(spec, params)
     Z = X @ W.T + b_h                     # (n, h)
-    pos = Z > 0
     Z_neg = np.minimum(Z, 0.0)
-    U = np.where(pos, Z, _elu_negative(Z_neg, spec.elu_alpha))   # ELU, (n, h)
-    return U @ v + b_out, (pos, Z_neg, U)
+    U = np.maximum(Z, -0.0, out=Z)
+    U += _elu_negative(Z_neg, spec.elu_alpha)   # ELU, (n, h)
+    return U @ v + b_out, (Z_neg, U)
 
 
 def _elu_in_place(Z: np.ndarray, bias, zero, neg_zero, alpha: float) -> None:
-    """``Z <- ELU(Z + bias)``, the bits of ``_forward_hidden``'s ELU with no mask.
+    """``Z <- ELU(Z + bias)``, ``_forward_hidden``'s ELU on a block of rows.
 
-    The ELU is ``max(Z, -0.0) + alpha * expm1(min(Z, 0.0))``: the second
-    term is +0.0 where ``Z > 0``, and -0.0 added to any value leaves it as it
-    is, so this equals ``where(Z > 0, Z, alpha * expm1(min(Z, 0)))`` bit for
-    bit. ``zero`` and ``neg_zero`` are 0.0 and -0.0, as scalars or as tiles
-    of Z's shape: numpy's minimum and maximum run about 3x faster on two
+    ``zero`` and ``neg_zero`` are 0.0 and -0.0, as scalars or as tiles of
+    Z's shape: numpy's minimum and maximum run about 3x faster on two
     contiguous arrays than on an array and a scalar.
     """
     Z += bias
@@ -165,24 +165,21 @@ def _score_mlp(spec: ModelSpec, params: np.ndarray, X: np.ndarray) -> np.ndarray
     one block's rows at a time, with bias, 0.0 and -0.0 tiles of one block's
     rows built once per call.
     """
-    W, b_h, v, b_out = _unpack_mlp(spec, params)
-    n, rows, W_T = X.shape[0], _block_rows(spec), W.T
+    n, rows = X.shape[0], _block_rows(spec)
     if not rows or n < 2 * rows:
-        Z = X @ W_T
-        _elu_in_place(Z, b_h, 0.0, -0.0, spec.elu_alpha)
-        out = Z @ v
-    else:
-        out = np.empty(n)
-        bias, zero = np.tile(b_h, (rows, 1)), np.zeros((rows, b_h.size))
-        neg_zero = -zero
-        last = n - n % rows - rows
-        for lo in range(0, last + 1, rows):
-            hi = n if lo == last else lo + rows
-            Z = X[lo:hi] @ W_T
-            for c in range(0, hi - lo, rows):
-                k = min(rows, hi - lo - c)
-                _elu_in_place(Z[c : c + k], bias[:k], zero[:k], neg_zero[:k], spec.elu_alpha)
-            out[lo:hi] = Z @ v
+        return _forward_hidden(spec, params, X)[0]
+    W, b_h, v, b_out = _unpack_mlp(spec, params)
+    W_T, out = W.T, np.empty(n)
+    bias, zero = np.tile(b_h, (rows, 1)), np.zeros((rows, b_h.size))
+    neg_zero = -zero
+    last = n - n % rows - rows
+    for lo in range(0, last + 1, rows):
+        hi = n if lo == last else lo + rows
+        Z = X[lo:hi] @ W_T
+        for c in range(0, hi - lo, rows):
+            k = min(rows, hi - lo - c)
+            _elu_in_place(Z[c : c + k], bias[:k], zero[:k], neg_zero[:k], spec.elu_alpha)
+        out[lo:hi] = Z @ v
     out += b_out
     return out
 
@@ -219,13 +216,12 @@ def _backward_hidden(spec: ModelSpec, params: np.ndarray, X: np.ndarray, coeffs:
     ``_forward_hidden`` returned for the same (pre-update) params."""
     if spec.kind == "linear":
         return X.T @ coeffs
-    pos, Z_neg, U = hidden
+    Z_neg, U = hidden
     h, d = spec.d_hidden, spec.d_in
     v = params[h * d + h : h * d + 2 * h]
-    slope = np.exp(Z_neg)                 # the ELU's slope alpha * exp(Z) for Z <= 0
-    if spec.elu_alpha != 1.0:
-        slope *= spec.elu_alpha
-    elu_grad = np.where(pos, 1.0, slope)
+    elu_grad = np.exp(Z_neg)              # exactly 1 where Z > 0, as Z_neg is 0 there
+    if spec.elu_alpha != 1.0:             # alpha * exp(Z) on Z <= 0, i.e. where U <= 0
+        elu_grad = np.where(U > 0, 1.0, spec.elu_alpha * elu_grad)
     G = coeffs[:, None] * elu_grad * v[None, :]  # d(sum)/dZ
     grad = np.empty(spec.n_params)
     grad[: h * d] = (G.T @ X).reshape(-1)

@@ -7,7 +7,8 @@ PESG step, per iteration on the primal block v = (w, a, b) and dual alpha:
     alpha  <- [alpha + eta * grad_alpha]_+        (projection optional)
 
 v_ref is refreshed at every learning-rate decay point with the running
-average of the primal iterates of the stage that just ended.
+average of the primal iterates of the stage that just ended; ``MinMaxState``
+holds v, v_ref and that running sum as float64 vectors.
 """
 
 from __future__ import annotations
@@ -97,27 +98,32 @@ class SgdConfig:
             raise ValidationError(f"batch_size must be >= 2, got {self.batch_size}")
 
 
-@dataclass
 class MinMaxState:
-    params: np.ndarray
-    aux: AuxVars
-    eta: float
-    ref_params: np.ndarray = None
-    ref_a: float = 0.0
-    ref_b: float = 0.0
-    sum_params: np.ndarray = None
-    sum_a: float = 0.0
-    sum_b: float = 0.0
-    stage_count: int = 0
-    n_decays: int = 0
+    """PESG's state: the primal block ``v = (w, a, b)``, a float64 copy of
+    ``params`` with ``aux.a`` and ``aux.b`` appended (``params`` is a view of
+    its w part); the dual ``alpha``, the step size, the reference ``v_ref``,
+    the stage's running sum ``v_sum`` and step count, and the decays so far."""
 
-    def __post_init__(self):
-        if self.ref_params is None:
-            self.ref_params = self.params.copy()
-            self.ref_a = self.aux.a
-            self.ref_b = self.aux.b
-        if self.sum_params is None:
-            self.sum_params = np.zeros_like(self.params)
+    def __init__(self, params: np.ndarray, aux: AuxVars, eta: float):
+        self.v = np.append(np.asarray(params, dtype=np.float64), (aux.a, aux.b))
+        self.alpha = float(aux.alpha)
+        self.eta = eta
+        self.v_ref = self.v.copy()
+        self.v_sum = np.zeros_like(self.v)
+        self.stage_count = 0
+        self.n_decays = 0
+
+    @property
+    def params(self) -> np.ndarray:
+        return self.v[:-2]
+
+    @property
+    def ref_params(self) -> np.ndarray:
+        return self.v_ref[:-2]
+
+    @property
+    def aux(self) -> AuxVars:
+        return AuxVars(a=float(self.v[-2]), b=float(self.v[-1]), alpha=self.alpha)
 
 
 @dataclass(frozen=True)
@@ -157,23 +163,14 @@ def _pesg_update(state: MinMaxState, model_grad: np.ndarray, grads: MinMaxGrads,
     """``pesg_step`` without the gradient checks: a non-finite gradient makes
     the updated params or aux non-finite, and both are checked, alpha before
     its projection (``max(0.0, nan)`` is 0.0)."""
-    eta = state.eta
-    w = state.params
-    w -= eta * (model_grad + cfg.gamma * (w - state.ref_params)) + cfg.weight_decay * eta * w
-    _require_finite("updated model parameters", w)
-
-    a, b = np.float64(state.aux.a), np.float64(state.aux.b)
-    a -= eta * (grads.g_a + cfg.gamma * (a - state.ref_a)) + cfg.weight_decay * eta * a
-    b -= eta * (grads.g_b + cfg.gamma * (b - state.ref_b)) + cfg.weight_decay * eta * b
-    alpha = np.float64(state.aux.alpha) + eta * grads.g_alpha
-    _require_finite_scalars("updated aux variables", a, b, alpha)
-    if cfg.project_alpha:
-        alpha = max(0.0, alpha)
-    state.aux = AuxVars(a=float(a), b=float(b), alpha=float(alpha))
-
-    state.sum_params += w
-    state.sum_a += a
-    state.sum_b += b
+    eta, v = state.eta, state.v
+    grad_v = np.concatenate((model_grad, (grads.g_a, grads.g_b)))
+    v -= eta * (grad_v + cfg.gamma * (v - state.v_ref)) + cfg.weight_decay * eta * v
+    _require_finite("updated model parameters", state.params)
+    alpha = state.alpha + eta * grads.g_alpha
+    _require_finite_scalars("updated aux variables", v[-2], v[-1], alpha)
+    state.alpha = float(max(0.0, alpha) if cfg.project_alpha else alpha)
+    state.v_sum += v
     state.stage_count += 1
     return state
 
@@ -187,12 +184,8 @@ def on_epoch_end(state: MinMaxState, epoch: int, cfg: PesgConfig) -> MinMaxState
     state.n_decays += 1
     state.eta = cfg.eta0 / cfg.decay_factor**state.n_decays
     if state.stage_count > 0:
-        state.ref_params = state.sum_params / state.stage_count
-        state.ref_a = state.sum_a / state.stage_count
-        state.ref_b = state.sum_b / state.stage_count
-    state.sum_params = np.zeros_like(state.params)
-    state.sum_a = 0.0
-    state.sum_b = 0.0
+        state.v_ref = state.v_sum / state.stage_count
+    state.v_sum = np.zeros_like(state.v)
     state.stage_count = 0
     return state
 
@@ -309,7 +302,6 @@ def pesg_train(
     """
     if surrogate.kind not in AUC_KINDS:
         raise ValidationError(f"pesg_train needs an AUC surrogate, got {surrogate.kind!r}")
-    params = np.array(params, dtype=np.float64, copy=True)
     state = MinMaxState(params=params, aux=AuxVars(), eta=cfg.eta0)
 
     def end_epoch(epoch):
@@ -317,10 +309,10 @@ def pesg_train(
         on_epoch_end(state, epoch, cfg)
         return aux, eta
 
-    records = _train_epochs(model_spec, params, data, _minmax_weights(data.y, surrogate.p),
+    records = _train_epochs(model_spec, state.params, data, _minmax_weights(data.y, surrogate.p),
                             epochs, batch_size, seed, test_data,
                             _pesg_rule(model_spec, state, surrogate, cfg), end_epoch)
-    return params, state.aux, records
+    return state.params, state.aux, records
 
 
 def sgd_train(

@@ -716,6 +716,47 @@ class TestCliCommands:
         assert re.search(r"numerical abort: auc_square, seed 1: epoch 1, iteration \d+: "
                          r"non-finite", capsys.readouterr().err)
 
+    @pytest.mark.parametrize("cell", ["nan", "1e400"])
+    def test_eval_names_the_line_of_a_non_finite_feature(self, tmp_path, toy_config, capsys,
+                                                         cell):
+        out = tmp_path / "out"
+        main(["train", "--config", str(toy_config), "--seed", "0", "--out", str(out)])
+        data = tmp_path / "nan.csv"
+        data.write_text(f"f0,f1,label\n0.5,1.0,1\n0.25,{cell},-1\n")
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(out / "smoke_auc_margin_s0.model"),
+                   "--data", str(data)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {data}:3: features must be finite\n"
+
+    @pytest.mark.parametrize("args, config", [
+        (["gen-data", "--seed", "-1"], None),
+        (["train"], "run.seeds = 3, -1\n"),
+    ], ids=["gen_data_seed_flag", "train_config_seeds"])
+    def test_negative_seed_is_a_validation_error(self, tmp_path, capsys, args, config):
+        if config is not None:
+            cfg = tmp_path / "neg.cfg"
+            cfg.write_text(config)
+            args = args + ["--config", str(cfg)]
+        rc = main(args + ["--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seeds must be >= 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("body, where, message", [
+        ("1,10,0.5,0.7,x,0.1,-0.1,0.0,0.1\n", ":2", "unparseable metrics value"),
+        ("", "", "no metrics rows"),
+    ], ids=["bad_cell", "no_rows"])
+    def test_plot_names_a_bad_metrics_file(self, tmp_path, capsys, body, where, message):
+        metrics = tmp_path / "m.csv"
+        metrics.write_text(records_to_csv([]) + body)
+        rc = main(["plot", "--out", str(tmp_path / "out"), str(metrics)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {metrics}{where}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_usage_error_exits_one(self, capsys):
         rc = main(["train", "--bogus-flag"])
         assert rc == 1

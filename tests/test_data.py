@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,15 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("x,y,target\n0.5,1.0,1\n")
         with pytest.raises(ValidationError):
+            load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "1e400", "-inf"])
+    def test_non_finite_feature_rejected_with_line(self, tmp_path, cell):
+        # the blank line still counts: the bad row is on line 4
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n0.5,1.0,1\n\n0.25,{cell},-1\n{cell},0.0,1\n")
+        message = f"^{re.escape(str(path))}:4: features must be finite$"
+        with pytest.raises(ValidationError, match=message):
             load_csv(path)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from aucmax.errors import ValidationError
 from aucmax.models import (
     ModelSpec,
+    _backward_hidden,
     _block_rows,
     _elu_in_place,
     _forward_hidden,
@@ -172,7 +173,7 @@ def test_eval_scorer_on_signed_zeros_and_extremes(elu_alpha, n):
     spec = ModelSpec("mlp", 1, 3, elu_alpha)
     X = np.resize(np.array(_SPECIAL_INPUTS), n)[:, None]
     with np.errstate(over="ignore"):    # 2 * 1e308
-        trained, (_, _, U) = _forward_hidden(spec, _SPECIAL_PARAMS, X)
+        trained, (_, U) = _forward_hidden(spec, _SPECIAL_PARAMS, X)
         scored = forward_batch(spec, _SPECIAL_PARAMS, X)
         W, b_h, _, _ = _unpack_mlp(spec, _SPECIAL_PARAMS)
         # the eval ELU, with scalar and with tile operands, gives the training
@@ -183,6 +184,47 @@ def test_eval_scorer_on_signed_zeros_and_extremes(elu_alpha, n):
             _elu_in_place(Z, *operands, elu_alpha)
             assert np.array_equal(Z.view(np.int64), U.view(np.int64))
     assert np.array_equal(trained.view(np.int64), scored.view(np.int64))
+
+
+def _masked_elu_pass(spec, params, X, coeffs):
+    """The training step's forward and backward pass with the ELU branch as
+    a mask, ``pos = Z > 0``: scores, activations and VJP."""
+    W, b_h, v, b_out = _unpack_mlp(spec, params)
+    Z = X @ W.T + b_h
+    pos = Z > 0
+    Z_neg = np.minimum(Z, 0.0)
+    E = np.expm1(Z_neg)
+    slope = np.exp(Z_neg)
+    if spec.elu_alpha != 1.0:
+        E *= spec.elu_alpha
+        slope *= spec.elu_alpha
+    U = np.where(pos, Z, E)
+    G = coeffs[:, None] * np.where(pos, 1.0, slope) * v[None, :]
+    grad = np.concatenate([(G.T @ X).reshape(-1), G.sum(axis=0), U.T @ coeffs, [coeffs.sum()]])
+    return U @ v + b_out, U, grad
+
+
+@settings(max_examples=150, deadline=None)
+@given(elu_alpha=st.sampled_from([1.0, 0.3, 2.5, 1e-300]), special=st.booleans(),
+       n=st.integers(1, 40), seed=st.integers(0, 2**16))
+def test_mask_free_elu_is_bitwise_the_masked_formulas(elu_alpha, special, n, seed):
+    # the special batch holds every one of _SPECIAL_INPUTS, then random picks of them
+    rng = np.random.default_rng(seed)
+    if special:
+        spec, params = ModelSpec("mlp", 1, 3, elu_alpha), _SPECIAL_PARAMS
+        X = np.concatenate([_SPECIAL_INPUTS, rng.choice(_SPECIAL_INPUTS, n)])[:, None]
+    else:
+        spec = ModelSpec("mlp", 3, 5, elu_alpha)
+        params = init_params(spec, seed, 2.0)
+        X = 2.0 * rng.normal(size=(n, 3))
+        X[rng.random(X.shape) < 0.1] = 0.0      # some pre-activations are exactly the bias
+    coeffs = rng.normal(size=len(X))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores, hidden = _forward_hidden(spec, params, X)
+        grad = _backward_hidden(spec, params, X, coeffs, hidden)
+        want = _masked_elu_pass(spec, params, X, coeffs)
+    for got, expected in zip((scores, hidden[1], grad), want):
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_block_rows_rule():

@@ -83,8 +83,8 @@ class TestPesgStep:
     def test_proximal_and_decay_terms(self):
         eta, gamma, lam = 0.1, 2.0, 0.5
         w0 = np.array([1.0])
-        state = MinMaxState(params=w0.copy(), aux=AuxVars(), eta=eta)
-        state.ref_params = np.array([0.5])
+        state = MinMaxState(params=w0, aux=AuxVars(), eta=eta)
+        state.ref_params[:] = 0.5
         cfg = PesgConfig(eta0=eta, gamma=gamma, weight_decay=lam)
         pesg_step(state, np.array([0.2]), _grads(), cfg)
         want = 1.0 - eta * (0.2 + gamma * (1.0 - 0.5)) - lam * eta * 1.0
@@ -94,7 +94,7 @@ class TestPesgStep:
         eta, gamma, lam = 0.1, 1.0, 0.3
         cfg = PesgConfig(eta0=eta, gamma=gamma, weight_decay=lam)
         state = MinMaxState(params=np.zeros(1), aux=AuxVars(a=1.0, b=-2.0), eta=eta)
-        state.ref_a, state.ref_b = 0.0, 0.5
+        state.v_ref[-2:] = 0.0, 0.5
         pesg_step(state, np.zeros(1), _grads(g_a=0.5, g_b=-0.25), cfg)
         assert state.aux.a == pytest.approx(1.0 - eta * (0.5 + gamma * (1.0 - 0.0)) - lam * eta * 1.0)
         assert state.aux.b == pytest.approx(
@@ -124,25 +124,24 @@ class TestEpochEnd:
     def test_decay_factor_ten(self):
         cfg = PesgConfig(eta0=0.1, decay_epochs=(50, 75), decay_factor=10.0)
         state = MinMaxState(params=np.ones(1), aux=AuxVars(), eta=0.1)
-        state.sum_params = np.ones(1)
+        state.v_sum[:] = 1.0
         state.stage_count = 1
         on_epoch_end(state, 50, cfg)
         assert state.eta == 0.1 / 10.0
+        assert np.array_equal(state.v_ref, [1.0, 1.0, 1.0])
         on_epoch_end(state, 75, cfg)
         assert state.eta == 0.1 / 10.0**2
+        assert np.array_equal(state.v_ref, [1.0, 1.0, 1.0])    # an empty stage keeps it
 
     def test_vref_is_stage_average_of_constant(self):
         cfg = PesgConfig(eta0=0.1, decay_epochs=(3,))
         state = MinMaxState(params=np.array([2.0]), aux=AuxVars(a=1.0, b=-1.0), eta=0.1)
         for _ in range(7):
-            state.sum_params += np.array([2.0])
-            state.sum_a += 1.0
-            state.sum_b += -1.0
+            state.v_sum += np.array([2.0, 1.0, -1.0])
             state.stage_count += 1
         on_epoch_end(state, 3, cfg)
         assert state.ref_params[0] == pytest.approx(2.0)
-        assert state.ref_a == pytest.approx(1.0)
-        assert state.ref_b == pytest.approx(-1.0)
+        assert state.v_ref[-2:] == pytest.approx([1.0, -1.0])
         assert state.stage_count == 0
 
     def test_empty_stage_keeps_old_reference(self):
@@ -157,6 +156,80 @@ class TestEpochEnd:
             PesgConfig(decay_epochs=(10, 10))
         with pytest.raises(ValidationError):
             PesgConfig(decay_epochs=(20, 10))
+
+
+class _ThreeCopyPesg:
+    """PESG with w, a and b kept as three parallel copies: each updated,
+    summed into its stage sum and averaged into its reference on its own."""
+
+    def __init__(self, params, aux, eta):
+        self.w, self.a, self.b, self.alpha, self.eta = params.copy(), aux.a, aux.b, aux.alpha, eta
+        self.ref_w, self.ref_a, self.ref_b = params.copy(), aux.a, aux.b
+        self.sum_w, self.sum_a, self.sum_b = np.zeros_like(params), 0.0, 0.0
+        self.stage_count = self.n_decays = 0
+
+    def step(self, model_grad, grads, cfg):
+        eta, w = self.eta, self.w
+        w -= eta * (model_grad + cfg.gamma * (w - self.ref_w)) + cfg.weight_decay * eta * w
+        a, b = np.float64(self.a), np.float64(self.b)
+        a -= eta * (grads.g_a + cfg.gamma * (a - self.ref_a)) + cfg.weight_decay * eta * a
+        b -= eta * (grads.g_b + cfg.gamma * (b - self.ref_b)) + cfg.weight_decay * eta * b
+        alpha = np.float64(self.alpha) + eta * grads.g_alpha
+        if cfg.project_alpha:
+            alpha = max(0.0, alpha)
+        self.a, self.b, self.alpha = float(a), float(b), float(alpha)
+        self.sum_w += w
+        self.sum_a += a
+        self.sum_b += b
+        self.stage_count += 1
+
+    def epoch_end(self, epoch, cfg):
+        if epoch not in cfg.decay_epochs:
+            return
+        self.n_decays += 1
+        self.eta = cfg.eta0 / cfg.decay_factor**self.n_decays
+        if self.stage_count > 0:
+            self.ref_w = self.sum_w / self.stage_count
+            self.ref_a = self.sum_a / self.stage_count
+            self.ref_b = self.sum_b / self.stage_count
+        self.sum_w, self.sum_a, self.sum_b = np.zeros_like(self.w), 0.0, 0.0
+        self.stage_count = 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 6), gamma=st.floats(0.0, 3.0),
+       weight_decay=st.sampled_from([0.0, 1e-4, 1e-2]), project=st.booleans(),
+       decay_epochs=st.sets(st.integers(1, 6), max_size=3),
+       steps=st.lists(st.integers(0, 5), min_size=1, max_size=6), seed=st.integers(0, 2**16))
+def test_pesg_on_the_primal_vector_is_bitwise_three_copies(n, gamma, weight_decay, project,
+                                                           decay_epochs, steps, seed):
+    rng = np.random.default_rng(seed)
+    cfg = PesgConfig(eta0=rng.uniform(0.01, 1.0), gamma=gamma, weight_decay=weight_decay,
+                     decay_epochs=tuple(sorted(decay_epochs)), decay_factor=rng.uniform(1.5, 10),
+                     project_alpha=project)
+    params, aux = rng.normal(size=n), AuxVars(*rng.normal(size=3))
+    state = MinMaxState(params=params, aux=aux, eta=cfg.eta0)
+    mirror = _ThreeCopyPesg(params, aux, cfg.eta0)
+    assert not np.shares_memory(state.params, params)     # the state trains a copy
+
+    def same():
+        got = _bits(state.params, state.aux.a, state.aux.b, state.aux.alpha, state.eta,
+                    state.v_ref, state.v_sum, state.stage_count)
+        want = _bits(mirror.w, mirror.a, mirror.b, mirror.alpha, mirror.eta, mirror.ref_w,
+                     mirror.ref_a, mirror.ref_b, mirror.sum_w, mirror.sum_a, mirror.sum_b,
+                     mirror.stage_count)
+        return np.array_equal(got, want)
+
+    for epoch, n_steps in enumerate(steps, start=1):
+        for _ in range(n_steps):
+            model_grad = rng.normal(size=n) * 10.0 ** rng.integers(-3, 3)
+            grads = _grads(g_a=rng.normal(), g_b=rng.normal(), g_alpha=rng.normal())
+            pesg_step(state, model_grad, grads, cfg)
+            mirror.step(model_grad, grads, cfg)
+            assert same()
+        on_epoch_end(state, epoch, cfg)
+        mirror.epoch_end(epoch, cfg)
+        assert same()
 
 
 _FUSED_SPECS = [ModelSpec("linear", 3), ModelSpec("mlp", 3, 5, 1.0), ModelSpec("mlp", 2, 8, 0.3)]
@@ -185,9 +258,11 @@ def test_fused_pesg_step_is_bitwise_the_public_chain(spec, n, classes, kind, bsn
     cfg = PesgConfig(eta0=0.1, gamma=rng.uniform(0, 2), weight_decay=1e-3, project_alpha=project)
     aux = AuxVars(*rng.normal(size=3))
     ref = rng.normal(size=params.size)
-    pub, fused = (MinMaxState(params=params.copy(), aux=aux, eta=rng.uniform(0.01, 0.5),
-                              ref_params=ref.copy(), ref_a=0.2, ref_b=-0.1) for _ in range(2))
+    pub, fused = (MinMaxState(params=params, aux=aux, eta=rng.uniform(0.01, 0.5))
+                  for _ in range(2))
     fused.eta = pub.eta
+    for state in (pub, fused):
+        state.v_ref[:] = np.append(ref, (0.2, -0.1))
 
     raw = forward_batch(spec, pub.params, X)
     scores = batch_score_normalize(raw) if bsn else raw
@@ -201,8 +276,7 @@ def test_fused_pesg_step_is_bitwise_the_public_chain(spec, n, classes, kind, bsn
     assert np.array_equal(
         _bits(fused.params, fused.aux.a, fused.aux.b, fused.aux.alpha, loss),
         _bits(pub.params, pub.aux.a, pub.aux.b, pub.aux.alpha, g.value))
-    assert np.array_equal(_bits(fused.sum_params, fused.sum_a, fused.sum_b),
-                          _bits(pub.sum_params, pub.sum_a, pub.sum_b))
+    assert np.array_equal(_bits(fused.v_sum), _bits(pub.v_sum))
 
 
 @settings(max_examples=100, deadline=None)
