@@ -213,10 +213,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_plot(args) -> int:
     config = _config(args)
-    records = {}
+    paths = {}
     for path in args.metrics:
         label = os.path.splitext(os.path.basename(path))[0]
-        records[label] = read_metrics_csv(path)
+        if label in paths:
+            raise ValidationError(f"{paths[label]} and {path} would draw one curve, "
+                                  f"both labelled {label!r}: rename one")
+        paths[label] = path
+    records = {label: read_metrics_csv(path) for label, path in paths.items()}
     svg = emit_plot(records, config.plot_kind)
     print(f"wrote {_write_text(args.out, f'{config.scenario.name}_{config.plot_kind}.svg', svg)}")
     return 0

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 import statistics
+import time
 from dataclasses import dataclass, field, replace
 from itertools import starmap
 
@@ -185,54 +186,22 @@ def _usable_cpus() -> int:
         return 1
 
 
-class _Tasks:
-    """Runs lists of independent tasks for one scenario, each list in order.
-
-    A list of one task runs in this process. A longer one runs in a fork pool
-    of min(``max_jobs``, CPUs) worker processes when ``_usable_cpus`` allows
-    more than one; the pool is forked at the first such list, so that it is
-    forked once, from a single-threaded process, and later lists share it.
-    Leaving the ``with`` block shuts the pool down and joins its workers.
-    """
-
-    def __init__(self, max_jobs: int):
-        self._max_jobs = max_jobs
-        self._pool = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-
-    def in_order(self, task, jobs: list[tuple]) -> tuple[list, Exception | None]:
-        """``task(*job)`` for every job: the results in job order up to the
-        first job that raised, and that job's exception (None when none
-        raised); the later jobs that have not started are cancelled. On either
-        path these are the results and the error of running the jobs one
-        after another."""
-        if len(jobs) > 1 and self._pool is None:
-            workers = min(self._max_jobs, _usable_cpus())
-            if workers > 1:
-                import multiprocessing
-                from concurrent.futures import ProcessPoolExecutor
-
-                # fork, not spawn: a spawned worker imports numpy and aucmax
-                # afresh, which takes longer than a benchmark cell. From
-                # Python 3.11 the pool forks every worker before it starts
-                # its own threads.
-                self._pool = ProcessPoolExecutor(
-                    workers, mp_context=multiprocessing.get_context("fork"))
-        pooled = len(jobs) > 1 and self._pool is not None
-        calls = self._pool.map(task, *zip(*jobs)) if pooled else starmap(task, jobs)
-        results = []
-        try:
-            for result in calls:
-                results.append(result)
-        except Exception as exc:
-            return results, exc
-        return results, None
+def _in_order(pool, task, jobs: list[tuple]) -> tuple[list, Exception | None]:
+    """``task(*job)`` for every job: the results in job order up to the first
+    job that raised, and that job's exception (None when none raised); the
+    later jobs that have not started are cancelled. A list of more than one
+    job runs in ``pool`` when there is one, else every job runs in this
+    process; either way these are the results and the error of running the
+    jobs one after another."""
+    pooled = pool is not None and len(jobs) > 1
+    calls = pool.map(task, *zip(*jobs)) if pooled else starmap(task, jobs)
+    results = []
+    try:
+        for result in calls:
+            results.append(result)
+    except Exception as exc:
+        return results, exc
+    return results, None
 
 
 @dataclass
@@ -289,19 +258,40 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioSummary:
     from the same params (the warm start's CE model when there is one) and sees
     the same batch order.
 
-    The seeds' starts, then the (seed, loss) runs, are independent tasks that
-    run in parallel over the usable CPUs of a single-threaded process
-    (``_Tasks``). The cells, and the error raised if a task fails, are those
-    of training seed by seed and loss by loss: a failed start stops its seed
-    and every later one.
+    The seeds' starts, then the (seed, loss) runs, are independent tasks. In a
+    single-threaded process with more than one usable CPU, each list of more
+    than one task runs in one fork pool of min(tasks, CPUs) workers, built at
+    entry and forked at the first such list; the pool and its threads are gone
+    when this returns, so the next scenario may fork again. The cells, and the
+    error raised if a task fails, are those of training seed by seed and loss
+    by loss: a failed start stops its seed and every later one.
     """
     if not cfg.losses:
         raise ValidationError("scenario has no losses to run")
-    with _Tasks(len(cfg.seeds) * len(cfg.losses)) as tasks:
-        starts, start_error = tasks.in_order(_seed_start, [(cfg, seed) for seed in cfg.seeds])
-        cells, train_error = tasks.in_order(_train_loss, [(cfg, setting, start)
-                                                          for start in starts
-                                                          for setting in cfg.losses])
+    workers = min(len(cfg.seeds) * len(cfg.losses), _usable_cpus())
+    pool = None
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: a spawned worker imports numpy and aucmax afresh,
+        # which takes longer than a benchmark cell. Building the pool forks
+        # nothing; from Python 3.11 it forks every worker at its first task,
+        # before it starts its own threads.
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        starts, start_error = _in_order(pool, _seed_start, [(cfg, seed) for seed in cfg.seeds])
+        cells, train_error = _in_order(pool, _train_loss, [(cfg, setting, start)
+                                                           for start in starts
+                                                           for setting in cfg.losses])
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+            # A joined thread may stay listed for a moment; a process that
+            # still lists it would run the next scenario without a pool.
+            deadline = time.monotonic() + 1.0
+            while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+                time.sleep(1e-4)
     error = train_error or start_error
     if error is not None:
         raise error

@@ -78,7 +78,11 @@ def auc_score(scores, labels, tie_policy: str = "half") -> AucResult:
 
 
 def accuracy(scores, labels, threshold: float = 0.5) -> float:
-    """Fraction of samples on the label's side of the threshold (ties count positive)."""
+    """Fraction of samples on the label's side of the threshold (ties count
+    positive). A NaN threshold, which no score reaches, is rejected; an
+    infinite one calls every sample negative (+inf) or positive (-inf)."""
+    if np.isnan(threshold):
+        raise ValidationError("accuracy threshold must not be NaN")
     s, y, _, _ = _as_scored(scores, labels)
     if s.size == 0:
         raise ValidationError("accuracy of an empty sample set is undefined")

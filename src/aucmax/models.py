@@ -143,7 +143,7 @@ def _forward_hidden(spec: ModelSpec, params: np.ndarray, X: np.ndarray):
 
 
 def _elu_in_place(Z: np.ndarray, bias, zero, neg_zero, alpha: float) -> None:
-    """``Z <- ELU(Z + bias)``, ``_forward_hidden``'s ELU on a block of rows.
+    """``Z <- ELU(Z + bias)``, ``_forward_hidden``'s ELU on a batch or block.
 
     ``zero`` and ``neg_zero`` are 0.0 and -0.0, as scalars or as tiles of
     Z's shape: numpy's minimum and maximum run about 3x faster on two
@@ -163,12 +163,15 @@ def _score_mlp(spec: ModelSpec, params: np.ndarray, X: np.ndarray) -> np.ndarray
     A batch of at least two blocks (``_block_rows``) is scored block by
     block, the last block taking the remainder. There the ELU runs on at most
     one block's rows at a time, with bias, 0.0 and -0.0 tiles of one block's
-    rows built once per call.
+    rows built once per call. A smaller batch, or any batch of a layer too
+    wide to block, is scored in one pass with scalar operands.
     """
     n, rows = X.shape[0], _block_rows(spec)
-    if not rows or n < 2 * rows:
-        return _forward_hidden(spec, params, X)[0]
     W, b_h, v, b_out = _unpack_mlp(spec, params)
+    if not rows or n < 2 * rows:
+        Z = X @ W.T
+        _elu_in_place(Z, b_h, 0.0, -0.0, spec.elu_alpha)
+        return Z @ v + b_out
     W_T, out = W.T, np.empty(n)
     bias, zero = np.tile(b_h, (rows, 1)), np.zeros((rows, b_h.size))
     neg_zero = -zero

@@ -31,7 +31,7 @@ from aucmax.experiments import (
 )
 from aucmax.losses import SurrogateSpec
 from aucmax.models import ModelSpec, init_params, load_model, save_model
-from aucmax.optimizer import PesgConfig, SgdConfig, pesg_train, sgd_train
+from aucmax.optimizer import PesgConfig, RunRecord, SgdConfig, pesg_train, sgd_train
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
 README_EXAMPLE = README.split("errors. Example:\n\n```\n")[1].split("```")[0]
@@ -466,6 +466,16 @@ class TestCliCommands:
         text = capsys.readouterr().out
         assert "auc=" in text and "accuracy@0.5=" in text
 
+    def test_eval_rejects_a_nan_threshold(self, tmp_path, toy_config, capsys):
+        out = tmp_path / "out"
+        main(["train", "--config", str(toy_config), "--seed", "0", "--out", str(out)])
+        main(["gen-data", "--config", str(toy_config), "--seed", "0", "--out", str(out)])
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(out / "smoke_auc_margin_s0.model"),
+                   "--data", str(out / "smoke_s0.csv"), "--threshold", "nan"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: accuracy threshold must not be NaN\n")
+
     def test_eval_names_a_one_class_data_file(self, tmp_path, toy_config, capsys):
         out = tmp_path / "out"
         main(["train", "--config", str(toy_config), "--seed", "0", "--out", str(out)])
@@ -755,6 +765,19 @@ class TestCliCommands:
         rc = main(["plot", "--out", str(tmp_path / "out"), str(metrics)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {metrics}{where}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_plot_rejects_two_files_of_one_label(self, tmp_path, capsys):
+        a, b = tmp_path / "a" / "run_s0.csv", tmp_path / "b" / "run_s0.csv"
+        for path in (a, b):
+            path.parent.mkdir()
+            path.write_text(records_to_csv([RunRecord(1, 10, 0.5, 0.7, 0.8, 0.1, -0.1,
+                                                      0.0, 0.1)]))
+        rc = main(["plot", "--out", str(tmp_path / "out"), str(a), str(b)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(a) in err and str(b) in err
+        assert "'run_s0'" in err
         assert not (tmp_path / "out").exists()
 
     def test_usage_error_exits_one(self, capsys):

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from importlib import resources
 
@@ -280,10 +282,30 @@ def _fails_at(job):
 
 
 def _two_lists_in_order():
-    with aucmax.experiments._Tasks(5) as tasks:
-        results, error = tasks.in_order(_fails_at, [(j,) for j in range(5)])
-        again = tasks.in_order(_fails_at, [(0,), (2,)])
+    # both lists share one pool, as in run_scenario, when this process may fork one
+    pool = None
+    if aucmax.experiments._usable_cpus() > 1:
+        pool = ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork"))
+    try:
+        results, error = aucmax.experiments._in_order(pool, _fails_at, [(j,) for j in range(5)])
+        again = aucmax.experiments._in_order(pool, _fails_at, [(0,), (2,)])
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return [results, type(error).__name__, str(error), *again]
+
+
+def _back_to_back(calls):
+    """``calls`` run_scenario calls, alternately of one seed and of two: for
+    each, whether it forked and how many threads were listed as it returned."""
+    forks = []
+    os.register_at_fork(after_in_parent=lambda: forks.append(1))
+    lifecycle = []
+    for call in range(calls):
+        before = len(forks)
+        run_scenario(_fast_scenario(seeds=(0, 1)[: 1 + call % 2]))
+        lifecycle.append([len(forks) > before, len(os.listdir("/proc/self/task"))])
+    return lifecycle
 
 
 def _needs_two_cpus():
@@ -333,6 +355,11 @@ class TestParallelRuns:
     def test_in_order_returns_the_results_before_the_first_failure(self, run):
         # the second list shares the pool the first forked
         assert run("_two_lists_in_order") == [[0], "ValueError", "job 1", [0, 20], None]
+
+    def test_every_call_forks_and_returns_single_threaded(self):
+        # a thread the last pool left listed would keep the next call in process
+        _needs_two_cpus()
+        assert _pooled("_back_to_back", 20) == [[True, 1]] * 20
 
     def test_a_threaded_process_forks_no_pool(self):
         stop = threading.Event()

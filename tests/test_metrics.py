@@ -193,6 +193,12 @@ class TestAccuracy:
         assert accuracy([0.5], [1], 0.5) == 1.0
         assert accuracy([0.5], [-1], 0.5) == 0.0
 
+    def test_nan_threshold_rejected_infinities_allowed(self):
+        with pytest.raises(ValidationError, match="threshold must not be NaN"):
+            accuracy([0.9, 0.1], [1, -1], float("nan"))
+        assert accuracy([0.9, 0.1], [1, 1], -np.inf) == 1.0
+        assert accuracy([0.9, 0.1], [1, 1], np.inf) == 0.0
+
     def test_reflection_symmetry(self):
         rng = np.random.default_rng(3)
         scores = rng.uniform(0, 1, 40)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,7 +116,8 @@ def test_forward_batch_empty():
 @settings(max_examples=60, deadline=None)
 @given(
     d_in=st.integers(1, 5),
-    d_hidden=st.one_of(st.sampled_from([1, 17, 33, 64]), st.integers(1, 64)),
+    # 300: a layer too wide to block, scored in one pass at every batch size
+    d_hidden=st.one_of(st.sampled_from([1, 17, 33, 64, 300]), st.integers(1, 64)),
     elu_alpha=st.sampled_from([1.0, 0.3, 2.5]),
     blocks=st.integers(0, 5),
     extra=st.sampled_from([-1, 0, 1, 3]),
@@ -125,10 +127,10 @@ def test_blockwise_forward_batch_is_bitwise_one_pass(d_in, d_hidden, elu_alpha, 
                                                     extra, seed):
     spec = ModelSpec("mlp", d_in, d_hidden, elu_alpha)
     rows = _block_rows(spec)
-    assert rows * d_hidden <= 8192 < 2 * rows * d_hidden
+    assert rows * d_hidden <= 8192 < 2 * rows * d_hidden or (rows, d_hidden) == (0, 300)
     rng = np.random.default_rng(seed)
     params = init_params(spec, seed, 2.0)
-    X = 2.0 * rng.normal(size=(max(0, blocks * rows + extra), d_in))
+    X = 2.0 * rng.normal(size=(max(0, blocks * (rows or 64) + extra), d_in))
     W, b_h, v, b_out = _unpack_mlp(spec, params)
     Z = X @ W.T + b_h
     one_pass = np.where(Z > 0, Z, elu_alpha * np.expm1(np.minimum(Z, 0.0))) @ v + b_out
@@ -157,6 +159,23 @@ def test_training_forward_is_bitwise_the_eval_scorer(d_in, d_hidden, elu_alpha, 
     X[rng.random(X.shape) < 0.1] = 0.0      # some pre-activations are exactly the bias
     trained = _forward_hidden(spec, params, X)[0]
     assert np.array_equal(trained.view(np.int64), forward_batch(spec, params, X).view(np.int64))
+
+
+# both scored in one pass: a layer too wide to block, a batch under two blocks
+@pytest.mark.parametrize("d_hidden, n", [(300, 2000), (8, 2047)])
+def test_eval_scorer_keeps_no_backward_array(d_hidden, n):
+    # at the peak, Z and the ELU's negative branch; not also min(Z, 0) for a VJP
+    spec = ModelSpec("mlp", 3, d_hidden, 1.0)
+    params = init_params(spec, 0, 1.0)
+    X = np.random.default_rng(0).normal(size=(n, 3))
+    forward_batch(spec, params, X)
+    tracemalloc.start()
+    try:
+        forward_batch(spec, params, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * d_hidden * 8
 
 
 _SPECIAL_INPUTS = [-0.0, 0.0, 5e-324, -5e-324, -1e-300, 3e-320, 1.0, -1.0, 0.5, -2.0,

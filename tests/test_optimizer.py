@@ -544,13 +544,26 @@ class TestTwoStage:
             two_stage_train(ModelSpec("linear", 2), train, stage1, spec, PesgConfig(),
                             stage2_epochs=1, stage2_batch_size=64, seed=0)
 
-    def test_script_prints_the_library_numbers(self, monkeypatch, capsys):
+    @staticmethod
+    def _script_main(monkeypatch, *argv):
+        """``scripts/run_two_stage.py``'s ``main`` run with the arguments ``argv``."""
         path = Path(__file__).parents[1] / "scripts" / "run_two_stage.py"
         module_spec = importlib.util.spec_from_file_location("run_two_stage", path)
         script = importlib.util.module_from_spec(module_spec)
         module_spec.loader.exec_module(script)
-        monkeypatch.setattr(sys, "argv", [str(path), "--seeds", "1"])
+        monkeypatch.setattr(sys, "argv", [str(path), *argv])
         script.main()
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_script_rejects_fewer_than_one_seed(self, monkeypatch, capsys, seeds):
+        with pytest.raises(SystemExit) as exit_info:
+            self._script_main(monkeypatch, "--seeds", seeds)
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"--seeds must be at least 1, got {seeds}" in err
+
+    def test_script_prints_the_library_numbers(self, monkeypatch, capsys):
+        self._script_main(monkeypatch, "--seeds", "1")
         row = capsys.readouterr().out.splitlines()[1]
 
         proto = two_stage_protocol()
