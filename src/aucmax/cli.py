@@ -20,7 +20,6 @@ import sys
 from dataclasses import replace
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import Config, format_config, load_config, parse_config
@@ -115,6 +114,8 @@ def _write_run(out: str, command: str, config: Config, summaries, svgs) -> None:
     ``name -> SVG text``, and ``<run.name>_manifest.cfg``, the config that
     ran, seeds included and no output path, so runs into different
     directories write the same bytes."""
+    import scipy
+
     manifest = (f"# aucmax {command}; aucmax {__version__}, numpy {np.__version__}, "
                 f"scipy {scipy.__version__}, BLAS {_blas()}\n" + format_config(config))
     for summary in summaries:

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .data import GaussianToySpec, imbalanced_keep_count
-from .errors import ValidationError
+from .errors import ValidationError, read_text
 from .losses import SurrogateSpec
 from .models import ModelSpec
 from .optimizer import PesgConfig, SgdConfig
@@ -318,8 +318,7 @@ def parse_config(text: str, source: str = "<config>") -> Config:
 
 
 def load_config(path) -> Config:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), source=str(path))
+    return parse_config(read_text(path, "utf-8"), source=str(path))
 
 
 def _packaged_scenario(name: str, seeds) -> ScenarioConfig:

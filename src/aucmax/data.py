@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, read_text
 
 __all__ = [
     "Dataset",
@@ -105,6 +105,10 @@ class GaussianToySpec:
             raise ValidationError("need at least one sample per class")
         if not 0 < self.cov_scale < math.inf:
             raise ValidationError(f"cov_scale must be finite and > 0, got {self.cov_scale}")
+        for name in ("mean_pos", "mean_neg"):
+            mean = getattr(self, name)
+            if np.shape(mean) != (2,) or not np.isfinite(mean).all():
+                raise ValidationError(f"{name} must be two finite numbers, got {mean}")
 
 
 def gen_gaussian_toy(spec: GaussianToySpec) -> Dataset:
@@ -232,8 +236,7 @@ def save_csv(data: Dataset, path) -> None:
 
 
 def load_csv(path) -> Dataset:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path, "ascii").splitlines()
     if not lines:
         raise ValidationError(f"{path}: empty file")
     header = lines[0].split(",")

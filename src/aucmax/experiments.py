@@ -42,7 +42,7 @@ from .data import (
     load_csv,
     make_imbalanced,
 )
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, read_text
 from .losses import AUC_KINDS, SurrogateSpec
 from .metrics import auc_score
 from .models import ModelSpec, forward_batch, init_params, save_model
@@ -268,7 +268,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioSummary:
     """
     if not cfg.losses:
         raise ValidationError("scenario has no losses to run")
-    workers = min(len(cfg.seeds) * len(cfg.losses), _usable_cpus())
+    tasks = len(cfg.seeds) * len(cfg.losses)
+    workers = min(tasks, _usable_cpus())
+    if workers > 1:
+        # The pointwise losses' scipy.special, loaded once here rather than
+        # in every worker. Its own OpenBLAS may start a thread, so count again.
+        import scipy.special  # noqa: F401
+
+        workers = min(tasks, _usable_cpus())
     pool = None
     if workers > 1:
         import multiprocessing
@@ -312,8 +319,7 @@ def records_to_csv(records: list[RunRecord]) -> str:
 
 
 def read_metrics_csv(path) -> list[RunRecord]:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path, "ascii").splitlines()
     if not lines or lines[0] != METRICS_HEADER:
         raise ValidationError(f"{path}: missing metrics header")
     records = []

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ValidationError
 
@@ -287,6 +286,9 @@ def cross_entropy_loss_and_coeffs(scores, labels) -> tuple[float, np.ndarray]:
 
 
 def _cross_entropy(s, y) -> tuple[float, np.ndarray]:
+    # imported here, so that a run with no pointwise loss never loads scipy
+    from scipy.special import expit
+
     n = s.size
     neg_y = -y
     margin = neg_y * s
@@ -302,6 +304,8 @@ def focal_loss_and_coeffs(scores, labels, alpha_hat: float, gamma_hat: float) ->
 
 
 def _focal(s, y, alpha_hat: float, gamma_hat: float) -> tuple[float, np.ndarray]:
+    from scipy.special import expit
+
     n = s.size
     t = y * s
     one_minus_pt = expit(-t)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, read_text
 
 __all__ = [
     "ModelSpec",
@@ -282,8 +282,7 @@ def save_model(path, spec: ModelSpec, params: np.ndarray) -> None:
 
 
 def load_model(path) -> tuple[ModelSpec, np.ndarray]:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh.read().splitlines()]
+    lines = [ln.strip() for ln in read_text(path, "ascii").splitlines()]
     if len(lines) < 2:
         raise ValidationError(f"{path}: truncated model file")
     head = lines[0].split()

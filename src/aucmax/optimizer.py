@@ -76,6 +76,9 @@ class PesgConfig:
             raise ValidationError(f"decay_factor must be finite and > 1, got {self.decay_factor}")
         if list(self.decay_epochs) != sorted(set(self.decay_epochs)):
             raise ValidationError("decay_epochs must be strictly increasing")
+        if self.decay_epochs and self.decay_epochs[0] < 1:
+            raise ValidationError(f"decay_epochs must be >= 1 (epochs count from 1), got "
+                                  f"{self.decay_epochs[0]}")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -150,6 +151,7 @@ class TestConfigParsing:
         "loss.kind = auc_margin, auc_margin", "loss.kind = ,", "train.warm_start_epochs = -1",
         "run.seeds = 0, 0",
         "ablate.kind = bogus", "plot.kind = loss_vs_epoch",
+        "data.mean_pos = nan, 1", "data.mean_neg = -1, inf", "optim.decay_epochs = 0, 3",
     ])
     def test_bad_settings_rejected(self, text):
         with pytest.raises(ValidationError, match="run.cfg"):
@@ -522,6 +524,30 @@ class TestCliCommands:
         _assert_same_files(first, second)
         assert len(list(first.glob("*_s0.model"))) == (2 if source == "noise_robustness" else 1)
 
+    @pytest.mark.parametrize("warm_start_epochs, loads", [(0, False), (2, True)])
+    def test_only_a_pointwise_loss_loads_scipy_special(self, tmp_path, warm_start_epochs,
+                                                       loads):
+        # the README's gen-data, train and eval in a fresh interpreter; a warm
+        # start trains cross-entropy, whose sigmoid is scipy.special's
+        config = tmp_path / "demo.cfg"
+        config.write_text(README_EXAMPLE + f"train.warm_start_epochs = {warm_start_epochs}\n")
+        code = ("import sys\n"
+                "from aucmax.cli import main\n"
+                "config, out = sys.argv[1:]\n"
+                "for argv in (['gen-data', '--config', config, '--seed', '0', '--out', out],\n"
+                "             ['train', '--config', config, '--seed', '0', '--out', out],\n"
+                "             ['eval', '--model', out + '/demo_auc_margin_s0.model',\n"
+                "              '--data', out + '/demo_s0.csv']):\n"
+                "    assert main(argv) == 0\n"
+                "print('scipy.special' in sys.modules)\n")
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path / "out")],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == str(loads)
+
     def test_ablate_writes_a_manifest_that_reruns_it(self, tmp_path, capsys):
         cfg = tmp_path / "ab.cfg"
         cfg.write_text("run.name = ab\ndata.n_pos = 30\ndata.n_neg = 30\n"
@@ -688,6 +714,28 @@ class TestCliCommands:
         rc = main(["train", "--config", str(bad), "--out", str(tmp_path)])
         assert rc == 1
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reader", ["config", "data", "model", "metrics"])
+    def test_undecodable_bytes_exit_one(self, tmp_path, toy_config, capsys, reader):
+        out = tmp_path / "out"
+        for command in ("train", "gen-data"):
+            assert main([command, "--config", str(toy_config), "--seed", "0",
+                         "--out", str(out)]) == 0
+        data, model = out / "smoke_s0.csv", out / "smoke_auc_margin_s0.model"
+        bad, argv = {
+            "config": (toy_config, ["train", "--config", str(toy_config), "--out", str(out)]),
+            "data": (data, ["eval", "--model", str(model), "--data", str(data)]),
+            "model": (model, ["eval", "--model", str(model), "--data", str(data)]),
+            "metrics": (out / "smoke_auc_margin_s0.csv",
+                        ["plot", "--out", str(out), str(out / "smoke_auc_margin_s0.csv")]),
+        }[reader]
+        size = bad.stat().st_size
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        capsys.readouterr()
+        assert main(argv) == 1
+        encoding = "utf-8" if reader == "config" else "ascii"
+        assert capsys.readouterr() == (
+            "", f"error: {bad}: not {encoding} text: byte 0xff at offset {size}\n")
 
     def test_eval_missing_model_exits_one(self, tmp_path, capsys):
         rc = main(["eval", "--model", str(tmp_path / "nope.model"),

@@ -43,6 +43,12 @@ class TestGaussianToy:
         scores = data.X @ np.array([1.0, 1.0])
         assert auc_score(scores, data.y).auc >= 0.999
 
+    @pytest.mark.parametrize("mean", [(np.nan, 1.0), (1.0, -np.inf), (1.0,), (1.0, 2.0, 3.0)])
+    @pytest.mark.parametrize("name", ["mean_pos", "mean_neg"])
+    def test_mean_must_be_two_finite_numbers(self, name, mean):
+        with pytest.raises(ValidationError, match=f"{name} must be two finite numbers"):
+            GaussianToySpec(**{name: mean})
+
 
 class TestMakeImbalanced:
     def test_noop_when_ratio_equals_prior(self):

@@ -308,6 +308,16 @@ def _back_to_back(calls):
     return lifecycle
 
 
+def _fork_states():
+    """For each fork of a two-seed run_scenario: whether scipy.special was
+    loaded and how many threads were listed just before it."""
+    states = []
+    os.register_at_fork(before=lambda: states.append(
+        ["scipy.special" in sys.modules, len(os.listdir("/proc/self/task"))]))
+    run_scenario(_fast_scenario(seeds=(0, 1)))
+    return states
+
+
 def _needs_two_cpus():
     if _CPUS < 2:
         pytest.skip("a worker pool needs two usable CPUs")
@@ -360,6 +370,13 @@ class TestParallelRuns:
         # a thread the last pool left listed would keep the next call in process
         _needs_two_cpus()
         assert _pooled("_back_to_back", 20) == [[True, 1]] * 20
+
+    def test_workers_fork_single_threaded_with_scipy_special_loaded(self):
+        # loaded in the parent, the workers' pointwise losses never import it;
+        # its OpenBLAS thread, where there is one, keeps the scenario in process
+        _needs_two_cpus()
+        states = _pooled("_fork_states")
+        assert states and all(state == [True, 1] for state in states)
 
     def test_a_threaded_process_forks_no_pool(self):
         stop = threading.Event()

@@ -157,6 +157,12 @@ class TestEpochEnd:
         with pytest.raises(ValidationError):
             PesgConfig(decay_epochs=(20, 10))
 
+    @pytest.mark.parametrize("decay_epochs", [(0, 3), (-2,)])
+    def test_decay_epochs_start_at_one(self, decay_epochs):
+        # on_epoch_end sees epochs 1, 2, ...: a decay at 0 would never happen
+        with pytest.raises(ValidationError, match="decay_epochs must be >= 1"):
+            PesgConfig(decay_epochs=decay_epochs)
+
 
 class _ThreeCopyPesg:
     """PESG with w, a and b kept as three parallel copies: each updated,
