@@ -24,7 +24,7 @@ import os
 import re
 from dataclasses import dataclass, field, replace
 
-from .data import GaussianToySpec, imbalanced_keep_count
+from .data import GaussianToySpec, _easy_count, imbalanced_keep_count
 from .errors import ValidationError, read_text
 from .losses import SurrogateSpec
 from .models import ModelSpec
@@ -51,11 +51,11 @@ class DataSetting:
     kind: str = "gaussian_toy"       # gaussian_toy | csv
     path: str | None = None
     test_path: str | None = None
-    mean_pos: tuple[float, float] = (1.5, 1.5)
-    mean_neg: tuple[float, float] = (-1.5, -1.5)
-    cov_scale: float = 1.0
-    n_pos: int = 500
-    n_neg: int = 500
+    mean_pos: tuple[float, float] = GaussianToySpec.mean_pos
+    mean_neg: tuple[float, float] = GaussianToySpec.mean_neg
+    cov_scale: float = GaussianToySpec.cov_scale
+    n_pos: int = GaussianToySpec.n_pos
+    n_neg: int = GaussianToySpec.n_neg
     test_n_pos: int = 1000
     test_n_neg: int = 9000
     imratio: float | None = None
@@ -72,10 +72,8 @@ class DataSetting:
         if not 0 <= self.easy_frac <= 1:
             raise ValidationError(f"easy_frac must be in [0, 1], got {self.easy_frac}")
         if self.kind == "gaussian_toy":
-            # the draws' own checks, at parse
-            GaussianToySpec(self.mean_pos, self.mean_neg, self.cov_scale, self.n_pos, self.n_neg)
-            GaussianToySpec(self.mean_pos, self.mean_neg, self.cov_scale,
-                            self.test_n_pos, self.test_n_neg)
+            self.toy_spec(self.n_pos, self.n_neg, 0)     # the draws' own checks, at parse
+            self.toy_spec(self.test_n_pos, self.test_n_neg, 0)
             p = self.n_pos / (self.n_pos + self.n_neg)
             if self.imratio is not None and not 0 < self.imratio <= p:
                 raise ValidationError(f"imratio must be in (0, {p:.6g}] for n_pos = "
@@ -86,11 +84,14 @@ class DataSetting:
                 raise ValidationError("noise_rate and easy_frac inject removed positives, but "
                                       f"imratio = {self.imratio} removes none of n_pos = "
                                       f"{self.n_pos}")
-            # inject_easy re-adds int(easy_frac * removed); noise draws on the rest
-            if self.noise_rate > 0 and int(self.easy_frac * removed) == removed:
+            if self.noise_rate > 0 and _easy_count(self.easy_frac, removed) == removed:
                 raise ValidationError(f"easy_frac = {self.easy_frac} re-adds all {removed} "
                                       "removed positives, which leaves noise_rate = "
                                       f"{self.noise_rate} an empty pool")
+
+    def toy_spec(self, n_pos: int, n_neg: int, seed: int) -> GaussianToySpec:
+        """The draw of n_pos positives and n_neg negatives from these blobs."""
+        return GaussianToySpec(self.mean_pos, self.mean_neg, self.cov_scale, n_pos, n_neg, seed)
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,8 @@ class ScenarioConfig:
     warm_start: SgdConfig | None = None
 
     def __post_init__(self):
+        if not self.name or any(sep and sep in self.name for sep in ("/", os.sep, os.altsep)):
+            raise ValidationError(f"run name must be non-empty, with no path separator: {self.name!r}")
         self.model_spec(1)      # the model's own checks; d_in comes from the data
         if not self.seeds:
             raise ValidationError("scenario needs at least one seed")
@@ -168,6 +171,10 @@ class Config:
     ablate_noise_rates: tuple[float, ...] = (0.01, 0.05)
     ablate_easy_fracs: tuple[float, ...] = (0.1, 0.2)
     plot_kind: str = "auc_vs_epoch"       # one of PLOT_KINDS
+
+    def __post_init__(self):
+        for m in self.ablate_margins:
+            SurrogateSpec("auc_margin", p=0.5, m=m)     # the margin loss's own checks
 
 
 def _parse_bool(s: str) -> bool:
@@ -312,9 +319,9 @@ def parse_config(text: str, source: str = "<config>") -> Config:
             for kind in kinds)
         scenario = ScenarioConfig(data=DataSetting(**kw[DataSetting]), losses=losses,
                                   **kw[ScenarioConfig])
+        return Config(scenario, **kw[Config])
     except ValidationError as exc:
         raise ValidationError(f"{source}: {exc}") from exc
-    return Config(scenario, **kw[Config])
 
 
 def load_config(path) -> Config:

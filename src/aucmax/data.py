@@ -42,8 +42,7 @@ class Dataset:
             raise ValidationError(f"X shape {self.X.shape} does not match {self.y.size} labels")
         if not np.all(np.isfinite(self.X)):
             raise ValidationError("features must be finite")
-        if self.y.size and not np.all(np.isin(self.y, (-1, 1))):
-            raise ValidationError("labels must be +1 or -1")
+        _positives(self.y)
         if self.y_true is None:
             self.y_true = np.zeros(self.y.size, dtype=np.int64)
         else:
@@ -78,6 +77,15 @@ class Dataset:
 
     def has_true_labels(self) -> bool:
         return bool(np.any(self.y_true != 0))
+
+
+def _positives(y: np.ndarray) -> tuple[np.ndarray, int]:
+    """The positive mask and count of ``y``, whose labels must be +1 or -1."""
+    pos = y == 1
+    n_pos = int(np.count_nonzero(pos))
+    if n_pos + np.count_nonzero(y == -1) != y.size:
+        raise ValidationError("labels must be +1 or -1")
+    return pos, n_pos
 
 
 def concat(parts: list[Dataset]) -> Dataset:
@@ -164,8 +172,6 @@ def inject_noise(data: Dataset, removed_pos: Dataset, rate: float, seed: int) ->
 
     n_flip_neg = int(rate * data.n_neg)
     n_flip_pos = int(rate * len(removed_pos))
-    if n_flip_neg > data.n_neg or n_flip_pos > len(removed_pos):
-        raise ValidationError("noise rate asks for more samples than available")
     if n_flip_neg == 0 and n_flip_pos == 0:
         return data.subset(np.arange(len(data)))
 
@@ -188,6 +194,11 @@ def inject_noise(data: Dataset, removed_pos: Dataset, rate: float, seed: int) ->
     return merged.subset(order)
 
 
+def _easy_count(top_frac: float, n_removed: int) -> int:
+    """How many of ``n_removed`` removed positives inject_easy re-adds."""
+    return int(top_frac * n_removed)
+
+
 def inject_easy(data: Dataset, removed_pos: Dataset, scores_of_removed, top_frac: float
                 ) -> tuple[Dataset, Dataset]:
     """Re-add the highest-scoring fraction of the removed positives, labeled +1.
@@ -202,7 +213,7 @@ def inject_easy(data: Dataset, removed_pos: Dataset, scores_of_removed, top_frac
         raise ValidationError(
             f"{scores.size} scores for {len(removed_pos)} removed positives"
         )
-    k = int(top_frac * len(removed_pos))
+    k = _easy_count(top_frac, len(removed_pos))
     order = np.argsort(-scores, kind="stable")
     added = Dataset(
         removed_pos.X[order[:k]].copy(),

@@ -23,10 +23,11 @@ in ``aucmax/configs``; the scenario factories below load them.
 
 from __future__ import annotations
 
+import math
 import os
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from itertools import starmap
 
 import numpy as np
@@ -34,7 +35,6 @@ import numpy as np
 from .config import DataSetting, LossSetting, ScenarioConfig, _packaged_scenario
 from .data import (
     Dataset,
-    GaussianToySpec,
     dataset_hash,
     gen_gaussian_toy,
     inject_easy,
@@ -64,7 +64,7 @@ __all__ = [
     "METRICS_HEADER",
 ]
 
-METRICS_HEADER = "epoch,iter,loss,train_auc,test_auc,a,b,alpha,eta"
+METRICS_HEADER = ",".join(f.name for f in fields(RunRecord))
 _SEED_SALT = 0x5EED_A0C
 # The easy-injection scorer, whatever the run's model is: a CE pretrain on the
 # imbalanced toy draw. Fixed constants; no config key sets them.
@@ -110,13 +110,11 @@ class ScenarioSummary:
         return result
 
     def as_text(self) -> str:
-        lines = [f"scenario {self.name}: final test AUC over {self._n_seeds()} seed(s)"]
+        n_seeds = len({c.seed for c in self.cells})
+        lines = [f"scenario {self.name}: final test AUC over {n_seeds} seed(s)"]
         for label, (mean, std) in sorted(self.stats().items()):
             lines.append(f"  {label:<16} {mean:.4f} +/- {std:.4f}")
         return "\n".join(lines)
-
-    def _n_seeds(self) -> int:
-        return len({c.seed for c in self.cells})
 
     def first_records(self) -> dict[str, list[RunRecord]]:
         """label -> the records of its first seed, the curve a plot draws."""
@@ -145,16 +143,9 @@ def prepare_data(setting: DataSetting, seed: int) -> tuple[Dataset, Dataset | No
     if setting.kind == "csv":
         train = _load_two_class_csv(setting.path)
         return train, _load_two_class_csv(setting.test_path) if setting.test_path else None
-    train = gen_gaussian_toy(GaussianToySpec(
-        mean_pos=setting.mean_pos, mean_neg=setting.mean_neg,
-        cov_scale=setting.cov_scale, n_pos=setting.n_pos, n_neg=setting.n_neg,
-        seed=derive_seed(seed, 1),
-    ))
-    test = gen_gaussian_toy(GaussianToySpec(
-        mean_pos=setting.mean_pos, mean_neg=setting.mean_neg,
-        cov_scale=setting.cov_scale, n_pos=setting.test_n_pos, n_neg=setting.test_n_neg,
-        seed=derive_seed(seed, 2),
-    ))
+    train = gen_gaussian_toy(setting.toy_spec(setting.n_pos, setting.n_neg, derive_seed(seed, 1)))
+    test = gen_gaussian_toy(setting.toy_spec(setting.test_n_pos, setting.test_n_neg,
+                                             derive_seed(seed, 2)))
 
     removed = None
     if setting.imratio is not None:
@@ -309,30 +300,28 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioSummary:
 
 
 def records_to_csv(records: list[RunRecord]) -> str:
-    lines = [METRICS_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.epoch},{r.iter},{r.loss!r},{r.train_auc!r},{r.test_auc!r},"
-            f"{r.a!r},{r.b!r},{r.alpha!r},{r.eta!r}"
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join([METRICS_HEADER, *(",".join(map(repr, astuple(r))) for r in records)]) + "\n"
 
 
 def read_metrics_csv(path) -> list[RunRecord]:
     lines = read_text(path, "ascii").splitlines()
     if not lines or lines[0] != METRICS_HEADER:
         raise ValidationError(f"{path}: missing metrics header")
+    n_cols = len(fields(RunRecord))
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         cells = line.split(",")
-        if len(cells) != 9:
-            raise ValidationError(f"{path}:{lineno}: expected 9 columns")
+        if len(cells) != n_cols:
+            raise ValidationError(f"{path}:{lineno}: expected {n_cols} columns")
         try:
-            records.append(RunRecord(int(cells[0]), int(cells[1]), *map(float, cells[2:])))
+            record = RunRecord(int(cells[0]), int(cells[1]), *map(float, cells[2:]))
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: unparseable metrics value") from exc
+        if not all(map(math.isfinite, astuple(record))):
+            raise ValidationError(f"{path}:{lineno}: metrics values must be finite")
+        records.append(record)
     if not records:
         raise ValidationError(f"{path}: no metrics rows")
     return records

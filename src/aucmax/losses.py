@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+from .metrics import _as_scored
 
 __all__ = [
     "AuxVars",
@@ -114,14 +115,9 @@ def _split_by_class(scores_pos, scores_neg):
 
 
 def _check_batch(scores, labels):
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    y = np.asarray(labels).ravel()
-    if s.shape != y.shape:
-        raise ValidationError(f"scores {s.shape} and labels {y.shape} differ in length")
+    s, y, _, _ = _as_scored(scores, labels)
     if s.size == 0:
         raise ValidationError("empty batch")
-    if np.count_nonzero(y == 1) + np.count_nonzero(y == -1) != y.size:
-        raise ValidationError("labels must be +1 or -1")
     return s, y.astype(np.float64)
 
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _positives
 from .errors import ValidationError
 
 __all__ = ["AucResult", "auc_score", "accuracy", "auc_sensitivity_demo", "SensitivityReport"]
@@ -23,17 +24,12 @@ class AucResult:
 
 
 def _as_scored(scores, labels):
-    """Checked ``(scores, labels, positive mask, positive count)``; the mask
-    comes from the label check's own compare."""
+    """Checked ``(scores, labels, positive mask, positive count)``."""
     s = np.asarray(scores, dtype=np.float64).ravel()
     y = np.asarray(labels).ravel()
     if s.shape != y.shape:
         raise ValidationError(f"scores {s.shape} and labels {y.shape} differ in length")
-    pos = y == 1
-    n_pos = int(np.count_nonzero(pos))
-    if n_pos + np.count_nonzero(y == -1) != y.size:
-        raise ValidationError("labels must be +1 or -1")
-    return s, y, pos, n_pos
+    return (s, y, *_positives(y))
 
 
 def auc_score(scores, labels, tie_policy: str = "half") -> AucResult:

@@ -28,9 +28,11 @@ from aucmax.experiments import (
     ScenarioSummary,
     derive_seed,
     prepare_data,
+    read_metrics_csv,
     records_to_csv,
 )
 from aucmax.losses import SurrogateSpec
+from aucmax.metrics import auc_sensitivity_demo
 from aucmax.models import ModelSpec, init_params, load_model, save_model
 from aucmax.optimizer import PesgConfig, RunRecord, SgdConfig, pesg_train, sgd_train
 
@@ -152,6 +154,9 @@ class TestConfigParsing:
         "run.seeds = 0, 0",
         "ablate.kind = bogus", "plot.kind = loss_vs_epoch",
         "data.mean_pos = nan, 1", "data.mean_neg = -1, inf", "optim.decay_epochs = 0, 3",
+        "run.name = a/b", "run.name = /abs", "run.name =",
+        "ablate.margins = -0.1, 0.5", "ablate.margins = 0.5, 0", "ablate.margins = nan",
+        "ablate.margins = 0.5, inf",
     ])
     def test_bad_settings_rejected(self, text):
         with pytest.raises(ValidationError, match="run.cfg"):
@@ -222,6 +227,7 @@ EXPANDED_FIELDS = {"scenario.losses[].pesg.project_alpha", "scenario.warm_start.
 _KINDS = ("cross_entropy", "focal", "auc_square", "auc_margin")
 # a '#' inside a value is kept; a value cannot start with one (it follows the blank after '=')
 _names = st.from_regex(r"[a-z0-9_./-][a-z0-9_./#-]{0,11}", fullmatch=True)
+_run_names = st.from_regex(r"[a-z0-9_.-][a-z0-9_.#-]{0,11}", fullmatch=True)  # no separator
 
 
 def _floats(lo, hi):
@@ -249,7 +255,7 @@ def _config_texts(draw):
         "optim.momentum": draw(_floats(0.0, 0.99)),
         "train.batch_size": str(draw(st.integers(2, 256))),
         "train.warm_start_epochs": str(draw(st.integers(0, 50))),
-        "run.name": draw(_names),
+        "run.name": draw(_run_names),
         "run.seeds": draw(_listed(st.integers(0, 2**31).map(str), min_size=1, max_size=5,
                                   unique=True)),
         "ablate.margins": draw(_listed(_floats(0.01, 2.0), min_size=1, max_size=5,
@@ -620,6 +626,48 @@ class TestCliCommands:
         assert f"error: {cfg}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, line, message", [
+        ("train", "run.name = a/b", "run name must be non-empty, with no path separator: 'a/b'"),
+        ("train", "run.name =", "run name must be non-empty, with no path separator: ''"),
+        ("ablate", "ablate.margins = -0.1, 0.5", "margin m must be > 0, got -0.1"),
+        ("ablate", "ablate.margins = 0.5, nan", "margin m must be finite, got nan"),
+    ], ids=["name_with_separator", "empty_name", "negative_margin", "nan_margin"])
+    def test_parse_time_rejection_trains_nothing(self, tmp_path, monkeypatch, capsys, command,
+                                                  line, message):
+        drawn = []
+        monkeypatch.setattr(aucmax.experiments, "prepare_data", lambda *a: drawn.append(a))
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"train.epochs = 1\n{line}\n")
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert drawn == [] and not (tmp_path / "out").exists()
+
+    def test_ablate_noise_easy_writes_every_cell(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("run.name = g\ndata.n_pos = 30\ndata.n_neg = 30\ndata.imratio = 0.2\n"
+                       "data.test_n_pos = 20\ndata.test_n_neg = 80\ntrain.epochs = 2\n"
+                       "train.batch_size = 16\nablate.kind = noise_easy\n"
+                       "ablate.noise_rates = 0.05, 0\nablate.easy_fracs = 0.5, 0\n")
+        out = tmp_path / "out"
+        rc = main(["ablate", "--config", str(cfg), "--out", str(out)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        grid = [("0", "0"), ("0", "0.5"), ("0.05", "0"), ("0.05", "0.5")]
+        cells = [f"g_n{rate}_e{frac}" for rate, frac in grid]
+        headers = [i for i, line in enumerate(lines) if line.startswith("-- ")]
+        assert [lines[i] for i in headers] == [f"-- noise={r} easy={f}" for r, f in grid]
+        # each header is followed by its own cell's summary
+        assert [lines[i + 1] for i in headers] == [
+            f"scenario {cell}: final test AUC over 1 seed(s)" for cell in cells]
+        files = {"g_manifest.cfg"}
+        for cell in cells:
+            files |= {f"{cell}_auc_margin_s0.csv", f"{cell}_auc_margin_s0.model",
+                      f"{cell}_summary.csv", f"{cell}_curves.svg"}
+            assert len(read_metrics_csv(out / f"{cell}_auc_margin_s0.csv")) == 2
+            assert (out / f"{cell}_curves.svg").read_text().startswith("<svg")
+        assert {p.name for p in out.iterdir()} == files
+
     def test_train_on_data_that_removes_no_positive_names_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "none.cfg"
         cfg.write_text("data.n_pos = 30\ndata.n_neg = 30\ndata.imratio = 0.5\n"
@@ -697,6 +745,24 @@ class TestCliCommands:
         text = capsys.readouterr().out
         assert "7/7 checks passed" in text
         assert "PASS" in text and "FAIL" not in text
+
+    def test_verify_demo_prints_the_sensitivity_table(self, capsys):
+        rc = main(["verify", "--demo"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        report = auc_sensitivity_demo()
+        assert "7/7 checks passed" in out
+        assert out.endswith(f"\n\n{report.as_text()}\n\n{report.as_csv()}")
+        assert report.as_csv().startswith("case,accuracy,auc\nbase,0.92,")
+
+    def test_eval_rejects_a_model_of_another_input_width(self, tmp_path, toy_config, capsys):
+        main(["gen-data", "--config", str(toy_config), "--seed", "0", "--out", str(tmp_path)])
+        model = tmp_path / "wide.model"
+        save_model(model, ModelSpec("linear", 3), np.zeros(3))
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(model), "--data", str(tmp_path / "smoke_s0.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: model expects 3-D inputs, dataset has 2-D\n"
 
     @pytest.mark.parametrize("line", ["ablate.kind = bogus", "plot.kind = bogus"])
     def test_unknown_ablate_or_plot_kind_stops_train(self, tmp_path, line, capsys):
@@ -806,7 +872,11 @@ class TestCliCommands:
     @pytest.mark.parametrize("body, where, message", [
         ("1,10,0.5,0.7,x,0.1,-0.1,0.0,0.1\n", ":2", "unparseable metrics value"),
         ("", "", "no metrics rows"),
-    ], ids=["bad_cell", "no_rows"])
+        ("1,10,0.5,0.7,0.8,0.1,-0.1,0.0\n", ":2", "expected 9 columns"),
+        ("1,10,nan,nan,nan,nan,nan,nan,nan\n", ":2", "metrics values must be finite"),
+        ("1,10,0.5,0.7,0.8,0.1,-0.1,0.0,0.1\n2,20,0.5,0.7,inf,0.1,-0.1,0.0,0.1\n", ":3",
+         "metrics values must be finite"),
+    ], ids=["bad_cell", "no_rows", "wrong_columns", "all_nan", "inf_in_second_row"])
     def test_plot_names_a_bad_metrics_file(self, tmp_path, capsys, body, where, message):
         metrics = tmp_path / "m.csv"
         metrics.write_text(records_to_csv([]) + body)

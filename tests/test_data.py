@@ -216,7 +216,7 @@ class TestCsvRoundTrip:
 
 
 def test_dataset_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^labels must be \+1 or -1$"):
         Dataset(np.zeros((3, 2)), np.array([1, 2, -1]))
     with pytest.raises(ValidationError):
         Dataset(np.array([[np.inf, 0.0]]), np.array([1]))

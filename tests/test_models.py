@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -342,4 +343,20 @@ class TestModelFile:
         path = tmp_path / "bad.txt"
         path.write_text("resnet 2\n2\n1.0\n2.0\n")
         with pytest.raises(ValidationError):
+            load_model(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("linear 2\n", "truncated model file"),
+        ("linear 2\ntwo\n1.0\n2.0\n", "bad parameter count 'two'"),
+        ("linear 2\n2\n1.0\n", "expected 2 parameter lines, found 1"),
+        ("linear 2\n2\n1.0\n2.0\n3.0\n", "expected 2 parameter lines, found 3"),
+        ("linear 2\n2\n1.0\none\n", "unparseable parameter line"),
+        ("linear 2\n2\n1.0\nnan\n", "non-finite parameter in file"),
+        ("mlp 1 1 1.0\n4\n1.0\n2.0\n-inf\n4.0\n", "non-finite parameter in file"),
+    ], ids=["truncated", "unparseable_count", "too_few_params", "too_many_params",
+            "unparseable_param", "nan_param", "inf_param"])
+    def test_bad_model_file_names_its_fault(self, tmp_path, text, message):
+        path = tmp_path / "bad.model"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_model(path)
