@@ -164,30 +164,30 @@ def _cmd_ablate(args) -> int:
     config = _config(args)
     scenario = config.scenario
     kind = config.ablate_kind
-    if kind in ("alpha_constraint", "noise_easy") and scenario.epochs == 0:
-        raise ValidationError(f"ablate.kind = {kind} draws curves over the epochs: "
-                              "train.epochs must be at least 1")
     svgs = {}
-    if kind == "margin":
-        summaries = [ablate_margin(scenario, config.ablate_margins)]
-    elif kind == "alpha_constraint":
-        summaries = [ablate_alpha_constraint(scenario)]
-        svgs = {f"{summaries[0].name}_{plot}.svg": emit_plot(summaries[0].first_records(), plot)
-                for plot in ("alpha_vs_epoch", "auc_vs_epoch")}
-    elif kind == "bsn":
-        summaries = [ablate_bsn(scenario)]
-    elif kind == "noise_easy":
-        try:
+    try:
+        if kind in ("alpha_constraint", "noise_easy") and scenario.epochs == 0:
+            raise ValidationError(f"ablate.kind = {kind} draws curves over the epochs: "
+                                  "train.epochs must be at least 1")
+        if kind == "margin":
+            summaries = [ablate_margin(scenario, config.ablate_margins)]
+        elif kind == "alpha_constraint":
+            summaries = [ablate_alpha_constraint(scenario)]
+            svgs = {f"{summaries[0].name}_{p}.svg": emit_plot(summaries[0].first_records(), p)
+                    for p in ("alpha_vs_epoch", "auc_vs_epoch")}
+        elif kind == "bsn":
+            summaries = [ablate_bsn(scenario)]
+        elif kind == "noise_easy":
             grid = ablate_noise_easy(scenario, config.ablate_noise_rates,
                                      config.ablate_easy_fracs)
-        except ValidationError as exc:   # a grid cell's data, set by the config file
-            raise ValidationError(f"{args.config}: {exc}") from exc
-        summaries = [grid[key] for key in sorted(grid)]
-        svgs = {f"{s.name}_curves.svg": emit_plot(s.first_records(), "auc_vs_epoch")
-                for s in summaries}
-    else:   # toy_figure, the last kind parse_config allows
-        summaries = []
-        svgs = {f"{scenario.name}.svg": toy_figure(scenario)}
+            summaries = [grid[key] for key in sorted(grid)]
+            svgs = {f"{s.name}_curves.svg": emit_plot(s.first_records(), "auc_vs_epoch")
+                    for s in summaries}
+        else:   # toy_figure, the last kind parse_config allows
+            summaries = []
+            svgs = {f"{scenario.name}.svg": toy_figure(scenario)}
+    except ValidationError as exc:   # every ablation rule is set by the config file
+        raise ValidationError(f"{args.config}: {exc}") from exc
     _write_run(args.out, "ablate", config, summaries, svgs)
     if kind == "noise_easy":
         for (rate, frac), summary in zip(sorted(grid), summaries):

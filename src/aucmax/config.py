@@ -11,15 +11,14 @@ File format: one assignment per line; a ``#`` at the start of a line or right
 after whitespace starts a comment, so ``runs/#3/train.csv`` is one value. Keys
 are namespaced (``data.imratio``, ``optim.eta0``, ...). Unknown keys, and
 unknown ``ablate.kind``/``plot.kind`` values, are errors so typos cannot
-silently fall back to defaults. KEYS names the dataclass field each key sets;
-a key left out of the file takes that field's default. The key table is
-reproduced in the README. ``format_config`` writes a parsed config back as a
-file that parses to the same config.
+silently fall back to defaults; so is a NUL byte on any line. KEYS names the
+dataclass field each key sets; a key left out of the file takes that field's
+default. The key table is reproduced in the README. ``format_config`` writes a
+parsed config back as a file that parses to the same config.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import re
 from dataclasses import dataclass, field, replace
@@ -27,14 +26,15 @@ from dataclasses import dataclass, field, replace
 from .data import GaussianToySpec, _easy_count, imbalanced_keep_count
 from .errors import ValidationError, read_text
 from .losses import SurrogateSpec
-from .models import ModelSpec
-from .optimizer import PesgConfig, SgdConfig
+from .models import ModelSpec, _check_init_scale
+from .optimizer import PesgConfig, SgdConfig, _check_length
 
 __all__ = ["parse_config", "load_config", "format_config", "Config", "KEYS",
            "DataSetting", "LossSetting", "ScenarioConfig"]
 
 ABLATE_KINDS = ("margin", "noise_easy", "alpha_constraint", "bsn", "toy_figure")
-PLOT_KINDS = ("auc_vs_epoch", "alpha_vs_epoch")
+# plot kind -> (the RunRecord field it draws against the epoch, its axis label)
+PLOT_KINDS = {"auc_vs_epoch": ("test_auc", "test AUC"), "alpha_vs_epoch": ("alpha", "alpha")}
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
@@ -74,10 +74,6 @@ class DataSetting:
         if self.kind == "gaussian_toy":
             self.toy_spec(self.n_pos, self.n_neg, 0)     # the draws' own checks, at parse
             self.toy_spec(self.test_n_pos, self.test_n_neg, 0)
-            p = self.n_pos / (self.n_pos + self.n_neg)
-            if self.imratio is not None and not 0 < self.imratio <= p:
-                raise ValidationError(f"imratio must be in (0, {p:.6g}] for n_pos = "
-                                      f"{self.n_pos}, n_neg = {self.n_neg}, got {self.imratio}")
             removed = 0 if self.imratio is None else \
                 self.n_pos - imbalanced_keep_count(self.n_pos, self.n_neg, self.imratio)
             if removed == 0 and (self.noise_rate > 0 or self.easy_frac > 0):
@@ -137,18 +133,14 @@ class ScenarioConfig:
         if not self.name or any(sep and sep in self.name for sep in ("/", os.sep, os.altsep)):
             raise ValidationError(f"run name must be non-empty, with no path separator: {self.name!r}")
         self.model_spec(1)      # the model's own checks; d_in comes from the data
+        _check_init_scale(self.init_scale)
         if not self.seeds:
             raise ValidationError("scenario needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValidationError(f"duplicate seeds in scenario: {list(self.seeds)}")
         if min(self.seeds) < 0:
             raise ValidationError(f"seeds must be >= 0, got {list(self.seeds)}")
-        if not 0 <= self.init_scale < math.inf:
-            raise ValidationError(f"init_scale must be finite and >= 0, got {self.init_scale}")
-        if self.epochs < 0:
-            raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 2:
-            raise ValidationError(f"batch_size must be >= 2, got {self.batch_size}")
+        _check_length(self.epochs, self.batch_size)
         labels = [ls.label for ls in self.losses]
         if len(set(labels)) != len(labels):
             raise ValidationError(f"duplicate loss labels in scenario: {labels}")
@@ -284,6 +276,8 @@ def parse_config(text: str, source: str = "<config>") -> Config:
     kw = {owner: {} for owner in (DataSetting, ScenarioConfig, LossSetting,
                                   PesgConfig, SgdConfig, Config)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if "\0" in raw:    # values name files, and no file name may hold one
+            raise ValidationError(f"{source}:{lineno}: NUL byte in {raw!r}")
         line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
@@ -345,8 +339,8 @@ def _format_value(value) -> str:
 def format_config(config: Config) -> str:
     """Every key that has a value, one per line in KEYS order, floats as
     ``repr``: ``parse_config(format_config(c)) == c``. A value that would not
-    read back (a line break, surrounding blanks, or a comment ``#``) is
-    rejected with its key."""
+    read back (a line break, surrounding blanks, a comment ``#`` or a NUL
+    byte) is rejected with its key."""
     scenario = config.scenario
     loss = scenario.losses[0]
     owners = {DataSetting: scenario.data, ScenarioConfig: scenario, LossSetting: loss,
@@ -360,7 +354,8 @@ def format_config(config: Config) -> str:
         if value is None:
             continue
         text = _format_value(value)
-        if text != text.strip() or len(text.splitlines()) > 1 or _COMMENT.search(" " + text):
+        if (text != text.strip() or len(text.splitlines()) > 1 or _COMMENT.search(" " + text)
+                or "\0" in text):
             raise ValidationError(f"{key} = {text!r} cannot be written to a config file")
         lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"

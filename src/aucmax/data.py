@@ -132,6 +132,10 @@ def gen_gaussian_toy(spec: GaussianToySpec) -> Dataset:
 def imbalanced_keep_count(n_pos: int, n_neg: int, imratio: float) -> int:
     """The positives make_imbalanced keeps: the count k in [1, n_pos] whose
     fraction k / (k + n_neg) is closest to imratio, for 0 < imratio <= the prior."""
+    p = n_pos / (n_pos + n_neg)
+    if not 0 < imratio <= p:
+        raise ValidationError(f"imratio must be in (0, {p:.6g}] for n_pos = {n_pos}, "
+                              f"n_neg = {n_neg}, got {imratio}")
     k_real = imratio * n_neg / (1.0 - imratio)
     candidates = {max(1, int(np.floor(k_real))), max(1, int(np.ceil(k_real)))}
     candidates = {min(k, n_pos) for k in candidates}
@@ -144,10 +148,6 @@ def make_imbalanced(data: Dataset, imratio: float, seed: int) -> tuple[Dataset, 
     Returns (imbalanced dataset, removed positives); the removed set feeds the
     easy/noisy injection protocols. Negatives are never touched.
     """
-    if not 0.0 < imratio <= data.p:
-        raise ValidationError(
-            f"imratio must be in (0, {data.p:.6g}] for this dataset, got {imratio}"
-        )
     keep_k = imbalanced_keep_count(data.n_pos, data.n_neg, imratio)
     pos_idx = np.flatnonzero(data.y > 0)
     rng = np.random.default_rng(seed)

@@ -32,7 +32,7 @@ from itertools import starmap
 
 import numpy as np
 
-from .config import DataSetting, LossSetting, ScenarioConfig, _packaged_scenario
+from .config import PLOT_KINDS, DataSetting, LossSetting, ScenarioConfig, _packaged_scenario
 from .data import (
     Dataset,
     dataset_hash,
@@ -347,12 +347,9 @@ def emit_plot(records_by_label: dict[str, list[RunRecord]], kind: str = "auc_vs_
     """SVG curve of test AUC or alpha against training epoch."""
     if not records_by_label or any(not recs for recs in records_by_label.values()):
         raise ValidationError("emit_plot needs non-empty record lists")
-    if kind == "auc_vs_epoch":
-        attr, ylabel = "test_auc", "test AUC"
-    elif kind == "alpha_vs_epoch":
-        attr, ylabel = "alpha", "alpha"
-    else:
+    if kind not in PLOT_KINDS:
         raise ValidationError(f"unknown plot kind {kind!r}")
+    attr, ylabel = PLOT_KINDS[kind]
     series = [
         (label, [r.epoch for r in recs], [getattr(r, attr) for r in recs])
         for label, recs in sorted(records_by_label.items())

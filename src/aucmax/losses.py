@@ -145,8 +145,7 @@ def square_loss_decomposition(scores_pos, scores_neg) -> tuple[float, float, flo
 
 def margin_loss_value(scores_pos, scores_neg, m: float) -> float:
     """A1 + A2 + (m - mean+ + mean-)_+^2 : squared hinge on the class-mean gap."""
-    if not m > 0:
-        raise ValidationError(f"margin m must be > 0, got {m}")
+    SurrogateSpec("auc_margin", p=0.5, m=m)     # the margin rule
     sp, sn = _split_by_class(scores_pos, scores_neg)
     a1, a2, _ = square_loss_decomposition(sp, sn)
     hinge = max(0.0, m - sp.mean() + sn.mean())
@@ -165,6 +164,7 @@ def optimal_aux(scores_pos, scores_neg, loss: str = "auc_square", m: float = 1.0
     if loss == "auc_square":
         alpha = 1.0 + b - a
     elif loss == "auc_margin":
+        SurrogateSpec(loss, p=0.5, m=m)     # the margin rule
         alpha = max(0.0, m + b - a)
     else:
         raise ValidationError(f"loss must be 'auc_square' or 'auc_margin', got {loss!r}")

@@ -72,10 +72,14 @@ class ModelSpec:
         return self.d_in * self.d_hidden + self.d_hidden + self.d_hidden + 1
 
 
+def _check_init_scale(scale: float) -> None:
+    if not 0 <= scale < math.inf:
+        raise ValidationError(f"init_scale must be finite and >= 0, got {scale}")
+
+
 def init_params(spec: ModelSpec, seed: int, scale: float) -> np.ndarray:
     """Draw parameters i.i.d. uniform on [-scale, scale], deterministic per seed."""
-    if scale < 0:
-        raise ValidationError(f"scale must be >= 0, got {scale}")
+    _check_init_scale(scale)
     rng = np.random.default_rng(seed)
     return rng.uniform(-scale, scale, size=spec.n_params)
 

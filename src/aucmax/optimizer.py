@@ -95,10 +95,14 @@ class SgdConfig:
                                   f"{self.weight_decay}")
         if not 0 <= self.momentum < 1:
             raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.epochs < 0:
-            raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 2:
-            raise ValidationError(f"batch_size must be >= 2, got {self.batch_size}")
+        _check_length(self.epochs, self.batch_size)
+
+
+def _check_length(epochs: int, batch_size: int) -> None:
+    if epochs < 0:
+        raise ValidationError(f"epochs must be >= 0, got {epochs}")
+    if batch_size < 2:
+        raise ValidationError(f"batch_size must be >= 2, got {batch_size}")
 
 
 class MinMaxState:
@@ -255,8 +259,7 @@ def _train_epochs(model_spec, params, data, table, epochs, batch_size, seed, tes
     """
     if data.n_pos == 0 or data.n_neg == 0:
         raise ValidationError("training set must contain both classes")
-    if batch_size < 2:
-        raise ValidationError(f"batch_size must be >= 2, got {batch_size}")
+    _check_length(epochs, batch_size)
     records: list[RunRecord] = []
     rng = np.random.default_rng(seed)
     n = len(data)

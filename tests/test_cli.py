@@ -107,7 +107,7 @@ class TestConfigParsing:
         cut = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
         assert parse_config(text) == parse_config(cut)
 
-    @pytest.mark.parametrize("path", ["a #b", "#b", "a\nb", " a"])
+    @pytest.mark.parametrize("path", ["a #b", "#b", "a\nb", " a", "a\0b"])
     def test_format_config_names_a_value_it_cannot_write(self, path):
         config = parse_config("data.kind = csv\ndata.path = a")
         data = replace(config.scenario.data, path=path)
@@ -597,8 +597,14 @@ class TestCliCommands:
         ("ablate.kind = alpha_constraint\ntrain.epochs = 0\n", "train.epochs must be at least 1"),
         ("ablate.kind = noise_easy\ndata.imratio = 0.2\ntrain.epochs = 0\n",
          "train.epochs must be at least 1"),
+        ("ablate.margins = 0.1, 0.1000001\n",
+         "duplicate loss labels in scenario: ['auc_margin_m0.1', 'auc_margin_m0.1']"),
+        ("ablate.kind = bsn\nloss.kind = cross_entropy\n",
+         "BSN ablation needs at least one AUC loss"),
+        ("ablate.kind = toy_figure\n", "toy figure needs an mlp model on the 2-D toy data"),
     ], ids=["skipped_loss", "bad_grid_cell", "nothing_removed", "easy_empties_noise_pool",
-            "alpha_zero_epochs", "grid_zero_epochs"])
+            "alpha_zero_epochs", "grid_zero_epochs", "margin_labels_alike", "bsn_no_auc_loss",
+            "figure_linear_model"])
     def test_rejected_ablation_writes_nothing(self, tmp_path, monkeypatch, capsys, lines,
                                               message):
         drawn = []
@@ -608,7 +614,8 @@ class TestCliCommands:
                        "data.test_n_neg = 80\ntrain.epochs = 2\ntrain.batch_size = 16\n" + lines)
         rc = main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and message in err
         assert drawn == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("grid, message", [
@@ -626,21 +633,36 @@ class TestCliCommands:
         assert f"error: {cfg}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command, line, message", [
-        ("train", "run.name = a/b", "run name must be non-empty, with no path separator: 'a/b'"),
-        ("train", "run.name =", "run name must be non-empty, with no path separator: ''"),
-        ("ablate", "ablate.margins = -0.1, 0.5", "margin m must be > 0, got -0.1"),
-        ("ablate", "ablate.margins = 0.5, nan", "margin m must be finite, got nan"),
-    ], ids=["name_with_separator", "empty_name", "negative_margin", "nan_margin"])
+    @pytest.mark.parametrize("command, line, where, message", [
+        ("train", "run.name = a/b", "",
+         "run name must be non-empty, with no path separator: 'a/b'"),
+        ("train", "run.name =", "", "run name must be non-empty, with no path separator: ''"),
+        ("ablate", "ablate.margins = -0.1, 0.5", "", "margin m must be > 0, got -0.1"),
+        ("ablate", "ablate.margins = 0.5, nan", "", "margin m must be finite, got nan"),
+        ("train", "run.name = a\0b", ":2", "NUL byte in 'run.name = a\\x00b'"),
+        ("train", "data.kind = csv\ndata.path = a\0b.csv", ":3",
+         "NUL byte in 'data.path = a\\x00b.csv'"),
+        ("ablate", "# a comment\0", ":2", "NUL byte in '# a comment\\x00'"),
+        ("train", "run.seeds = ,", "", "scenario needs at least one seed"),
+        ("train", "loss.bsn = maybe", ":2", "bad value for loss.bsn: not a boolean: 'maybe'"),
+        ("train", "data.mean_pos = 1, 2, 3", ":2",
+         "bad value for data.mean_pos: expected two comma-separated floats, got '1, 2, 3'"),
+        ("train", "data.imratio = 0.6", "",
+         "imratio must be in (0, 0.5] for n_pos = 500, n_neg = 500, got 0.6"),
+        ("train", "model.init_scale = nan", "", "init_scale must be finite and >= 0, got nan"),
+        ("train", "train.epochs = -1", "", "epochs must be >= 0, got -1"),
+    ], ids=["name_with_separator", "empty_name", "negative_margin", "nan_margin", "nul_in_name",
+            "nul_in_path", "nul_in_comment", "no_seeds", "bad_boolean", "three_floats_for_a_pair",
+            "imratio_above_prior", "nan_init_scale", "negative_epochs"])
     def test_parse_time_rejection_trains_nothing(self, tmp_path, monkeypatch, capsys, command,
-                                                  line, message):
+                                                  line, where, message):
         drawn = []
         monkeypatch.setattr(aucmax.experiments, "prepare_data", lambda *a: drawn.append(a))
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"train.epochs = 1\n{line}\n")
         rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert capsys.readouterr().err == f"error: {cfg}{where}: {message}\n"
         assert drawn == [] and not (tmp_path / "out").exists()
 
     def test_ablate_noise_easy_writes_every_cell(self, tmp_path, capsys):

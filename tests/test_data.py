@@ -214,6 +214,44 @@ class TestCsvRoundTrip:
         with pytest.raises(ValidationError, match=message):
             load_csv(path)
 
+    @pytest.mark.parametrize("text, where, message", [
+        ("", "", "empty file"),
+        ("f0,f1,label\n0.5,x,1\n", ":2", "unparseable feature value"),
+        ("f0,label,true_label\n0.5,1,\n0.5,1,0\n", ":3",
+         "true_label must be 1, -1 or empty, got '0'"),
+        ("f0,f1,label\n\n", "", "no data rows"),
+    ], ids=["empty_file", "unparseable_feature", "bad_true_label", "no_rows"])
+    def test_bad_file_rejected_with_its_message(self, tmp_path, text, where, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}{where}: {message}')}$"):
+            load_csv(path)
+
+
+_ONE_EACH = Dataset(np.zeros((2, 2)), np.array([1, -1]))
+_ONE_POS = Dataset(np.zeros((1, 2)), np.array([1]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Dataset(np.zeros((3, 2)), np.array([1, -1])),
+     "X shape (3, 2) does not match 2 labels"),
+    (lambda: Dataset(np.zeros((2, 2)), np.array([1, -1]), np.array([0])),
+     "y_true length does not match labels"),
+    (lambda: Dataset(np.zeros((2, 2)), np.array([1, -1]), np.array([0, 2])),
+     "y_true entries must be +1, -1 or 0 (absent)"),
+    (lambda: GaussianToySpec(n_pos=0), "need at least one sample per class"),
+    (lambda: make_imbalanced(_ONE_EACH, 0.6, 0),
+     "imratio must be in (0, 0.5] for n_pos = 1, n_neg = 1, got 0.6"),
+    (lambda: inject_noise(_ONE_EACH, _ONE_EACH, 0.05, 0),
+     "removed pool must contain only positives"),
+    (lambda: inject_easy(_ONE_EACH, _ONE_POS, [0.5], top_frac=0.0),
+     "top_frac must be in (0,1], got 0.0"),
+], ids=["x_rows", "y_true_length", "y_true_entries", "empty_class", "imratio_above_prior",
+        "negative_in_pool", "top_frac_zero"])
+def test_bad_input_rejected_with_its_message(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
 
 def test_dataset_validation():
     with pytest.raises(ValidationError, match=r"^labels must be \+1 or -1$"):

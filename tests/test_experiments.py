@@ -2,6 +2,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -34,6 +35,7 @@ from aucmax.experiments import (
     write_outputs,
 )
 from aucmax.optimizer import PesgConfig, RunRecord, SgdConfig
+from aucmax.plots import line_plot
 
 SQUARE = LossSetting("auc_square", kind="auc_square", pesg=PesgConfig(project_alpha=False))
 MARGIN = LossSetting("auc_margin", kind="auc_margin")
@@ -439,12 +441,31 @@ class TestEmitPlot:
         assert "data a: 1,0.33" in svg
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^unknown plot kind 'loss_vs_epoch'$"):
             emit_plot({"a": self._records([0.5])}, "loss_vs_epoch")
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             emit_plot({}, "auc_vs_epoch")
+
+    @pytest.mark.parametrize("series, message", [
+        ([], "nothing to plot"),
+        ([("a", [1, 2], [0.5])], "series 'a' is empty or ragged"),
+        ([("a", [], [])], "series 'a' is empty or ragged"),
+    ], ids=["no_series", "ragged", "empty"])
+    def test_line_plot_rejects_bad_series_with_its_message(self, series, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            line_plot(series, xlabel="epoch", ylabel="AUC")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_scenario(_fast_scenario(losses=())), "scenario has no losses to run"),
+    (lambda: ablate_noise_easy(_fast_scenario(), (0.05,), (0.1,)),
+     "noise/easy ablation needs an imbalanced base (set imratio)"),
+], ids=["no_losses", "balanced_grid_base"])
+def test_bad_input_rejected_with_its_message(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestAblations:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -403,3 +404,25 @@ def test_labels_other_than_plus_minus_one_rejected(name, bad):
     call(np.array([0.3, -0.2, 0.1]), np.array([1.0, -1.0, 1.0]))
     with pytest.raises(ValidationError, match="labels must be"):
         call(np.array([0.3, -0.2, 0.1]), np.array([1.0, -1.0, bad]))
+
+
+_AUC_SPEC = SurrogateSpec("auc_square", p=0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: margin_loss_value([1.0, 2.0], [0.0], m=math.inf), "margin m must be finite, got inf"),
+    (lambda: margin_loss_value([1.0, 2.0], [0.0], m=math.nan), "margin m must be finite, got nan"),
+    (lambda: margin_loss_value([1.0, 2.0], [0.0], m=0.0), "margin m must be > 0, got 0.0"),
+    (lambda: optimal_aux([1.0], [0.0], "auc_margin", m=math.nan),
+     "margin m must be finite, got nan"),
+    (lambda: optimal_aux([1.0], [0.0], "auc_margin", m=-1.0), "margin m must be > 0, got -1.0"),
+    (lambda: minmax_value([], [], AuxVars(), _AUC_SPEC), "empty batch"),
+    (lambda: minmax_grads([0.1], [1], AuxVars(), SurrogateSpec("focal", p=0.5)),
+     "minmax_grads needs an AUC surrogate, got 'focal'"),
+    (lambda: batch_score_normalize([]), "cannot normalize an empty batch"),
+    (lambda: bsn_vjp([1.0, 2.0], [1.0]), "scores (2,) and upstream (1,) differ in length"),
+], ids=["margin_inf", "margin_nan", "margin_zero", "aux_margin_nan", "aux_margin_negative",
+        "empty_batch", "pointwise_spec", "empty_bsn", "bsn_vjp_lengths"])
+def test_bad_input_rejected_with_its_message(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()

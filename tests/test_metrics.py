@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -242,6 +243,16 @@ def test_labels_other_than_plus_minus_one_rejected(metric, bad):
     metric([0.3, -0.2, 0.1], [1, -1, 1])
     with pytest.raises(ValidationError, match="labels must be"):
         metric([0.3, -0.2, 0.1], [1, -1, bad])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: auc_score([0.3, -0.2], [1, -1], tie_policy="lt"),
+     "tie_policy must be 'half' or 'geq', got 'lt'"),
+    (lambda: accuracy([], []), "accuracy of an empty sample set is undefined"),
+], ids=["tie_policy", "empty_accuracy"])
+def test_bad_input_rejected_with_its_message(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def _loaded_by_import_aucmax(module: str) -> bool:

@@ -112,6 +112,8 @@ def test_forward_batch_matches_forward_and_preserves_order():
 def test_forward_batch_empty():
     spec = ModelSpec("linear", 2)
     assert forward_batch(spec, np.zeros(2), np.zeros((0, 2))).shape == (0,)
+    assert np.array_equal(backward_vjp(spec, np.ones(2), np.zeros((0, 2)), np.zeros(0)),
+                          np.zeros(2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -263,6 +265,23 @@ def test_dimension_mismatch_rejected():
         forward_batch(spec, np.zeros(2), np.zeros((3, 4)))
     with pytest.raises(ValidationError):
         backward_vjp(spec, np.zeros(2), np.zeros((3, 2)), np.zeros(2))
+
+
+_LINEAR = ModelSpec("linear", 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: init_params(_LINEAR, 0, math.nan), "init_scale must be finite and >= 0, got nan"),
+    (lambda: init_params(_LINEAR, 0, math.inf), "init_scale must be finite and >= 0, got inf"),
+    (lambda: init_params(_LINEAR, 0, -0.1), "init_scale must be finite and >= 0, got -0.1"),
+    (lambda: forward_batch(_LINEAR, np.zeros(3), np.zeros((1, 2))),
+     "expected 2 parameters for linear, got shape (3,)"),
+    (lambda: backward_vjp(_LINEAR, np.zeros(2), np.zeros((3, 3)), np.zeros(3)),
+     "expected batch of shape (n, 2), got (3, 3)"),
+], ids=["scale_nan", "scale_inf", "scale_negative", "param_count", "vjp_batch_width"])
+def test_bad_input_rejected_with_its_message(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_linear_vjp_is_coeff_times_x():

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aucmax.data import GaussianToySpec, gen_gaussian_toy, make_imbalanced
+from aucmax.data import Dataset, GaussianToySpec, gen_gaussian_toy, make_imbalanced
 from aucmax.errors import NumericalError, ValidationError
 from aucmax.experiments import prepare_data, two_stage_protocol
 from aucmax.losses import (
@@ -510,6 +511,25 @@ class TestSgdTrain:
         with pytest.raises(ValidationError):
             sgd_train(ModelSpec("linear", 2), np.zeros(2), train,
                       SurrogateSpec("auc_margin", p=0.5, m=1.0), SgdConfig(), 0)
+
+
+def _pesg_run(kind="auc_margin", epochs=1, batch_size=2):
+    data = Dataset(np.zeros((4, 2)), np.array([1, -1, 1, -1]))
+    return pesg_train(ModelSpec("linear", 2), np.zeros(2), data, SurrogateSpec(kind, p=0.5),
+                      PesgConfig(), epochs, batch_size, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _pesg_run(epochs=-1), "epochs must be >= 0, got -1"),
+    (lambda: _pesg_run(batch_size=1), "batch_size must be >= 2, got 1"),
+    (lambda: _pesg_run(kind="cross_entropy"),
+     "pesg_train needs an AUC surrogate, got 'cross_entropy'"),
+    (lambda: on_epoch_end(MinMaxState(np.zeros(2), AuxVars(), 0.1), 0, PesgConfig()),
+     "epoch must be >= 1, got 0"),
+], ids=["negative_epochs", "batch_of_one", "pointwise_loss", "epoch_zero"])
+def test_bad_input_rejected_with_its_message(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestTwoStage:
