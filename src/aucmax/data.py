@@ -131,7 +131,11 @@ def gen_gaussian_toy(spec: GaussianToySpec) -> Dataset:
 
 def imbalanced_keep_count(n_pos: int, n_neg: int, imratio: float) -> int:
     """The positives make_imbalanced keeps: the count k in [1, n_pos] whose
-    fraction k / (k + n_neg) is closest to imratio, for 0 < imratio <= the prior."""
+    fraction k / (k + n_neg) is closest to imratio, for both classes present and
+    0 < imratio <= the prior."""
+    if n_pos == 0 or n_neg == 0:
+        raise ValidationError(f"imbalancing needs both classes, got n_pos = {n_pos}, "
+                              f"n_neg = {n_neg}")
     p = n_pos / (n_pos + n_neg)
     if not 0 < imratio <= p:
         raise ValidationError(f"imratio must be in (0, {p:.6g}] for n_pos = {n_pos}, "

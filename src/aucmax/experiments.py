@@ -261,9 +261,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioSummary:
         raise ValidationError("scenario has no losses to run")
     tasks = len(cfg.seeds) * len(cfg.losses)
     workers = min(tasks, _usable_cpus())
-    if workers > 1:
-        # The pointwise losses' scipy.special, loaded once here rather than
-        # in every worker. Its own OpenBLAS may start a thread, so count again.
+    if workers > 1 and (cfg.warm_start is not None or cfg.data.easy_frac > 0
+                        or any(s.kind not in AUC_KINDS for s in cfg.losses)):
+        # A pointwise loss trains (a listed one, the warm start or the
+        # easy-injection scorer): its scipy.special, loaded once here rather
+        # than in every worker. Its own OpenBLAS may start a thread, so count again.
         import scipy.special  # noqa: F401
 
         workers = min(tasks, _usable_cpus())

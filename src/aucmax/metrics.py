@@ -107,6 +107,16 @@ def _base_instance():
     return scores, labels
 
 
+# The rank-drop variants as {index: new score} edits of the base instance.
+_RANK_DROPS = {
+    # demote one positive below seven negatives; one former 0.6 negative
+    # drops below threshold so the error count is unchanged
+    "one_drop": {1: 0.41, 4: 0.49},
+    # demote two positives; both 0.6 negatives drop below threshold
+    "two_drop": {1: 0.41, 2: 0.40, 3: 0.49, 4: 0.48},
+}
+
+
 @dataclass(frozen=True)
 class SensitivityReport:
     names: tuple[str, ...]
@@ -133,26 +143,16 @@ class SensitivityReport:
 def auc_sensitivity_demo() -> SensitivityReport:
     """Three instances: ranks of positives degrade, accuracy never moves."""
     base_scores, labels = _base_instance()
-
-    # demote one positive below seven negatives; one former 0.6 negative
-    # drops below threshold so the error count is unchanged
-    ex2 = base_scores.copy()
-    ex2[1] = 0.41
-    ex2[4] = 0.49  # was 0.6
-
-    # demote two positives; both 0.6 negatives drop below threshold
-    ex3 = base_scores.copy()
-    ex3[1] = 0.41
-    ex3[2] = 0.40
-    ex3[3] = 0.49  # was 0.6
-    ex3[4] = 0.48  # was 0.6
-
-    cases = (base_scores, ex2, ex3)
+    cases = [base_scores]
+    for edits in _RANK_DROPS.values():
+        scores = base_scores.copy()
+        scores[list(edits)] = list(edits.values())
+        cases.append(scores)
     accs = tuple(accuracy(s, labels, threshold=0.5) for s in cases)
     aucs = tuple(auc_score(s, labels).auc for s in cases)
     return SensitivityReport(
-        names=("base", "one_drop", "two_drop"),
-        scores=cases,
+        names=("base", *_RANK_DROPS),
+        scores=tuple(cases),
         labels=labels,
         accuracies=accs,
         aucs=aucs,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .losses import (
     pairwise_square_loss,
     square_loss_decomposition,
 )
-from .metrics import accuracy, auc_score
+from .metrics import _base_instance, accuracy, auc_score
 
 __all__ = [
     "finite_diff",
@@ -210,66 +211,62 @@ class CheckResult:
     seconds: float
 
 
-def _rel_err(got, want) -> float:
+def _rel_err(got, want):
     return abs(got - want) / (1.0 + abs(want))
 
 
-def _random_scored_batch(rng, min_per_class=2, max_per_class=50, scale=2.0):
-    n_pos = int(rng.integers(min_per_class, max_per_class + 1))
-    n_neg = int(rng.integers(min_per_class, max_per_class + 1))
-    sp = scale * rng.standard_normal(n_pos)
-    sn = scale * rng.standard_normal(n_neg)
+def _random_scored_batch(rng, max_per_class=50):
+    n_pos = int(rng.integers(2, max_per_class + 1))
+    n_neg = int(rng.integers(2, max_per_class + 1))
+    sp = 2.0 * rng.standard_normal(n_pos)
+    sn = 2.0 * rng.standard_normal(n_neg)
     scores = np.concatenate([sp, sn])
     labels = np.concatenate([np.ones(n_pos, dtype=int), -np.ones(n_neg, dtype=int)])
     return scores, labels
 
 
-def check_decomposition(n_trials: int = 200, seed: int = 0) -> CheckResult:
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+def _worst_deviation(rng, n_trials: int, trial) -> float:
+    """The largest deviation yielded by n_trials calls of ``trial(rng)``."""
     worst = 0.0
     for _ in range(n_trials):
-        scores, labels = _random_scored_batch(rng)
-        sp, sn = scores[labels > 0], scores[labels < 0]
-        total = pairwise_square_loss(sp, sn)
-        a1, a2, a3 = square_loss_decomposition(sp, sn)
-        worst = max(worst, abs(total - (a1 + a2 + a3)) / (1.0 + abs(total)))
-    return CheckResult(
-        "decomposition_identity", worst <= 1e-12,
-        f"max rel deviation {worst:.2e} over {n_trials} trials (tol 1e-12)",
-        time.perf_counter() - t0,
-    )
+        worst = max(worst, *trial(rng))
+    return worst
 
 
-def check_minmax_equivalence(n_trials: int = 200, seed: int = 1) -> CheckResult:
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_trials):
-        scores, labels = _random_scored_batch(rng)
-        p_emp = float(np.mean(labels > 0))
-        m = float(rng.uniform(0.05, 1.5))
-        sp, sn = scores[labels > 0], scores[labels < 0]
-
-        mspec = SurrogateSpec("auc_margin", p=p_emp, m=m)
-        aux = optimal_aux(sp, sn, loss="auc_margin", m=m)
-        got = minmax_value(scores, labels, aux, mspec)
-        want = p_emp * (1 - p_emp) * margin_loss_value(sp, sn, m)
-        worst = max(worst, _rel_err(got, want))
-
-        sspec = SurrogateSpec("auc_square", p=p_emp)
-        aux_s = optimal_aux(sp, sn, loss="auc_square")
-        got_s = minmax_value(scores, labels, aux_s, sspec)
-        want_s = p_emp * (1 - p_emp) * pairwise_square_loss(sp, sn)
-        worst = max(worst, _rel_err(got_s, want_s))
-    return CheckResult(
-        "minmax_equivalence", worst <= 1e-10,
-        f"max rel deviation {worst:.2e} over {n_trials} trials (tol 1e-10)",
-        time.perf_counter() - t0,
-    )
+def _identity_check(seed: int, n_trials: int, tol: float, trial) -> tuple[bool, str]:
+    worst = _worst_deviation(np.random.default_rng(seed), n_trials, trial)
+    return worst <= tol, f"max rel deviation {worst:.2e} over {n_trials} trials (tol {tol:g})"
 
 
-def _minmax_fd_err(rng, spec: SurrogateSpec) -> float:
+def _decomposition_trial(rng):
+    scores, labels = _random_scored_batch(rng)
+    sp, sn = scores[labels > 0], scores[labels < 0]
+    total = pairwise_square_loss(sp, sn)
+    a1, a2, a3 = square_loss_decomposition(sp, sn)
+    yield _rel_err(a1 + a2 + a3, total)
+
+
+def _closed_form_value(scores, labels, spec: SurrogateSpec) -> float:
+    aux = optimal_aux(scores[labels > 0], scores[labels < 0], loss=spec.kind,
+                      m=spec.effective_margin)
+    return minmax_value(scores, labels, aux, spec)
+
+
+def _saddle_trial(rng, max_per_class: int, m_high: float, saddle_value):
+    """One random batch and margin: each min-max surrogate's saddle value, as
+    ``saddle_value(scores, labels, spec)`` finds it, vs p(1-p) times its
+    pairwise loss."""
+    scores, labels = _random_scored_batch(rng, max_per_class)
+    p = float(np.mean(labels > 0))
+    m = float(rng.uniform(0.05, m_high))
+    sp, sn = scores[labels > 0], scores[labels < 0]
+    yield _rel_err(saddle_value(scores, labels, SurrogateSpec("auc_margin", p=p, m=m)),
+                   p * (1 - p) * margin_loss_value(sp, sn, m))
+    yield _rel_err(saddle_value(scores, labels, SurrogateSpec("auc_square", p=p)),
+                   p * (1 - p) * pairwise_square_loss(sp, sn))
+
+
+def _minmax_fd_trial(rng, spec: SurrogateSpec):
     """One random point: finite differences of the batch objective in
     (scores, a, b, alpha), optionally through BSN, vs the analytic bundle."""
     scores, labels = _random_scored_batch(rng, max_per_class=12)
@@ -288,101 +285,80 @@ def _minmax_fd_err(rng, spec: SurrogateSpec) -> float:
     g = minmax_grads(s_used, labels, aux, spec)
     coeffs = bsn_vjp(scores, g.g_coeffs) if spec.bsn else g.g_coeffs
     analytic = np.concatenate([coeffs, [g.g_a, g.g_b, g.g_alpha]])
-    denom = 1.0 + np.abs(fd)
-    return float(np.max(np.abs(analytic - fd) / denom))
+    yield float(np.max(_rel_err(analytic, fd)))
 
 
-def check_gradients(points_per_case: int = 50, seed: int = 2, tol: float = 1e-5) -> CheckResult:
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for kind, bsn in (("auc_margin", False), ("auc_margin", True),
-                      ("auc_square", False), ("auc_square", True)):
-        spec = SurrogateSpec(kind, p=0.3, m=0.7, bsn=bsn)
-        for _ in range(points_per_case):
-            worst = max(worst, _minmax_fd_err(rng, spec))
-    for _ in range(points_per_case):
-        scores, labels = _random_scored_batch(rng, max_per_class=12)
-        _, coeffs = cross_entropy_loss_and_coeffs(scores, labels)
-        fd = finite_diff(lambda s: cross_entropy_loss_and_coeffs(s, labels)[0], scores)
-        worst = max(worst, float(np.max(np.abs(coeffs - fd) / (1.0 + np.abs(fd)))))
-    for _ in range(points_per_case):
-        scores, labels = _random_scored_batch(rng, max_per_class=12)
-        _, coeffs = focal_loss_and_coeffs(scores, labels, 0.25, 2.0)
-        fd = finite_diff(lambda s: focal_loss_and_coeffs(s, labels, 0.25, 2.0)[0], scores)
-        worst = max(worst, float(np.max(np.abs(coeffs - fd) / (1.0 + np.abs(fd)))))
-    return CheckResult(
-        "gradient_fidelity", worst <= tol,
-        f"max rel error {worst:.2e} across min-max/BSN/CE/focal (tol {tol:g})",
-        time.perf_counter() - t0,
-    )
+def _pointwise_fd_trial(rng, loss):
+    """One random batch: finite differences of a pointwise loss,
+    ``loss(scores, labels) -> (value, coeffs)``, vs its coefficients."""
+    scores, labels = _random_scored_batch(rng, max_per_class=12)
+    _, coeffs = loss(scores, labels)
+    yield float(np.max(_rel_err(coeffs, finite_diff(lambda s: loss(s, labels)[0], scores))))
 
 
-def check_walkthroughs() -> CheckResult:
-    t0 = time.perf_counter()
-    failures = []
+def check_decomposition() -> tuple[bool, str]:
+    return _identity_check(0, 200, 1e-12, _decomposition_trial)
 
-    def expect(tag, got, want, tol=1e-12):
-        if abs(got - want) > tol:
-            failures.append(f"{tag}: got {got!r}, want {want!r}")
 
+def check_minmax_equivalence() -> tuple[bool, str]:
+    return _identity_check(1, 200, 1e-10, partial(_saddle_trial, max_per_class=50, m_high=1.5,
+                                                  saddle_value=_closed_form_value))
+
+
+def check_gradients() -> tuple[bool, str]:
+    rng = np.random.default_rng(2)
+    trials = [partial(_minmax_fd_trial, spec=SurrogateSpec(kind, p=0.3, m=0.7, bsn=bsn))
+              for kind in ("auc_margin", "auc_square") for bsn in (False, True)]
+    trials += [partial(_pointwise_fd_trial, loss=loss) for loss in (
+        cross_entropy_loss_and_coeffs, lambda s, y: focal_loss_and_coeffs(s, y, 0.25, 2.0))]
+    worst = max(_worst_deviation(rng, 50, trial) for trial in trials)
+    return worst <= 1e-5, f"max rel error {worst:.2e} across min-max/BSN/CE/focal (tol 1e-05)"
+
+
+# The published 1-D steps: (tag, case, the result fields it must reproduce,
+# where "score" is score_next).
+_WALKTHROUGHS = (
     # easy positive, square loss: factor 0.5, w 1 -> 0.9, score decays
-    r = run_walkthrough(WalkthroughCase("square", w=1.0, x=1.0, y_observed=1, a=0.5, b=-0.5))
-    expect("sq_pos.factor", r.factor, 0.5)
-    expect("sq_pos.w_next", r.w_next, 0.9)
-    expect("sq_pos.score", r.score_next, 0.9)
-    if r.direction != "toward_wrong":
-        failures.append(f"sq_pos.direction: {r.direction}")
-
+    ("sq_pos", WalkthroughCase("square", w=1.0, x=1.0, y_observed=1, a=0.5, b=-0.5),
+     {"factor": 0.5, "w_next": 0.9, "score": 0.9, "direction": "toward_wrong"}),
     # easy negative, square loss: factor -0.5, score rises
-    r = run_walkthrough(WalkthroughCase("square", w=1.0, x=-1.0, y_observed=-1, a=0.5, b=-0.5))
-    expect("sq_neg.factor", r.factor, -0.5)
-    expect("sq_neg.w_next", r.w_next, 0.9)
-    expect("sq_neg.score", r.score_next, -0.9)
-    if r.direction != "toward_wrong":
-        failures.append(f"sq_neg.direction: {r.direction}")
-
+    ("sq_neg", WalkthroughCase("square", w=1.0, x=-1.0, y_observed=-1, a=0.5, b=-0.5),
+     {"factor": -0.5, "w_next": 0.9, "score": -0.9, "direction": "toward_wrong"}),
     # margin, wide gap (alpha clips to 0): both factors pull toward the class mean
-    for x, want in ((0.75, -0.25), (1.25, 0.25)):
-        r = run_walkthrough(WalkthroughCase("margin", w=1.0, x=x, y_observed=1,
-                                            a=1.0, b=-0.5, m=1.0))
-        expect(f"m_easy[{x}].factor", r.factor, want)
-        expect(f"m_easy[{x}].alpha", r.alpha, 0.0)
-
+    *((f"m_easy[{x}]", WalkthroughCase("margin", w=1.0, x=x, y_observed=1, a=1.0, b=-0.5, m=1.0),
+       {"factor": factor, "alpha": 0.0}) for x, factor in ((0.75, -0.25), (1.25, 0.25))),
     # margin, gap within m: misranked positive gets pushed up
-    r = run_walkthrough(WalkthroughCase("margin", w=1.0, x=0.25, y_observed=1,
-                                        a=0.0, b=-0.5, m=1.0))
-    expect("m_tight.factor", r.factor, -0.25)
-    expect("m_tight.w_next", r.w_next, 1.025)
-    expect("m_tight.score", r.score_next, 0.25625)
-    if r.direction != "toward_correct":
-        failures.append(f"m_tight.direction: {r.direction}")
-
+    ("m_tight", WalkthroughCase("margin", w=1.0, x=0.25, y_observed=1, a=0.0, b=-0.5, m=1.0),
+     {"factor": -0.25, "w_next": 1.025, "score": 0.25625, "direction": "toward_correct"}),
     # noisy true-positive observed as negative: square factor is exactly 1
-    r = run_walkthrough(WalkthroughCase("square", w=1.0, x=0.25, y_observed=-1,
-                                        a=0.25, b=-0.5, y_true=1))
-    expect("noisy_sq.factor", r.factor, 1.0)
-    if r.direction != "toward_wrong":
-        failures.append(f"noisy_sq.direction: {r.direction}")
-
+    ("noisy_sq", WalkthroughCase("square", w=1.0, x=0.25, y_observed=-1, a=0.25, b=-0.5,
+                                 y_true=1),
+     {"factor": 1.0, "direction": "toward_wrong"}),
     # same sample under the margin loss: the wrong-direction factor equals m
-    for m in (0.1, 0.5, 1.0):
-        r = run_walkthrough(WalkthroughCase("margin", w=1.0, x=0.25, y_observed=-1,
-                                            a=0.25, b=-0.5, m=m, y_true=1,
-                                            assume_margin_violated=True))
-        expect(f"noisy_m[{m}].factor", r.factor, m)
-        if r.direction != "toward_wrong":
-            failures.append(f"noisy_m[{m}].direction: {r.direction}")
-
-    detail = "all published step values reproduced" if not failures else "; ".join(failures)
-    return CheckResult("walkthroughs", not failures, detail, time.perf_counter() - t0)
+    *((f"noisy_m[{m}]", WalkthroughCase("margin", w=1.0, x=0.25, y_observed=-1, a=0.25, b=-0.5,
+                                        m=m, y_true=1, assume_margin_violated=True),
+       {"factor": m, "direction": "toward_wrong"}) for m in (0.1, 0.5, 1.0)),
+)
 
 
-def check_auc_ranksum(n_trials: int = 200, seed: int = 3) -> CheckResult:
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+def check_walkthroughs() -> tuple[bool, str]:
     failures = []
-    for trial in range(n_trials):
+    for tag, case, expected in _WALKTHROUGHS:
+        r = run_walkthrough(case)
+        for field, want in expected.items():
+            got = getattr(r, "score_next" if field == "score" else field)
+            if field == "direction":
+                if got != want:
+                    failures.append(f"{tag}.direction: {got}")
+            elif abs(got - want) > 1e-12:
+                failures.append(f"{tag}.{field}: got {got!r}, want {want!r}")
+    return not failures, "; ".join(failures) or "all published step values reproduced"
+
+
+def check_auc_ranksum() -> tuple[bool, str]:
+    rng = np.random.default_rng(3)
+    failures = []
+    for trial in range(200):
         scores, labels = _random_scored_batch(rng, max_per_class=30)
         if trial % 3 == 0:  # force ties
             scores = np.round(scores, 1)
@@ -392,45 +368,24 @@ def check_auc_ranksum(n_trials: int = 200, seed: int = 3) -> CheckResult:
             if abs(fast - slow) > 1e-12:
                 failures.append(f"trial {trial} ({policy}): {fast} vs {slow}")
 
-    # the 25-sample illustration: perfect ranking, two negatives over threshold
-    pos = [0.9, 0.8, 0.7]
-    neg = [0.6, 0.6] + [0.1 + 0.02 * i for i in range(20)]
-    scores = np.array(pos + neg)
-    labels = np.array([1] * 3 + [-1] * 22)
+    # the published 25-sample instance: perfect ranking, two negatives over threshold
+    scores, labels = _base_instance()
     if auc_score(scores, labels).auc != 1.0:
         failures.append("illustration AUC != 1.0")
     if abs(accuracy(scores, labels, 0.5) - 0.92) > 1e-12:
         failures.append("illustration accuracy != 0.92")
-    detail = "rank-sum equals pair count" if not failures else "; ".join(failures[:3])
-    return CheckResult("auc_ranksum_vs_pairs", not failures, detail, time.perf_counter() - t0)
+    return not failures, "; ".join(failures[:3]) or "rank-sum equals pair count"
 
 
-def check_saddle_certificate(n_trials: int = 25, seed: int = 4) -> CheckResult:
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    worst = 0.0
+def check_saddle_certificate() -> tuple[bool, str]:
     try:
-        for _ in range(n_trials):
-            scores, labels = _random_scored_batch(rng, max_per_class=20)
-            p_emp = float(np.mean(labels > 0))
-            sp, sn = scores[labels > 0], scores[labels < 0]
-            m = float(rng.uniform(0.05, 1.2))
-
-            v = brute_force_minmax(scores, labels, SurrogateSpec("auc_margin", p=p_emp, m=m))
-            worst = max(worst, _rel_err(v, p_emp * (1 - p_emp) * margin_loss_value(sp, sn, m)))
-            v = brute_force_minmax(scores, labels, SurrogateSpec("auc_square", p=p_emp))
-            worst = max(worst, _rel_err(v, p_emp * (1 - p_emp) * pairwise_square_loss(sp, sn)))
+        return _identity_check(4, 25, 1e-10, partial(_saddle_trial, max_per_class=20, m_high=1.2,
+                                                     saddle_value=brute_force_minmax))
     except ValidationError as exc:
-        return CheckResult("saddle_certificate", False, str(exc), time.perf_counter() - t0)
-    return CheckResult(
-        "saddle_certificate", worst <= 1e-10,
-        f"max rel deviation {worst:.2e} over {n_trials} trials (tol 1e-10)",
-        time.perf_counter() - t0,
-    )
+        return False, str(exc)
 
 
-def check_bsn() -> CheckResult:
-    t0 = time.perf_counter()
+def check_bsn() -> tuple[bool, str]:
     rng = np.random.default_rng(5)
     failures = []
     for _ in range(50):
@@ -440,20 +395,25 @@ def check_bsn() -> CheckResult:
             failures.append(f"norm {np.linalg.norm(out)}")
     if not np.array_equal(batch_score_normalize(np.zeros(4)), np.zeros(4)):
         failures.append("zero batch not passed through")
-    detail = "unit norm everywhere" if not failures else "; ".join(failures[:3])
-    return CheckResult("bsn_normalization", not failures, detail, time.perf_counter() - t0)
+    return not failures, "; ".join(failures[:3]) or "unit norm everywhere"
+
+
+def _timed(name: str, check) -> CheckResult:
+    t0 = time.perf_counter()
+    passed, detail = check()
+    return CheckResult(name, passed, detail, time.perf_counter() - t0)
 
 
 def run_oracle_suite() -> list[CheckResult]:
-    return [
-        check_decomposition(),
-        check_minmax_equivalence(),
-        check_gradients(),
-        check_walkthroughs(),
-        check_auc_ranksum(),
-        check_saddle_certificate(),
-        check_bsn(),
-    ]
+    return [_timed(name, check) for name, check in (
+        ("decomposition_identity", check_decomposition),
+        ("minmax_equivalence", check_minmax_equivalence),
+        ("gradient_fidelity", check_gradients),
+        ("walkthroughs", check_walkthroughs),
+        ("auc_ranksum_vs_pairs", check_auc_ranksum),
+        ("saddle_certificate", check_saddle_certificate),
+        ("bsn_normalization", check_bsn),
+    )]
 
 
 def format_check_table(results: list[CheckResult]) -> str:

@@ -242,12 +242,16 @@ _ONE_POS = Dataset(np.zeros((1, 2)), np.array([1]))
     (lambda: GaussianToySpec(n_pos=0), "need at least one sample per class"),
     (lambda: make_imbalanced(_ONE_EACH, 0.6, 0),
      "imratio must be in (0, 0.5] for n_pos = 1, n_neg = 1, got 0.6"),
+    (lambda: make_imbalanced(Dataset(np.zeros((3, 2)), np.array([1, 1, 1])), 1.0, 0),
+     "imbalancing needs both classes, got n_pos = 3, n_neg = 0"),
+    (lambda: make_imbalanced(Dataset(np.zeros((0, 2)), np.array([], dtype=int)), 0.5, 0),
+     "imbalancing needs both classes, got n_pos = 0, n_neg = 0"),
     (lambda: inject_noise(_ONE_EACH, _ONE_EACH, 0.05, 0),
      "removed pool must contain only positives"),
     (lambda: inject_easy(_ONE_EACH, _ONE_POS, [0.5], top_frac=0.0),
      "top_frac must be in (0,1], got 0.0"),
 ], ids=["x_rows", "y_true_length", "y_true_entries", "empty_class", "imratio_above_prior",
-        "negative_in_pool", "top_frac_zero"])
+        "no_negatives", "no_rows", "negative_in_pool", "top_frac_zero"])
 def test_bad_input_rejected_with_its_message(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()

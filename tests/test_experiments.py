@@ -310,13 +310,15 @@ def _back_to_back(calls):
     return lifecycle
 
 
-def _fork_states():
-    """For each fork of a two-seed run_scenario: whether scipy.special was
-    loaded and how many threads were listed just before it."""
+def _fork_states(pointwise=True):
+    """For each fork of a two-seed run_scenario, of its pointwise and AUC
+    losses or of the AUC losses alone: whether scipy.special was loaded and
+    how many threads were listed just before it."""
     states = []
     os.register_at_fork(before=lambda: states.append(
         ["scipy.special" in sys.modules, len(os.listdir("/proc/self/task"))]))
-    run_scenario(_fast_scenario(seeds=(0, 1)))
+    losses = _fast_scenario().losses if pointwise else (SQUARE, MARGIN)
+    run_scenario(_fast_scenario(seeds=(0, 1), losses=losses))
     return states
 
 
@@ -380,6 +382,12 @@ class TestParallelRuns:
         states = _pooled("_fork_states")
         assert states and all(state == [True, 1] for state in states)
 
+    def test_workers_fork_without_scipy_special_when_nothing_pointwise_trains(self):
+        # no pointwise loss, warm start or easy injection: nothing calls expit
+        _needs_two_cpus()
+        states = _pooled("_fork_states", False)
+        assert states and all(state == [False, 1] for state in states)
+
     def test_a_threaded_process_forks_no_pool(self):
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
@@ -400,6 +408,12 @@ class TestMetricsCsv:
         path = tmp_path / "m.csv"
         path.write_text(records_to_csv(records))
         assert read_metrics_csv(path) == records
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        record = RunRecord(1, 10, 0.5, 0.7, 0.68, 0.1, -0.1, 0.0, 0.1)
+        path = tmp_path / "m.csv"
+        path.write_text(records_to_csv([record, record]).replace("\n", "\n\n"))
+        assert read_metrics_csv(path) == [record, record]
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"

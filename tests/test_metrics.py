@@ -249,7 +249,8 @@ def test_labels_other_than_plus_minus_one_rejected(metric, bad):
     (lambda: auc_score([0.3, -0.2], [1, -1], tie_policy="lt"),
      "tie_policy must be 'half' or 'geq', got 'lt'"),
     (lambda: accuracy([], []), "accuracy of an empty sample set is undefined"),
-], ids=["tie_policy", "empty_accuracy"])
+    (lambda: auc_pair_count([0.3, -0.2], [1, 1]), "AUC needs at least one sample of each class"),
+], ids=["tie_policy", "empty_accuracy", "one_class_pair_count"])
 def test_bad_input_rejected_with_its_message(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()

@@ -366,14 +366,16 @@ class TestModelFile:
 
     @pytest.mark.parametrize("text, message", [
         ("linear 2\n", "truncated model file"),
+        ("\n2\n1.0\n2.0\n", "bad header ''"),
+        ("linear two\n2\n1.0\n2.0\n", "bad header 'linear two'"),
         ("linear 2\ntwo\n1.0\n2.0\n", "bad parameter count 'two'"),
         ("linear 2\n2\n1.0\n", "expected 2 parameter lines, found 1"),
         ("linear 2\n2\n1.0\n2.0\n3.0\n", "expected 2 parameter lines, found 3"),
         ("linear 2\n2\n1.0\none\n", "unparseable parameter line"),
         ("linear 2\n2\n1.0\nnan\n", "non-finite parameter in file"),
         ("mlp 1 1 1.0\n4\n1.0\n2.0\n-inf\n4.0\n", "non-finite parameter in file"),
-    ], ids=["truncated", "unparseable_count", "too_few_params", "too_many_params",
-            "unparseable_param", "nan_param", "inf_param"])
+    ], ids=["truncated", "empty_header", "unparseable_header", "unparseable_count",
+            "too_few_params", "too_many_params", "unparseable_param", "nan_param", "inf_param"])
     def test_bad_model_file_names_its_fault(self, tmp_path, text, message):
         path = tmp_path / "bad.model"
         path.write_text(text)
