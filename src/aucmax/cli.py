@@ -40,7 +40,6 @@ from .experiments import (
 )
 from .metrics import accuracy, auc_score, auc_sensitivity_demo
 from .models import forward_batch, load_model
-from .verify import format_check_table, run_oracle_suite
 
 
 class _Parser(argparse.ArgumentParser):
@@ -201,6 +200,9 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here, so that no other command compiles and loads the oracle suite
+    from .verify import format_check_table, run_oracle_suite
+
     results = run_oracle_suite()
     print(format_check_table(results))
     if args.demo:

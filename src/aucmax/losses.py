@@ -15,7 +15,8 @@ The public functions validate their inputs. Each has an unchecked core
 (``_minmax_grads``, ``_bsn``/``_bsn_vjp`` with the norm from ``_bsn_norm``,
 ``_cross_entropy``, ``_focal``) that the training loop calls on batches of a
 checked ``Dataset``. The min-max core takes the batch's columns of the
-label table from ``_minmax_weights``, which training builds once per run.
+label table from ``_minmax_weights``, which training builds once per run,
+and a, b and alpha as numpy scalars, and builds no per-batch object.
 """
 
 from __future__ import annotations
@@ -200,47 +201,65 @@ def _minmax_weights(y, p: float) -> np.ndarray:
                      -2 * (1 - p) * pos, -2 * p * neg])
 
 
-def _minmax_terms(s, w, aux: AuxVars, spec: SurrogateSpec):
+def _minmax_terms(s, w, a, b, alpha, spec: SurrogateSpec):
     """The shared terms of the min-max objective on a batch with label table ``w``.
 
-    Returns (alpha, s - a, s - b, means), where ``means`` holds the batch
-    means of the value and of the per-sample g_a, g_b and 2 alpha factor.
+    ``a``, ``b`` and ``alpha`` are numpy float64 scalars, so that a diverging
+    run overflows to inf instead of raising. Returns (s - a, s - b, sums),
+    where ``sums`` holds the batch sums of the value, of the per-sample g_a
+    and g_b, and of the alpha factor's ``inner``, which the caller doubles:
+    short of overflow, doubling is exact, so ``2 * sum(inner)`` is
+    ``sum(2 * inner)`` bit for bit.
     """
     p, m = spec.p, spec.effective_margin
     w_pos, w_neg, _, _, w_a, w_b = w
-    # numpy scalars so a diverging run overflows to inf instead of raising
-    a, b, alpha = np.float64(aux.a), np.float64(aux.b), np.float64(aux.alpha)
     d_a = s - a
     d_b = s - b
     terms = np.empty((4, s.size))
-    per, g_a, g_b, g_alpha = terms
-    inner = p * (1 - p) * m + s * w_neg - s * w_pos
+    per, g_a, g_b, inner = terms
+    np.subtract(p * (1 - p) * m + s * w_neg, s * w_pos, out=inner)
     np.add(d_a**2 * w_pos + d_b**2 * w_neg - p * (1 - p) * alpha**2, 2 * alpha * inner, out=per)
     np.multiply(d_a, w_a, out=g_a)
     np.multiply(d_b, w_b, out=g_b)
-    np.multiply(inner, 2.0, out=g_alpha)
-    return alpha, d_a, d_b, terms.sum(axis=1) / s.size
+    return d_a, d_b, np.add.reduce(terms, axis=1).tolist()
+
+
+def _aux_scalars(aux: AuxVars):
+    return np.float64(aux.a), np.float64(aux.b), np.float64(aux.alpha)
 
 
 def minmax_value(scores, labels, aux: AuxVars, spec: SurrogateSpec) -> float:
     """Batch mean of the decomposable per-sample min-max objective."""
     s, y = _check_auc_batch(scores, labels, spec, "minmax_value")
-    return float(_minmax_terms(s, _minmax_weights(y, spec.p), aux, spec)[-1][0])
+    return _minmax_terms(s, _minmax_weights(y, spec.p), *_aux_scalars(aux), spec)[-1][0] / s.size
 
 
 def minmax_grads(scores, labels, aux: AuxVars, spec: SurrogateSpec) -> MinMaxGrads:
     """Exact gradients of minmax_value w.r.t. scores, a, b and alpha."""
     s, y = _check_auc_batch(scores, labels, spec, "minmax_grads")
-    return _minmax_grads(s, _minmax_weights(y, spec.p), aux, spec)
+    g_ab = np.empty(2)
+    value, g_coeffs, g_alpha = _minmax_grads(s, _minmax_weights(y, spec.p), *_aux_scalars(aux),
+                                             spec, g_ab)
+    g_a, g_b = g_ab.tolist()
+    return MinMaxGrads(g_coeffs=g_coeffs, g_a=g_a, g_b=g_b, g_alpha=float(g_alpha), value=value)
 
 
-def _minmax_grads(s, w, aux: AuxVars, spec: SurrogateSpec) -> MinMaxGrads:
-    alpha, d_a, d_b, means = _minmax_terms(s, w, aux, spec)
-    p = spec.p
-    value, g_a, g_b, g_alpha = means.tolist()
-    g_coeffs = ((d_a - alpha) * w[2] + (d_b + alpha) * w[3]) / s.size
-    return MinMaxGrads(g_coeffs=g_coeffs, g_a=g_a, g_b=g_b,
-                       g_alpha=float(g_alpha - 2 * p * (1 - p) * alpha), value=value)
+def _minmax_grads(s, w, a, b, alpha, spec: SurrogateSpec, g_ab):
+    """``minmax_grads``' core on ``_minmax_terms``' arguments: returns the
+    batch value, the score coefficients and g_alpha, and writes g_a and g_b
+    into ``g_ab`` (the last two slots of PESG's gradient buffer)."""
+    d_a, d_b, (value, g_a, g_b, inner) = _minmax_terms(s, w, a, b, alpha, spec)
+    p, n = spec.p, s.size
+    g_ab[0] = g_a / n
+    g_ab[1] = g_b / n
+    # d_a and d_b are spent: the coefficients take their place
+    np.subtract(d_a, alpha, out=d_a)
+    d_a *= w[2]
+    np.add(d_b, alpha, out=d_b)
+    d_b *= w[3]
+    d_a += d_b
+    d_a /= n
+    return value / n, d_a, 2 * inner / n - 2 * p * (1 - p) * alpha
 
 
 def batch_score_normalize(scores) -> np.ndarray:

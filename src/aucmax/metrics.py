@@ -41,14 +41,27 @@ def auc_score(scores, labels, tie_policy: str = "half") -> AucResult:
     """
     if tie_policy not in ("half", "geq"):
         raise ValidationError(f"tie_policy must be 'half' or 'geq', got {tie_policy!r}")
-    s, _, pos, n_pos = _as_scored(scores, labels)
-    n_neg = s.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValidationError("AUC needs at least one sample of each class")
+    s, _, pos, _ = _as_scored(scores, labels)
+    return _auc(s, pos, ~pos, tie_policy)
 
+
+def _class_split(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positive and the negative row indices of checked +1/-1 labels: the
+    class split that training's evaluation builds once per run for ``_auc``."""
+    pos = labels == 1
+    return np.flatnonzero(pos), np.flatnonzero(~pos)
+
+
+def _auc(s: np.ndarray, pos, neg, tie_policy: str = "half") -> AucResult:
+    """``auc_score`` of checked float64 scores ``s`` with the class split
+    ``(pos, neg)``, two boolean masks or two index arrays: only the gathers,
+    the sorts and the counts."""
     # NaNs sort last, and searchsorted orders them the same way, so NaNs of
     # both classes form one tied group above every number
-    neg_sorted, pos_sorted = s[~pos], s[pos]
+    neg_sorted, pos_sorted = s[neg], s[pos]
+    n_pos, n_neg = pos_sorted.size, neg_sorted.size
+    if n_pos == 0 or n_neg == 0:
+        raise ValidationError("AUC needs at least one sample of each class")
     neg_sorted.sort()
     pos_sorted.sort()
     below = np.searchsorted(neg_sorted, pos_sorted, side="left")

@@ -13,13 +13,15 @@ files round-trip bit-exactly:
     mlp:    [W (row-major, d_hidden x d_in), b_h (d_hidden),
              v (d_hidden), b_out]
 
-All functions are pure; gradients are hand-written vector-Jacobian products
-(`backward_vjp`), checked against central finite differences in the tests.
-The public functions validate their inputs; the training loop calls the
-unchecked `_forward_hidden`/`_backward_hidden` pair, which keeps a batch's
-ELU negative part and activations from the forward pass for the backward
-pass. Evaluation (`forward_batch`) scores an mlp through `_score_mlp`, which
-keeps nothing. Training, evaluation and the VJP share one ELU formula,
+The public functions are pure; gradients are hand-written vector-Jacobian
+products (`backward_vjp`), checked against central finite differences in the
+tests. The public functions validate their inputs; the training loop calls
+the unchecked `_forward_hidden`/`_backward_hidden` pair on views of the
+params and of a gradient buffer (`_model_views`) that a run takes once. The
+pair keeps a batch's ELU negative part and activations from the forward pass
+for the backward pass, which writes the gradient in place. Evaluation
+(`forward_batch`) scores an mlp through `_score_mlp`, which keeps nothing.
+Training, evaluation and the VJP share one ELU formula,
 ``max(Z, -0.0) + alpha * expm1(min(Z, 0))``, with no branch mask.
 """
 
@@ -93,13 +95,16 @@ def _check_params(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
     return params
 
 
-def _unpack_mlp(spec: ModelSpec, params: np.ndarray):
+def _model_views(spec: ModelSpec, params: np.ndarray):
+    """``params`` (or a gradient buffer) as ``_forward_hidden`` and
+    ``_backward_hidden`` take it: the vector itself for linear, else the
+    mlp's (W, b_h, v, b_out) as views, b_out a one-element one, which see
+    every in-place update, so that a training run takes them once."""
+    if spec.kind == "linear":
+        return params
     h, d = spec.d_hidden, spec.d_in
-    W = params[: h * d].reshape(h, d)
-    b_h = params[h * d : h * d + h]
-    v = params[h * d + h : h * d + 2 * h]
-    b_out = params[-1]
-    return W, b_h, v, b_out
+    return (params[: h * d].reshape(h, d), params[h * d : h * d + h],
+            params[h * d + h : h * d + 2 * h], params[-1:])
 
 
 _BLOCK_ELEMS = 8192      # 64 KiB of float64
@@ -130,20 +135,24 @@ def _elu_negative(Z_neg: np.ndarray, alpha: float, out=None) -> np.ndarray:
     return E
 
 
-def _forward_hidden(spec: ModelSpec, params: np.ndarray, X: np.ndarray):
-    """Unchecked one-pass scores of a non-empty batch, with what
-    ``_backward_hidden`` needs of the mlp's hidden layer (None for linear):
-    the ELU's negative part ``Z_neg = min(Z, 0)`` and the activations ``U``.
-    The ELU ``max(Z, -0.0) + alpha * expm1(Z_neg)`` needs no mask: its second
-    term is +0.0 where ``Z > 0``, and adding -0.0 changes no value."""
+def _forward_hidden(spec: ModelSpec, views, X: np.ndarray):
+    """Unchecked one-pass scores of a non-empty batch from the ``_model_views``
+    of the params, with what ``_backward_hidden`` needs of the mlp's hidden
+    layer (None for linear): the ELU's negative part ``Z_neg = min(Z, 0)`` and
+    the activations ``U``. The ELU ``max(Z, -0.0) + alpha * expm1(Z_neg)``
+    needs no mask: its second term is +0.0 where ``Z > 0``, and adding -0.0
+    changes no value."""
     if spec.kind == "linear":
-        return X @ params, None
-    W, b_h, v, b_out = _unpack_mlp(spec, params)
-    Z = X @ W.T + b_h                     # (n, h)
+        return X @ views, None
+    W, b_h, v, b_out = views
+    Z = X @ W.T
+    Z += b_h                              # (n, h)
     Z_neg = np.minimum(Z, 0.0)
     U = np.maximum(Z, -0.0, out=Z)
     U += _elu_negative(Z_neg, spec.elu_alpha)   # ELU, (n, h)
-    return U @ v + b_out, (Z_neg, U)
+    scores = U @ v
+    scores += b_out
+    return scores, (Z_neg, U)
 
 
 def _elu_in_place(Z: np.ndarray, bias, zero, neg_zero, alpha: float) -> None:
@@ -171,7 +180,7 @@ def _score_mlp(spec: ModelSpec, params: np.ndarray, X: np.ndarray) -> np.ndarray
     wide to block, is scored in one pass with scalar operands.
     """
     n, rows = X.shape[0], _block_rows(spec)
-    W, b_h, v, b_out = _unpack_mlp(spec, params)
+    W, b_h, v, b_out = _model_views(spec, params)
     if not rows or n < 2 * rows:
         Z = X @ W.T
         _elu_in_place(Z, b_h, 0.0, -0.0, spec.elu_alpha)
@@ -217,25 +226,26 @@ def forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> float:
     return float(forward_batch(spec, params, x[None, :])[0])
 
 
-def _backward_hidden(spec: ModelSpec, params: np.ndarray, X: np.ndarray, coeffs: np.ndarray,
-                     hidden) -> np.ndarray:
-    """Unchecked ``backward_vjp`` of a non-empty batch from the ``hidden`` that
-    ``_forward_hidden`` returned for the same (pre-update) params."""
+def _backward_hidden(spec: ModelSpec, views, X: np.ndarray, coeffs: np.ndarray, hidden,
+                     out) -> None:
+    """Unchecked ``backward_vjp`` of a non-empty batch, written into ``out``,
+    the ``_model_views`` of a gradient buffer. ``views`` and ``hidden`` are
+    what ``_forward_hidden`` took and returned for the same (pre-update)
+    params; hidden's ``Z_neg`` is overwritten."""
     if spec.kind == "linear":
-        return X.T @ coeffs
+        np.matmul(X.T, coeffs, out=out)
+        return
     Z_neg, U = hidden
-    h, d = spec.d_hidden, spec.d_in
-    v = params[h * d + h : h * d + 2 * h]
-    elu_grad = np.exp(Z_neg)              # exactly 1 where Z > 0, as Z_neg is 0 there
+    G = np.exp(Z_neg, out=Z_neg)          # exactly 1 where Z > 0, as Z_neg is 0 there
     if spec.elu_alpha != 1.0:             # alpha * exp(Z) on Z <= 0, i.e. where U <= 0
-        elu_grad = np.where(U > 0, 1.0, spec.elu_alpha * elu_grad)
-    G = coeffs[:, None] * elu_grad * v[None, :]  # d(sum)/dZ
-    grad = np.empty(spec.n_params)
-    grad[: h * d] = (G.T @ X).reshape(-1)
-    grad[h * d : h * d + h] = G.sum(axis=0)
-    grad[h * d + h : h * d + 2 * h] = U.T @ coeffs
-    grad[-1] = coeffs.sum()
-    return grad
+        G = np.where(U > 0, 1.0, spec.elu_alpha * G)
+    G *= coeffs[:, None]
+    G *= views[2]                         # times v: d(sum)/dZ
+    g_W, g_b_h, g_v, g_b_out = out
+    np.matmul(G.T, X, out=g_W)
+    np.add.reduce(G, axis=0, out=g_b_h)
+    np.matmul(U.T, coeffs, out=g_v)
+    np.add.reduce(coeffs, keepdims=True, out=g_b_out)
 
 
 def backward_vjp(
@@ -253,8 +263,11 @@ def backward_vjp(
         return np.zeros(spec.n_params)
     if X.shape[1] != spec.d_in:
         raise ValidationError(f"expected batch of shape (n, {spec.d_in}), got {X.shape}")
-    hidden = None if spec.kind == "linear" else _forward_hidden(spec, params, X)[1]
-    return _backward_hidden(spec, params, X, coeffs, hidden)
+    views = _model_views(spec, params)
+    hidden = None if spec.kind == "linear" else _forward_hidden(spec, views, X)[1]
+    grad = np.empty(spec.n_params)
+    _backward_hidden(spec, views, X, coeffs, hidden, _model_views(spec, grad))
+    return grad
 
 
 def output_layer_slice(spec: ModelSpec) -> slice:

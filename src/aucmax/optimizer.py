@@ -8,7 +8,7 @@ PESG step, per iteration on the primal block v = (w, a, b) and dual alpha:
 
 v_ref is refreshed at every learning-rate decay point with the running
 average of the primal iterates of the stage that just ended; ``MinMaxState``
-holds v, v_ref and that running sum as float64 vectors.
+holds v, v_ref, that running sum and v's gradient buffer as float64 vectors.
 """
 
 from __future__ import annotations
@@ -33,11 +33,12 @@ from .losses import (
     _minmax_grads,
     _minmax_weights,
 )
-from .metrics import auc_score
+from .metrics import _auc, _class_split
 from .models import (
     ModelSpec,
     _backward_hidden,
     _forward_hidden,
+    _model_views,
     forward_batch,
     init_params,
     output_layer_slice,
@@ -108,15 +109,19 @@ def _check_length(epochs: int, batch_size: int) -> None:
 class MinMaxState:
     """PESG's state: the primal block ``v = (w, a, b)``, a float64 copy of
     ``params`` with ``aux.a`` and ``aux.b`` appended (``params`` is a view of
-    its w part); the dual ``alpha``, the step size, the reference ``v_ref``,
-    the stage's running sum ``v_sum`` and step count, and the decays so far."""
+    its w part); the dual ``alpha``, a numpy float64 so that ``alpha**2``
+    overflows to inf instead of raising; the step size, the reference
+    ``v_ref``, the stage's running sum ``v_sum`` and step count, and the
+    decays so far. ``grad`` is the buffer of v's gradient that each step
+    fills: the model gradient, then g_a and g_b."""
 
     def __init__(self, params: np.ndarray, aux: AuxVars, eta: float):
         self.v = np.append(np.asarray(params, dtype=np.float64), (aux.a, aux.b))
-        self.alpha = float(aux.alpha)
+        self.alpha = np.float64(aux.alpha)
         self.eta = eta
         self.v_ref = self.v.copy()
         self.v_sum = np.zeros_like(self.v)
+        self.grad = np.empty_like(self.v)
         self.stage_count = 0
         self.n_decays = 0
 
@@ -130,7 +135,7 @@ class MinMaxState:
 
     @property
     def aux(self) -> AuxVars:
-        return AuxVars(a=float(self.v[-2]), b=float(self.v[-1]), alpha=self.alpha)
+        return AuxVars(a=float(self.v[-2]), b=float(self.v[-1]), alpha=float(self.alpha))
 
 
 @dataclass(frozen=True)
@@ -161,22 +166,30 @@ def pesg_step(state: MinMaxState, model_grad: np.ndarray, grads: MinMaxGrads,
     """One primal-descent / dual-ascent update, in place."""
     _require_finite("model gradient", model_grad)
     _require_finite_scalars("aux gradients", grads.g_a, grads.g_b, grads.g_alpha)
+    np.concatenate((model_grad, (grads.g_a, grads.g_b)), out=state.grad)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _pesg_update(state, model_grad, grads, cfg)
+        return _pesg_update(state, grads.g_alpha, cfg)
 
 
-def _pesg_update(state: MinMaxState, model_grad: np.ndarray, grads: MinMaxGrads,
-                 cfg: PesgConfig) -> MinMaxState:
-    """``pesg_step`` without the gradient checks: a non-finite gradient makes
-    the updated params or aux non-finite, and both are checked, alpha before
-    its projection (``max(0.0, nan)`` is 0.0)."""
-    eta, v = state.eta, state.v
-    grad_v = np.concatenate((model_grad, (grads.g_a, grads.g_b)))
-    v -= eta * (grad_v + cfg.gamma * (v - state.v_ref)) + cfg.weight_decay * eta * v
-    _require_finite("updated model parameters", state.params)
-    alpha = state.alpha + eta * grads.g_alpha
-    _require_finite_scalars("updated aux variables", v[-2], v[-1], alpha)
-    state.alpha = float(max(0.0, alpha) if cfg.project_alpha else alpha)
+def _pesg_update(state: MinMaxState, g_alpha, cfg: PesgConfig, prox: bool = True) -> MinMaxState:
+    """``pesg_step`` without the gradient checks, from v's gradient in
+    ``state.grad`` (which it overwrites) and alpha's ``g_alpha``: a
+    non-finite gradient makes the updated params or aux non-finite, and both
+    are checked, alpha before its projection (``max(0.0, nan)`` is 0.0).
+    ``prox=False`` leaves the proximal term out (see ``_pesg_rule``)."""
+    eta, v, g = state.eta, state.v, state.grad
+    if prox:
+        g += cfg.gamma * (v - state.v_ref)
+    g *= eta
+    g += cfg.weight_decay * eta * v
+    v -= g
+    alpha = state.alpha + eta * g_alpha
+    if not (np.isfinite(v).all() and math.isfinite(alpha)):
+        _require_finite("updated model parameters", state.params)
+        _require_finite_scalars("updated aux variables", v[-2], v[-1], alpha)
+    if cfg.project_alpha and not alpha > 0.0:
+        alpha = np.float64(0.0)
+    state.alpha = alpha
     state.v_sum += v
     state.stage_count += 1
     return state
@@ -197,12 +210,13 @@ def on_epoch_end(state: MinMaxState, epoch: int, cfg: PesgConfig) -> MinMaxState
     return state
 
 
-def _fused_step(model_spec, params, Xb, wb, update) -> float:
+def _fused_step(model_spec, views, Xb, wb, update) -> float:
     """One training step on a batch of a checked ``Dataset``, with no input
     checks: the batch scores are checked here, and ``update`` checks what it
-    updates. ``wb`` is the batch's columns of the rule's label table. Returns
-    the batch loss."""
-    scores, hidden = _forward_hidden(model_spec, params, Xb)
+    updates. ``views`` are the run's ``_model_views`` of its params, and
+    ``wb`` is the batch's columns of the rule's label table. Returns the
+    batch loss."""
+    scores, hidden = _forward_hidden(model_spec, views, Xb)
     _require_finite("batch scores", scores)
     return update(Xb, wb, scores, hidden)
 
@@ -210,8 +224,21 @@ def _fused_step(model_spec, params, Xb, wb, update) -> float:
 def _pesg_rule(model_spec, state: MinMaxState, surrogate: SurrogateSpec, cfg: PesgConfig):
     """PESG's ``update(Xb, wb, scores, hidden)`` for ``_fused_step``, on the
     columns ``wb`` of ``_minmax_weights``: optional BSN, the min-max
-    gradients, the VJP and the PESG update of ``state``."""
-    params = state.params
+    gradients, the VJP into ``state.grad`` and the PESG update of ``state``.
+
+    The views of ``state`` are taken once. With ``gamma == 0`` the proximal
+    term ``0 * (v - v_ref)`` is skipped. For a finite v_ref it is a signed
+    zero: adding it turns a gradient entry of -0.0 into +0.0, which changes
+    the update only where v holds -0.0. No step makes a -0.0 (v - t is -0.0
+    only for v = -0.0), so a start that holds one keeps the term. A v_ref
+    that overflowed (a stage sum beyond DBL_MAX) would make the term NaN and
+    abort the run; without the term the run goes on.
+    """
+    views = _model_views(model_spec, state.params)
+    grad_views = _model_views(model_spec, state.grad[:-2])
+    g_ab = state.grad[-2:]
+    v = state.v
+    prox = cfg.gamma != 0.0 or bool(np.signbit(v[v == 0.0]).any())
 
     def update(Xb, wb, raw, hidden):
         if surrogate.bsn:
@@ -219,10 +246,13 @@ def _pesg_rule(model_spec, state: MinMaxState, surrogate: SurrogateSpec, cfg: Pe
             scores = _bsn(raw, norm)
         else:
             scores = raw
-        g = _minmax_grads(scores, wb, state.aux, surrogate)
-        coeffs = _bsn_vjp(raw, g.g_coeffs, norm) if surrogate.bsn else g.g_coeffs
-        _pesg_update(state, _backward_hidden(model_spec, params, Xb, coeffs, hidden), g, cfg)
-        return g.value
+        value, coeffs, g_alpha = _minmax_grads(scores, wb, v[-2], v[-1], state.alpha, surrogate,
+                                               g_ab)
+        if surrogate.bsn:
+            coeffs = _bsn_vjp(raw, coeffs, norm)
+        _backward_hidden(model_spec, views, Xb, coeffs, hidden, grad_views)
+        _pesg_update(state, g_alpha, cfg, prox)
+        return value
 
     return update
 
@@ -230,16 +260,22 @@ def _pesg_rule(model_spec, state: MinMaxState, surrogate: SurrogateSpec, cfg: Pe
 def _sgd_rule(model_spec, params, velocity, surrogate: SurrogateSpec, cfg: SgdConfig):
     """Momentum SGD's ``update(Xb, yb, scores, hidden)`` for ``_fused_step``, on
     cross-entropy or focal loss, with the batch labels as its table; updates
-    ``params`` and ``velocity``."""
+    ``params`` and ``velocity`` in place, through views and a gradient
+    buffer taken once."""
+    views = _model_views(model_spec, params)
+    grad = np.empty_like(params)
+    grad_views = _model_views(model_spec, grad)
 
     def update(Xb, yb, scores, hidden):
         if surrogate.kind == "cross_entropy":
             value, coeffs = _cross_entropy(scores, yb)
         else:
             value, coeffs = _focal(scores, yb, surrogate.focal_alpha, surrogate.focal_gamma)
-        grad = _backward_hidden(model_spec, params, Xb, coeffs, hidden) + cfg.weight_decay * params
-        velocity[:] = cfg.momentum * velocity + grad
-        params[:] -= cfg.lr * velocity
+        _backward_hidden(model_spec, views, Xb, coeffs, hidden, grad_views)
+        np.add(grad, cfg.weight_decay * params, out=grad)
+        np.multiply(velocity, cfg.momentum, out=velocity)
+        np.add(velocity, grad, out=velocity)
+        np.subtract(params, cfg.lr * velocity, out=params)
         _require_finite("updated model parameters", params)
         return value
 
@@ -260,6 +296,9 @@ def _train_epochs(model_spec, params, data, table, epochs, batch_size, seed, tes
     if data.n_pos == 0 or data.n_neg == 0:
         raise ValidationError("training set must contain both classes")
     _check_length(epochs, batch_size)
+    views = _model_views(model_spec, params)
+    train_split = _class_split(data.y)
+    test_split = None if test_data is None else _class_split(test_data.y)
     records: list[RunRecord] = []
     rng = np.random.default_rng(seed)
     n = len(data)
@@ -273,16 +312,16 @@ def _train_epochs(model_spec, params, data, table, epochs, batch_size, seed, tes
             with np.errstate(over="ignore", invalid="ignore"):
                 for start in range(0, n, batch_size):
                     Xb = X[start : start + batch_size]
-                    loss = _fused_step(model_spec, params, Xb, w[..., start : start + batch_size],
+                    loss = _fused_step(model_spec, views, Xb, w[..., start : start + batch_size],
                                        update)
                     _require_finite_scalars("batch loss", loss)
                     loss_sum += loss * len(Xb)
                     t += 1
         except NumericalError as exc:
             raise NumericalError(f"epoch {epoch}, iteration {t}: {exc}") from exc
-        train_auc = auc_score(forward_batch(model_spec, params, data.X), data.y).auc
-        test_auc = train_auc if test_data is None else auc_score(
-            forward_batch(model_spec, params, test_data.X), test_data.y).auc
+        train_auc = _auc(forward_batch(model_spec, params, data.X), *train_split).auc
+        test_auc = train_auc if test_data is None else _auc(
+            forward_batch(model_spec, params, test_data.X), *test_split).auc
         aux, eta = end_epoch(epoch)
         records.append(RunRecord(
             epoch=epoch, iter=t, loss=float(loss_sum / n), train_auc=train_auc, test_auc=test_auc,

@@ -12,6 +12,7 @@ subcommand.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -225,12 +226,22 @@ def _random_scored_batch(rng, max_per_class=50):
     return scores, labels
 
 
+def _worst(deviations) -> float:
+    """The largest of ``deviations`` (0.0 for none), or NaN if any is not
+    finite, so that the check fails: ``max`` drops a NaN that comes second."""
+    values = [0.0, *deviations]
+    return max(values) if all(map(math.isfinite, values)) else math.nan
+
+
 def _worst_deviation(rng, n_trials: int, trial) -> float:
-    """The largest deviation yielded by n_trials calls of ``trial(rng)``."""
-    worst = 0.0
-    for _ in range(n_trials):
-        worst = max(worst, *trial(rng))
-    return worst
+    """``_worst`` of the deviations yielded by n_trials calls of ``trial(rng)``."""
+    return _worst(d for _ in range(n_trials) for d in trial(rng))
+
+
+def _first_failures(failures: list[str]) -> str:
+    """The first three failures, then how many are left out."""
+    left = len(failures) - 3
+    return "; ".join(failures[:3]) + (f"; and {left} more" if left > 0 else "")
 
 
 def _identity_check(seed: int, n_trials: int, tol: float, trial) -> tuple[bool, str]:
@@ -311,7 +322,7 @@ def check_gradients() -> tuple[bool, str]:
               for kind in ("auc_margin", "auc_square") for bsn in (False, True)]
     trials += [partial(_pointwise_fd_trial, loss=loss) for loss in (
         cross_entropy_loss_and_coeffs, lambda s, y: focal_loss_and_coeffs(s, y, 0.25, 2.0))]
-    worst = max(_worst_deviation(rng, 50, trial) for trial in trials)
+    worst = _worst(_worst_deviation(rng, 50, trial) for trial in trials)
     return worst <= 1e-5, f"max rel error {worst:.2e} across min-max/BSN/CE/focal (tol 1e-05)"
 
 
@@ -356,8 +367,15 @@ def check_walkthroughs() -> tuple[bool, str]:
 
 
 def check_auc_ranksum() -> tuple[bool, str]:
-    rng = np.random.default_rng(3)
+    # the published 25-sample instance first: perfect ranking, two negatives over threshold
+    scores, labels = _base_instance()
     failures = []
+    if auc_score(scores, labels).auc != 1.0:
+        failures.append("illustration AUC != 1.0")
+    if abs(accuracy(scores, labels, 0.5) - 0.92) > 1e-12:
+        failures.append("illustration accuracy != 0.92")
+
+    rng = np.random.default_rng(3)
     for trial in range(200):
         scores, labels = _random_scored_batch(rng, max_per_class=30)
         if trial % 3 == 0:  # force ties
@@ -367,14 +385,7 @@ def check_auc_ranksum() -> tuple[bool, str]:
             slow = auc_pair_count(scores, labels, tie_policy=policy)
             if abs(fast - slow) > 1e-12:
                 failures.append(f"trial {trial} ({policy}): {fast} vs {slow}")
-
-    # the published 25-sample instance: perfect ranking, two negatives over threshold
-    scores, labels = _base_instance()
-    if auc_score(scores, labels).auc != 1.0:
-        failures.append("illustration AUC != 1.0")
-    if abs(accuracy(scores, labels, 0.5) - 0.92) > 1e-12:
-        failures.append("illustration accuracy != 0.92")
-    return not failures, "; ".join(failures[:3]) or "rank-sum equals pair count"
+    return not failures, _first_failures(failures) or "rank-sum equals pair count"
 
 
 def check_saddle_certificate() -> tuple[bool, str]:
@@ -386,16 +397,16 @@ def check_saddle_certificate() -> tuple[bool, str]:
 
 
 def check_bsn() -> tuple[bool, str]:
-    rng = np.random.default_rng(5)
     failures = []
+    if not np.array_equal(batch_score_normalize(np.zeros(4)), np.zeros(4)):
+        failures.append("zero batch not passed through")
+    rng = np.random.default_rng(5)
     for _ in range(50):
         s = rng.standard_normal(int(rng.integers(1, 40))) * 10 ** rng.uniform(-3, 3)
         out = batch_score_normalize(s)
         if abs(np.linalg.norm(out) - 1.0) > 1e-9:
             failures.append(f"norm {np.linalg.norm(out)}")
-    if not np.array_equal(batch_score_normalize(np.zeros(4)), np.zeros(4)):
-        failures.append("zero batch not passed through")
-    return not failures, "; ".join(failures[:3]) or "unit norm everywhere"
+    return not failures, _first_failures(failures) or "unit norm everywhere"
 
 
 def _timed(name: str, check) -> CheckResult:

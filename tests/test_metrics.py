@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import aucmax
 from aucmax.errors import ValidationError
-from aucmax.metrics import accuracy, auc_score, auc_sensitivity_demo
+from aucmax.metrics import _auc, _class_split, accuracy, auc_score, auc_sensitivity_demo
 from aucmax.verify import auc_pair_count
 
 
@@ -167,6 +167,22 @@ class TestAucTieCount:
             assert np.isnan(res.auc)
         else:
             assert res.auc == auc_pair_count(scores, labels, tie_policy=policy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=_tie_instances(), policy=st.sampled_from(["half", "geq"]),
+       seed=st.integers(0, 2**16))
+def test_per_run_class_split_is_bitwise_auc_score(instance, policy, seed):
+    # training splits its labels once, then scores every epoch through the
+    # split: here the instance, a shuffle of it and tied random scores
+    scores, labels = instance
+    split = _class_split(labels)
+    rng = np.random.default_rng(seed)
+    for s in (scores, rng.permutation(scores), np.round(rng.normal(size=scores.size), 1)):
+        want, got = auc_score(s, labels, tie_policy=policy), _auc(s, *split, policy)
+        assert (got.n_pos, got.n_neg) == (want.n_pos, want.n_neg)
+        assert np.array_equal(np.array([got.auc, got.tie_mass]).view(np.int64),
+                              np.array([want.auc, want.tie_mass]).view(np.int64))
 
 
 class TestIllustrationInstance:

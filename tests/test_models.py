@@ -14,7 +14,7 @@ from aucmax.models import (
     _block_rows,
     _elu_in_place,
     _forward_hidden,
-    _unpack_mlp,
+    _model_views,
     backward_vjp,
     forward,
     forward_batch,
@@ -134,7 +134,7 @@ def test_blockwise_forward_batch_is_bitwise_one_pass(d_in, d_hidden, elu_alpha, 
     rng = np.random.default_rng(seed)
     params = init_params(spec, seed, 2.0)
     X = 2.0 * rng.normal(size=(max(0, blocks * (rows or 64) + extra), d_in))
-    W, b_h, v, b_out = _unpack_mlp(spec, params)
+    W, b_h, v, b_out = _model_views(spec, params)
     Z = X @ W.T + b_h
     one_pass = np.where(Z > 0, Z, elu_alpha * np.expm1(np.minimum(Z, 0.0))) @ v + b_out
     got = forward_batch(spec, params, X)
@@ -160,7 +160,7 @@ def test_training_forward_is_bitwise_the_eval_scorer(d_in, d_hidden, elu_alpha, 
     params = init_params(spec, seed, 2.0)
     X = 2.0 * rng.normal(size=(n, d_in))
     X[rng.random(X.shape) < 0.1] = 0.0      # some pre-activations are exactly the bias
-    trained = _forward_hidden(spec, params, X)[0]
+    trained = _forward_hidden(spec, _model_views(spec, params), X)[0]
     assert np.array_equal(trained.view(np.int64), forward_batch(spec, params, X).view(np.int64))
 
 
@@ -195,9 +195,9 @@ def test_eval_scorer_on_signed_zeros_and_extremes(elu_alpha, n):
     spec = ModelSpec("mlp", 1, 3, elu_alpha)
     X = np.resize(np.array(_SPECIAL_INPUTS), n)[:, None]
     with np.errstate(over="ignore"):    # 2 * 1e308
-        trained, (_, U) = _forward_hidden(spec, _SPECIAL_PARAMS, X)
+        trained, (_, U) = _forward_hidden(spec, _model_views(spec, _SPECIAL_PARAMS), X)
         scored = forward_batch(spec, _SPECIAL_PARAMS, X)
-        W, b_h, _, _ = _unpack_mlp(spec, _SPECIAL_PARAMS)
+        W, b_h, _, _ = _model_views(spec, _SPECIAL_PARAMS)
         # the eval ELU, with scalar and with tile operands, gives the training
         # activations bit for bit, signs of zero included
         for operands in ((b_h, 0.0, -0.0), (np.tile(b_h, (n, 1)), np.zeros((n, 3)),
@@ -211,7 +211,7 @@ def test_eval_scorer_on_signed_zeros_and_extremes(elu_alpha, n):
 def _masked_elu_pass(spec, params, X, coeffs):
     """The training step's forward and backward pass with the ELU branch as
     a mask, ``pos = Z > 0``: scores, activations and VJP."""
-    W, b_h, v, b_out = _unpack_mlp(spec, params)
+    W, b_h, v, b_out = _model_views(spec, params)
     Z = X @ W.T + b_h
     pos = Z > 0
     Z_neg = np.minimum(Z, 0.0)
@@ -242,8 +242,9 @@ def test_mask_free_elu_is_bitwise_the_masked_formulas(elu_alpha, special, n, see
         X[rng.random(X.shape) < 0.1] = 0.0      # some pre-activations are exactly the bias
     coeffs = rng.normal(size=len(X))
     with np.errstate(over="ignore", invalid="ignore"):
-        scores, hidden = _forward_hidden(spec, params, X)
-        grad = _backward_hidden(spec, params, X, coeffs, hidden)
+        views, grad = _model_views(spec, params), np.empty(spec.n_params)
+        scores, hidden = _forward_hidden(spec, views, X)
+        _backward_hidden(spec, views, X, coeffs, hidden, _model_views(spec, grad))
         want = _masked_elu_pass(spec, params, X, coeffs)
     for got, expected in zip((scores, hidden[1], grad), want):
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))

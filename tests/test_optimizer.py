@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aucmax.optimizer
 from aucmax.data import Dataset, GaussianToySpec, gen_gaussian_toy, make_imbalanced
 from aucmax.errors import NumericalError, ValidationError
 from aucmax.experiments import prepare_data, two_stage_protocol
@@ -25,7 +26,14 @@ from aucmax.losses import (
     minmax_grads,
     pairwise_square_loss,
 )
-from aucmax.models import ModelSpec, backward_vjp, forward_batch, init_params, output_layer_slice
+from aucmax.models import (
+    ModelSpec,
+    _model_views,
+    backward_vjp,
+    forward_batch,
+    init_params,
+    output_layer_slice,
+)
 from aucmax.optimizer import (
     MinMaxState,
     PesgConfig,
@@ -106,13 +114,18 @@ class TestPesgStep:
         with pytest.raises(NumericalError):
             pesg_step(state, np.array([np.nan]), _grads(), PesgConfig())
 
-    @pytest.mark.parametrize("step, g_alpha", [(pesg_step, -1e308), (_pesg_update, np.nan)])
-    def test_nonfinite_dual_step_aborts_before_projection(self, step, g_alpha):
+    @pytest.mark.parametrize("public, g_alpha", [(True, -1e308), (False, np.nan)],
+                             ids=["pesg_step--1e+308", "_pesg_update-nan"])
+    def test_nonfinite_dual_step_aborts_before_projection(self, public, g_alpha):
         # eta * -1e308 overflows to -inf, and max(0.0, -inf) and max(0.0, nan) are both 0.0
         state = MinMaxState(params=np.zeros(1), aux=AuxVars(), eta=10.0)
         cfg = PesgConfig(eta0=10.0, project_alpha=True)
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="updated aux"):
-            step(state, np.zeros(1), _grads(g_alpha=g_alpha), cfg)
+            if public:
+                pesg_step(state, np.zeros(1), _grads(g_alpha=g_alpha), cfg)
+            else:
+                state.grad[:] = 0.0
+                _pesg_update(state, g_alpha, cfg)
 
 
 class TestEpochEnd:
@@ -246,24 +259,36 @@ def _bits(*values):
     return np.concatenate([np.ravel(np.asarray(v, dtype=np.float64)) for v in values]).view(np.int64)
 
 
-def _fused_batch(spec, n, classes, seed):
-    """A batch as the loop sees it (int64 labels, one or both classes) and params."""
+def _fused_batch(spec, n, classes, seed, zero=None):
+    """A batch as the loop sees it (int64 labels, one or both classes) and
+    params, all equal to ``zero`` (+0.0 or -0.0) when it is given."""
     rng = np.random.default_rng(seed)
     X = 1.5 * rng.normal(size=(n, spec.d_in))
     y = {"pos": np.ones(n, dtype=np.int64), "neg": -np.ones(n, dtype=np.int64),
          "both": np.where(np.arange(n) % 3 == 0, 1, -1)[rng.permutation(n)]}[classes]
-    return rng, X, y, init_params(spec, seed, 1.0)
+    params = init_params(spec, seed, 1.0)
+    if zero is not None:
+        params[:] = zero
+    return rng, X, y, params
 
 
-@settings(max_examples=150, deadline=None)
+# gamma = 0 exactly is the canonical configs' value, which uniform(0, 2)
+# never draws: the fused rule then skips the proximal term
+@settings(max_examples=200, deadline=None)
 @given(spec=st.sampled_from(_FUSED_SPECS), n=st.integers(2, 40),
        classes=st.sampled_from(["both", "pos", "neg"]), kind=st.sampled_from(AUC_KINDS),
-       bsn=st.booleans(), project=st.booleans(), seed=st.integers(0, 2**16))
-def test_fused_pesg_step_is_bitwise_the_public_chain(spec, n, classes, kind, bsn, project, seed):
-    rng, X, y, params = _fused_batch(spec, n, classes, seed)
+       bsn=st.booleans(), project=st.booleans(), zero_gamma=st.booleans(),
+       weight_decay=st.sampled_from([0.0, 1e-3]), zero=st.sampled_from([None, 0.0, -0.0]),
+       seed=st.integers(0, 2**16))
+def test_fused_pesg_step_is_bitwise_the_public_chain(spec, n, classes, kind, bsn, project,
+                                                     zero_gamma, weight_decay, zero, seed):
+    rng, X, y, params = _fused_batch(spec, n, classes, seed, zero)
     surrogate = SurrogateSpec(kind, p=rng.uniform(0.05, 0.95), m=rng.uniform(0.1, 1.0), bsn=bsn)
-    cfg = PesgConfig(eta0=0.1, gamma=rng.uniform(0, 2), weight_decay=1e-3, project_alpha=project)
+    cfg = PesgConfig(eta0=0.1, gamma=0.0 if zero_gamma else rng.uniform(0, 2),
+                     weight_decay=weight_decay, project_alpha=project)
     aux = AuxVars(*rng.normal(size=3))
+    if zero is not None:
+        aux = AuxVars(zero, zero, aux.alpha)
     ref = rng.normal(size=params.size)
     pub, fused = (MinMaxState(params=params, aux=aux, eta=rng.uniform(0.01, 0.5))
                   for _ in range(2))
@@ -277,8 +302,8 @@ def test_fused_pesg_step_is_bitwise_the_public_chain(spec, n, classes, kind, bsn
     coeffs = bsn_vjp(raw, g.g_coeffs) if bsn else g.g_coeffs
     pesg_step(pub, backward_vjp(spec, pub.params, X, coeffs), g, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
-        loss = _fused_step(spec, fused.params, X, _minmax_weights(y, surrogate.p),
-                           _pesg_rule(spec, fused, surrogate, cfg))
+        loss = _fused_step(spec, _model_views(spec, fused.params), X,
+                           _minmax_weights(y, surrogate.p), _pesg_rule(spec, fused, surrogate, cfg))
 
     assert np.array_equal(
         _bits(fused.params, fused.aux.a, fused.aux.b, fused.aux.alpha, loss),
@@ -286,15 +311,39 @@ def test_fused_pesg_step_is_bitwise_the_public_chain(spec, n, classes, kind, bsn
     assert np.array_equal(_bits(fused.v_sum), _bits(pub.v_sum))
 
 
-@settings(max_examples=100, deadline=None)
+def test_fused_pesg_step_keeps_the_proximal_term_on_a_negative_zero_start(monkeypatch):
+    # numpy's sums start from +0.0, so no VJP entry is -0.0; one that were
+    # would meet gamma = 0's term 0 * (v - v_ref) = +0.0, and where v holds
+    # -0.0 the update's bits depend on that term
+    def negative_zero_vjp(spec, views, X, coeffs, hidden, out):
+        out[:] = -0.0
+
+    monkeypatch.setattr(aucmax.optimizer, "_backward_hidden", negative_zero_vjp)
+    spec, X, y = ModelSpec("linear", 2), np.array([[1.0, 2.0], [-1.0, 0.5]]), np.array([1, -1])
+    surrogate = SurrogateSpec("auc_margin", p=0.5, m=1.0)
+    cfg = PesgConfig(eta0=0.1, gamma=0.0, weight_decay=0.0)
+    pub, fused = (MinMaxState(params=np.array([-0.0, 1.0]), aux=AuxVars(), eta=0.1)
+                  for _ in range(2))
+    g = minmax_grads(forward_batch(spec, pub.params, X), y, pub.aux, surrogate)
+    pesg_step(pub, np.array([-0.0, -0.0]), g, cfg)
+    _fused_step(spec, _model_views(spec, fused.params), X, _minmax_weights(y, surrogate.p),
+                _pesg_rule(spec, fused, surrogate, cfg))
+    assert np.signbit(pub.params[0])
+    assert np.array_equal(_bits(fused.params), _bits(pub.params))
+
+
+@settings(max_examples=150, deadline=None)
 @given(spec=st.sampled_from(_FUSED_SPECS), n=st.integers(2, 40),
        classes=st.sampled_from(["both", "pos", "neg"]),
-       kind=st.sampled_from(["cross_entropy", "focal"]), seed=st.integers(0, 2**16))
-def test_fused_sgd_step_is_bitwise_the_public_chain(spec, n, classes, kind, seed):
-    rng, X, y, params = _fused_batch(spec, n, classes, seed)
+       kind=st.sampled_from(["cross_entropy", "focal"]),
+       weight_decay=st.sampled_from([0.0, 1e-3]), zero=st.sampled_from([None, 0.0, -0.0]),
+       seed=st.integers(0, 2**16))
+def test_fused_sgd_step_is_bitwise_the_public_chain(spec, n, classes, kind, weight_decay, zero,
+                                                    seed):
+    rng, X, y, params = _fused_batch(spec, n, classes, seed, zero)
     surrogate = SurrogateSpec(kind, p=0.5, focal_alpha=rng.uniform(0.05, 0.95),
                               focal_gamma=float(rng.choice([0.0, 0.5, 2.0])))
-    cfg = SgdConfig(lr=rng.uniform(0.01, 0.5), momentum=0.9, weight_decay=1e-3)
+    cfg = SgdConfig(lr=rng.uniform(0.01, 0.5), momentum=0.9, weight_decay=weight_decay)
     velocity = rng.normal(size=params.size)
 
     scores = forward_batch(spec, params, X)
@@ -307,7 +356,8 @@ def test_fused_sgd_step_is_bitwise_the_public_chain(spec, n, classes, kind, seed
     pub_velocity = cfg.momentum * velocity + grad
     pub_params = params - cfg.lr * pub_velocity
     with np.errstate(over="ignore", invalid="ignore"):
-        loss = _fused_step(spec, params, X, y, _sgd_rule(spec, params, velocity, surrogate, cfg))
+        loss = _fused_step(spec, _model_views(spec, params), X, y,
+                           _sgd_rule(spec, params, velocity, surrogate, cfg))
 
     assert np.array_equal(_bits(params, velocity, loss), _bits(pub_params, pub_velocity, value))
 

@@ -192,6 +192,13 @@ def _doubles_one_score_batches(real):
     return broken
 
 
+def _nan_coeffs(real):
+    def broken(*args):
+        value, coeffs = real(*args)
+        return value, np.full_like(coeffs, np.nan)
+    return broken
+
+
 def _uncertified(real):
     def broken(scores, labels, spec):
         raise ValidationError("closed-form point is not the (a,b) minimizer")
@@ -201,7 +208,8 @@ def _uncertified(real):
 # Each row breaks one function the suite calls, so that exactly one check
 # fails, and gives the detail that check prints. Only the BSN check scores an
 # all-zero or a one-score batch, and only the min-max check reads the closed
-# form's alpha.
+# form's alpha. The NaN rows fail closed: ``max(0.0, nan)`` is 0.0, so a fold
+# with ``max`` would pass them.
 _BROKEN = [
     ("decomposition_identity", "square_loss_decomposition",
      lambda real: lambda sp, sn: (*real(sp, sn)[:2], 2 * real(sp, sn)[2]),
@@ -229,8 +237,8 @@ _BROKEN = [
      "noisy_m[1.0].factor: got 2.0, want 1.0; noisy_m[1.0].direction: neutral"),
     ("auc_ranksum_vs_pairs", "auc_score",
      lambda real: lambda *a, **k: replace(real(*a, **k), auc=real(*a, **k).auc / 2),
-     "trial 0 (half): 0.145 vs 0.29; trial 0 (geq): 0.155 vs 0.31; "
-     "trial 1 (half): 0.22549019607843138 vs 0.45098039215686275"),
+     "illustration AUC != 1.0; trial 0 (half): 0.145 vs 0.29; trial 0 (geq): 0.155 vs 0.31; "
+     "and 398 more"),
     ("auc_ranksum_vs_pairs", "accuracy",
      lambda real: lambda *a, **k: real(*a, **k) - 0.04,
      "illustration accuracy != 0.92"),
@@ -240,12 +248,23 @@ _BROKEN = [
      "zero batch not passed through"),
     ("bsn_normalization", "batch_score_normalize", _doubles_one_score_batches,
      "norm 2.0; norm 2.0; norm 2.0"),
+    ("decomposition_identity", "square_loss_decomposition",
+     lambda real: lambda sp, sn: (np.nan, 0.0, 0.0),
+     "max rel deviation nan over 200 trials (tol 1e-12)"),
+    ("minmax_equivalence", "optimal_aux",
+     lambda real: lambda *a, **k: replace(real(*a, **k), alpha=np.nan),
+     "max rel deviation nan over 200 trials (tol 1e-10)"),
+    ("gradient_fidelity", "focal_loss_and_coeffs", _nan_coeffs,
+     "max rel error nan across min-max/BSN/CE/focal (tol 1e-05)"),
+    ("saddle_certificate", "brute_force_minmax", lambda real: lambda *a: np.nan,
+     "max rel deviation nan over 25 trials (tol 1e-10)"),
 ]
 
 
 @pytest.mark.parametrize("check, target, breaks, detail", _BROKEN, ids=[
     "decomposition", "minmax", "gradients", "walkthroughs", "ranksum_auc", "ranksum_accuracy",
-    "saddle", "bsn_zero_batch", "bsn_one_score"])
+    "saddle", "bsn_zero_batch", "bsn_one_score", "decomposition_nan", "minmax_nan",
+    "gradients_nan", "saddle_nan"])
 def test_verify_reports_a_broken_check(monkeypatch, capsys, check, target, breaks, detail):
     monkeypatch.setattr(verify, target, breaks(getattr(verify, target)))
     assert main(["verify"]) == 1
