@@ -133,8 +133,8 @@ def _load_two_class_csv(path) -> Dataset:
 def prepare_data(setting: DataSetting, seed: int) -> tuple[Dataset, Dataset | None]:
     """Build the (train, test) pair for one seed.
 
-    A CSV source is returned as loaded, with test None when there is no test
-    file; a file without both classes is rejected here, before any training.
+    A CSV source is returned as loaded (test None without a test file). Files
+    without both classes or of unequal widths are rejected here, before training.
     Toy pipeline: draw -> imbalance -> easy injection (scored by a small CE
     pretrain on the imbalanced set) -> noise injection. The noise pool is the
     removed positives not re-added as easy samples. DataSetting checks at
@@ -142,7 +142,11 @@ def prepare_data(setting: DataSetting, seed: int) -> tuple[Dataset, Dataset | No
     """
     if setting.kind == "csv":
         train = _load_two_class_csv(setting.path)
-        return train, _load_two_class_csv(setting.test_path) if setting.test_path else None
+        test = _load_two_class_csv(setting.test_path) if setting.test_path else None
+        if test is not None and test.dim != train.dim:
+            raise ValidationError(f"{setting.test_path}: {test.dim} features, but the training "
+                                  f"file {setting.path} has {train.dim}")
+        return train, test
     train = gen_gaussian_toy(setting.toy_spec(setting.n_pos, setting.n_neg, derive_seed(seed, 1)))
     test = gen_gaussian_toy(setting.toy_spec(setting.test_n_pos, setting.test_n_neg,
                                              derive_seed(seed, 2)))
@@ -261,14 +265,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioSummary:
         raise ValidationError("scenario has no losses to run")
     tasks = len(cfg.seeds) * len(cfg.losses)
     workers = min(tasks, _usable_cpus())
-    if workers > 1 and (cfg.warm_start is not None or cfg.data.easy_frac > 0
-                        or any(s.kind not in AUC_KINDS for s in cfg.losses)):
-        # A pointwise loss trains (a listed one, the warm start or the
-        # easy-injection scorer): its scipy.special, loaded once here rather
-        # than in every worker. Its own OpenBLAS may start a thread, so count again.
-        import scipy.special  # noqa: F401
-
-        workers = min(tasks, _usable_cpus())
     pool = None
     if workers > 1:
         import multiprocessing

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 BSN_EPS = 1e-12
+_LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
 
 AUC_KINDS = ("auc_square", "auc_margin")
 ALL_KINDS = AUC_KINDS + ("cross_entropy", "focal")
@@ -300,15 +301,23 @@ def cross_entropy_loss_and_coeffs(scores, labels) -> tuple[float, np.ndarray]:
     return _cross_entropy(*_check_batch(scores, labels))
 
 
-def _cross_entropy(s, y) -> tuple[float, np.ndarray]:
-    # imported here, so that a run with no pointwise loss never loads scipy
-    from scipy.special import expit
+def _expit(x) -> np.ndarray:
+    """1 / (1 + exp(-x)) on a 1-D array with libm's exp, one call per element:
+    on glibc, scipy's expit bit for bit, which numpy's SIMD exp is not."""
+    neg = (-x).tolist()
+    try:
+        e = np.fromiter(map(math.exp, neg), np.float64, len(neg))
+    except OverflowError:   # above log(DBL_MAX), where libm's exp is inf; NaN stays NaN
+        e = np.array([math.inf if t > _LOG_DBL_MAX else math.exp(t) for t in neg])
+    return 1.0 / (1.0 + e)
 
+
+def _cross_entropy(s, y) -> tuple[float, np.ndarray]:
     n = s.size
     neg_y = -y
     margin = neg_y * s
     value = float(np.logaddexp(0.0, margin).sum() / n)
-    return value, neg_y * expit(margin) / n
+    return value, neg_y * _expit(margin) / n
 
 
 def focal_loss_and_coeffs(scores, labels, alpha_hat: float, gamma_hat: float) -> tuple[float, np.ndarray]:
@@ -319,12 +328,10 @@ def focal_loss_and_coeffs(scores, labels, alpha_hat: float, gamma_hat: float) ->
 
 
 def _focal(s, y, alpha_hat: float, gamma_hat: float) -> tuple[float, np.ndarray]:
-    from scipy.special import expit
-
     n = s.size
     t = y * s
-    one_minus_pt = expit(-t)
-    pt = expit(t)
+    one_minus_pt = _expit(-t)
+    pt = _expit(t)
     log_pt = -np.logaddexp(0.0, -t)
     value = float((alpha_hat * one_minus_pt**gamma_hat * (-log_pt)).sum() / n)
     # d/dh of the per-sample loss; the gamma term vanishes identically at gamma=0

@@ -20,10 +20,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def _bounds(values, pad_frac=0.05, min_pad=1e-6):
+def _bounds(values):
     lo = float(min(values))
     hi = float(max(values))
-    pad = max((hi - lo) * pad_frac, min_pad, abs(hi) * 1e-3 + min_pad)
+    pad = max((hi - lo) * 0.05, 1e-6, abs(hi) * 1e-3 + 1e-6)
     return lo - pad, hi + pad
 
 
@@ -47,12 +47,10 @@ class _Canvas:
             f'stroke="{color}" stroke-width="{_fmt(width)}"{d}/>'
         )
 
-    def polyline(self, pts, color, width=1.5, dash=None):
+    def polyline(self, pts, color):
         coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
-        d = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="{_fmt(width)}"{d}/>'
+            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
 
     def circle(self, x, y, r, color, fill=True):
@@ -126,14 +124,14 @@ def line_plot(series: list[tuple[str, list, list]], xlabel: str, ylabel: str,
 # --- decision-boundary panels -------------------------------------------------
 
 
-def _zero_crossing(f, p_lo, p_hi, v_lo, v_hi, tol=1e-4, max_iter=80):
+def _zero_crossing(f, p_lo, p_hi, v_lo, v_hi, tol):
     """Bisect along the segment [p_lo, p_hi] to a point with |f| < tol."""
     p_lo, p_hi = np.asarray(p_lo, float), np.asarray(p_hi, float)
     if abs(v_lo) < tol:
         return p_lo
     if abs(v_hi) < tol:
         return p_hi
-    for _ in range(max_iter):
+    for _ in range(80):
         mid = 0.5 * (p_lo + p_hi)
         v_mid = f(mid)
         if abs(v_mid) < tol:
@@ -172,7 +170,7 @@ def zero_contour_segments(score_fn, xlim, ylim, resolution=48, tol=1e-4):
             for k in range(4):
                 (p1, v1), (p2, v2) = corners[k], corners[(k + 1) % 4]
                 if (v1 < 0) != (v2 < 0):
-                    crossings.append(_zero_crossing(f, p1, p2, v1, v2, tol=tol))
+                    crossings.append(_zero_crossing(f, p1, p2, v1, v2, tol))
             # connect crossing points pairwise; ambiguous 4-crossing cells
             # are rare at this resolution and pairing 0-1 / 2-3 is adequate
             for k in range(0, len(crossings) - 1, 2):
@@ -180,7 +178,7 @@ def zero_contour_segments(score_fn, xlim, ylim, resolution=48, tol=1e-4):
     return segments
 
 
-def scatter_boundary_panels(panels, xlim, ylim, panel_size=240, tol=1e-4) -> str:
+def scatter_boundary_panels(panels, xlim, ylim) -> str:
     """Grid of scatter+boundary panels.
 
     ``panels`` is a list of rows; each entry is a dict with keys
@@ -189,7 +187,7 @@ def scatter_boundary_panels(panels, xlim, ylim, panel_size=240, tol=1e-4) -> str
     """
     n_rows = len(panels)
     n_cols = max(len(row) for row in panels)
-    margin, header = 14, 30
+    panel_size, margin, header = 240, 14, 30
     width = n_cols * (panel_size + margin) + margin
     height = n_rows * (panel_size + header + margin) + margin
     cv = _Canvas(width, height)
@@ -206,14 +204,14 @@ def scatter_boundary_panels(panels, xlim, ylim, panel_size=240, tol=1e-4) -> str
                 return oy + panel_size - (y - ylim[0]) / (ylim[1] - ylim[0]) * panel_size
 
             cv.text(ox, oy - 16, panel["title"], size=11)
-            cv.text(ox, oy - 4, panel.get("annotation", ""), size=9, color="#555555")
+            cv.text(ox, oy - 4, panel["annotation"], size=9, color="#555555")
             cv.parts.append(
                 f'<rect x="{_fmt(ox)}" y="{_fmt(oy)}" width="{panel_size}" '
                 f'height="{panel_size}" fill="none" stroke="#999999"/>'
             )
             X = np.asarray(panel["X"], dtype=np.float64)
             y = np.asarray(panel["y"]).ravel()
-            noisy = np.asarray(panel.get("noisy_mask", np.zeros(len(y), dtype=bool)))
+            noisy = np.asarray(panel["noisy_mask"])
             for i in range(len(y)):
                 x1, x2 = X[i]
                 if not (xlim[0] <= x1 <= xlim[1] and ylim[0] <= x2 <= ylim[1]):
@@ -222,7 +220,7 @@ def scatter_boundary_panels(panels, xlim, ylim, panel_size=240, tol=1e-4) -> str
                 cv.circle(px(x1), py(x2), 2.2, color)
                 if noisy[i]:
                     cv.circle(px(x1), py(x2), 4.2, "#17becf", fill=False)
-            segs = zero_contour_segments(panel["score_fn"], xlim, ylim, tol=tol)
+            segs = zero_contour_segments(panel["score_fn"], xlim, ylim)
             cv.comment(f"panel {panel['title']}: {len(segs)} boundary segments")
             for (p1, p2) in segs:
                 cv.line(px(p1[0]), py(p1[1]), px(p2[0]), py(p2[1]),

@@ -157,8 +157,7 @@ def _alpha_max(s, y, a, b, spec: SurrogateSpec) -> float:
     return alpha
 
 
-def brute_force_minmax(scores, labels, spec: SurrogateSpec, grid_radius: float = 0.5,
-                       grid_points: int = 7) -> float:
+def brute_force_minmax(scores, labels, spec: SurrogateSpec) -> float:
     """Saddle value of the batch-mean min-max objective.
 
     Evaluates at the closed-form optimum and certifies it by scanning an
@@ -173,7 +172,7 @@ def brute_force_minmax(scores, labels, spec: SurrogateSpec, grid_radius: float =
     alpha0 = _alpha_max(s, y, aux0.a, aux0.b, spec)
     value0 = minmax_value(s, y, AuxVars(aux0.a, aux0.b, alpha0), spec)
 
-    offsets = np.linspace(-grid_radius, grid_radius, grid_points)
+    offsets = np.linspace(-0.5, 0.5, 7)
     for da in offsets:
         for db in offsets:
             a, b = aux0.a + da, aux0.b + db

@@ -530,19 +530,20 @@ class TestCliCommands:
         _assert_same_files(first, second)
         assert len(list(first.glob("*_s0.model"))) == (2 if source == "noise_robustness" else 1)
 
-    @pytest.mark.parametrize("warm_start_epochs, loads", [(0, False), (2, True)])
-    def test_only_a_pointwise_loss_loads_scipy_special(self, tmp_path, warm_start_epochs,
-                                                       loads):
-        # the README's gen-data, train and eval in a fresh interpreter; a warm
-        # start trains cross-entropy, whose sigmoid is scipy.special's
+    def test_pointwise_training_leaves_scipy_special_unloaded(self, tmp_path):
+        # the README's gen-data, train and eval in a fresh interpreter, with
+        # every pointwise trainer: a warm start, the easy-injection scorer and
+        # the cross-entropy and focal losses
         config = tmp_path / "demo.cfg"
-        config.write_text(README_EXAMPLE + f"train.warm_start_epochs = {warm_start_epochs}\n")
+        config.write_text(README_EXAMPLE.replace(
+            "loss.kind  = auc_margin", "loss.kind  = auc_margin, cross_entropy, focal")
+            + "train.warm_start_epochs = 2\ndata.easy_frac = 0.2\n")
         code = ("import sys\n"
                 "from aucmax.cli import main\n"
                 "config, out = sys.argv[1:]\n"
                 "for argv in (['gen-data', '--config', config, '--seed', '0', '--out', out],\n"
                 "             ['train', '--config', config, '--seed', '0', '--out', out],\n"
-                "             ['eval', '--model', out + '/demo_auc_margin_s0.model',\n"
+                "             ['eval', '--model', out + '/demo_focal_s0.model',\n"
                 "              '--data', out + '/demo_s0.csv']):\n"
                 "    assert main(argv) == 0\n"
                 "print('scipy.special' in sys.modules)\n")
@@ -552,7 +553,7 @@ class TestCliCommands:
         run = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path / "out")],
                              capture_output=True, text=True, env=env)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.splitlines()[-1] == str(loads)
+        assert run.stdout.splitlines()[-1] == "False"
 
     def test_ablate_writes_a_manifest_that_reruns_it(self, tmp_path, capsys):
         cfg = tmp_path / "ab.cfg"
@@ -699,6 +700,23 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert f"{cfg}: noise_rate and easy_frac inject removed positives" in err
         assert not (tmp_path / "out").exists()
+
+    def test_train_rejects_a_test_file_of_another_width_before_training(
+            self, tmp_path, monkeypatch, capsys):
+        train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+        save_csv(gen_gaussian_toy(GaussianToySpec(n_pos=20, n_neg=20, seed=1)), train_csv)
+        test_csv.write_text("f0,f1,f2,label\n" + "0.5,0.1,0.2,1\n-0.5,0.3,0.1,-1\n" * 10)
+        trained = []
+        monkeypatch.setattr(aucmax.experiments, "pesg_train",
+                            lambda *a, **k: trained.append(a))
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(f"data.kind = csv\ndata.path = {train_csv}\ndata.test_path = {test_csv}\n"
+                       "train.epochs = 1\n")
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: {test_csv}: 3 features, but the training "
+                                           f"file {train_csv} has 2\n")
+        assert trained == [] and not (tmp_path / "out").exists()
 
     def test_grid_aborted_in_its_second_cell_writes_nothing(self, tmp_path, monkeypatch, capsys):
         real, calls = aucmax.experiments.run_scenario, []

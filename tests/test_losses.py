@@ -11,6 +11,7 @@ from aucmax.losses import (
     AUC_KINDS,
     AuxVars,
     SurrogateSpec,
+    _expit,
     batch_score_normalize,
     bsn_vjp,
     cross_entropy_loss_and_coeffs,
@@ -322,6 +323,23 @@ class TestBsn:
             fd = finite_diff(lambda t: float(u @ batch_score_normalize(t)), s, step=1e-6)
             got = bsn_vjp(s, u)
             assert np.max(np.abs(got - fd) / (1 + np.abs(fd))) < 1e-6
+
+
+@pytest.mark.parametrize("x", [
+    *(np.random.default_rng(22).standard_normal(200_000) * scale
+      for scale in (1e-3, 1e-1, 1.0, 10.0, 100.0, 700.0)),
+    # no exp overflows here, so the batch takes the fast path
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 709.78, -709.78, 1e-320, -1e-320],
+    # +-709.79 and beyond overflow exp, so the whole batch takes the fallback
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 709.78, -709.78, 709.79, -709.79,
+     745.0, -745.0, 746.0, -746.0, 800.0, -800.0],
+], ids=["1e-3", "1e-1", "1", "10", "100", "700", "edges", "overflow_edges"])
+def test_expit_is_scipy_expit_bit_for_bit(x):
+    # scipy.special.expit is the oracle for the libm sigmoid of the pointwise losses
+    from scipy.special import expit
+
+    x = np.asarray(x, dtype=np.float64)
+    assert np.array_equal(_expit(x).view(np.int64), expit(x).view(np.int64))
 
 
 class TestCrossEntropy:

@@ -284,7 +284,7 @@ def _loaded_by_import_aucmax(module: str) -> bool:
 
 @pytest.mark.parametrize("module", ["scipy", "scipy.special", "scipy.stats", "multiprocessing"])
 def test_import_leaves_module_unloaded(module):
-    # scipy.special loads only where a pointwise loss trains or a scenario is
-    # about to fork, scipy only where a manifest is written, and
-    # multiprocessing only where a scenario runs tasks in worker processes
+    # nothing imports scipy.special (the pointwise sigmoid is losses._expit),
+    # scipy loads only where a manifest is written, and multiprocessing only
+    # where a scenario runs tasks in worker processes
     assert not _loaded_by_import_aucmax(module)
