@@ -310,17 +310,19 @@ def _back_to_back(calls):
     return lifecycle
 
 
-def _fork_states():
-    """Two two-seed run_scenario calls, of the pointwise and AUC losses and of
-    the AUC losses alone: for each fork of each call, whether scipy.special
-    was loaded and how many threads were listed just before it."""
-    calls = []
-    os.register_at_fork(before=lambda: calls[-1].append(
+def _fork_states(pointwise=True, preload=False):
+    """For each fork of a two-seed run_scenario, of its pointwise and AUC
+    losses or of the AUC losses alone, after this process imported
+    scipy.special itself or not: whether scipy.special was loaded and how
+    many threads were listed just before it."""
+    if preload:
+        import scipy.special  # noqa: F401
+    states = []
+    os.register_at_fork(before=lambda: states.append(
         ["scipy.special" in sys.modules, len(os.listdir("/proc/self/task"))]))
-    for losses in (_fast_scenario().losses, (SQUARE, MARGIN)):
-        calls.append([])
-        run_scenario(_fast_scenario(seeds=(0, 1), losses=losses))
-    return calls
+    losses = _fast_scenario().losses if pointwise else (SQUARE, MARGIN)
+    run_scenario(_fast_scenario(seeds=(0, 1), losses=losses))
+    return states
 
 
 def _needs_two_cpus():
@@ -377,11 +379,24 @@ class TestParallelRuns:
         assert _pooled("_back_to_back", 20) == [[True, 1]] * 20
 
     def test_workers_fork_single_threaded_without_scipy_special(self):
-        # pointwise training or none, no trainer loads scipy.special, so no
-        # OpenBLAS thread of its own keeps a scenario in process
+        # no pointwise trainer loads scipy.special, so no OpenBLAS thread of
+        # its own keeps a scenario in process
         _needs_two_cpus()
-        for states in _pooled("_fork_states"):
-            assert states and all(state == [False, 1] for state in states)
+        states = _pooled("_fork_states")
+        assert states and all(state == [False, 1] for state in states)
+
+    def test_workers_fork_single_threaded_with_scipy_special_loaded(self):
+        # a caller that loaded scipy.special, its BLAS held to one thread,
+        # still forks a single-threaded pool for the pointwise losses
+        _needs_two_cpus()
+        states = _pooled("_fork_states", True, True)
+        assert states and all(state == [True, 1] for state in states)
+
+    def test_workers_fork_without_scipy_special_when_nothing_pointwise_trains(self):
+        # no pointwise loss, warm start or easy injection
+        _needs_two_cpus()
+        states = _pooled("_fork_states", False)
+        assert states and all(state == [False, 1] for state in states)
 
     def test_a_threaded_process_forks_no_pool(self):
         stop = threading.Event()
