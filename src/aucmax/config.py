@@ -67,6 +67,9 @@ class DataSetting:
             raise ValidationError(f"data kind must be gaussian_toy or csv, got {self.kind!r}")
         if self.kind == "csv" and not self.path:
             raise ValidationError("data kind csv needs a path")
+        if self.kind != "csv" and (self.path is not None or self.test_path is not None):
+            raise ValidationError("data.path and data.test_path name CSV files: set them only "
+                                  f"with data.kind = csv, not {self.kind}")
         if not 0 <= self.noise_rate < 1:
             raise ValidationError(f"noise_rate must be in [0, 1), got {self.noise_rate}")
         if not 0 <= self.easy_frac <= 1:

@@ -6,17 +6,13 @@ owns) fixes a data recipe (a toy draw with imbalance and easy/noisy
 injection, or a CSV file used as loaded), a model, and a list of losses; the
 runner trains every loss on every seed with an identical dataset,
 initialization and batch order, so comparisons are paired. A seed's data and
-warm start, and each (seed, loss) training, are independent tasks that run in
-parallel worker processes when the process is single-threaded (its BLAS held
-to one thread), with the outputs of running them one by one.
+warm start, and each (seed, loss) training, are independent tasks, shared out
+over forked processes when the process is single-threaded (its BLAS held to
+one thread), with the outputs of running them one by one.
 The runner, the ablations and the figure compute and return; none of them
-writes a file. ``write_outputs`` writes one summary's files, a metrics CSV and
-a model file per (loss, seed) and a summary CSV; ``aucmax.cli`` calls it,
-and writes the SVG curves and the run manifest, only once every cell has run
-and every figure has drawn, so a failed run leaves no torn outputs.
-Every run and ablation trains the losses its scenario lists, and nothing else:
-an ablation rejects a listed loss it would not train, and a noise/easy grid
-builds every cell's config, before anything is trained.
+writes a file. ``aucmax.cli`` calls ``write_outputs``, and writes the SVG
+curves and the run manifest, only once every cell has run and every figure
+has drawn, so a failed run leaves no torn outputs.
 The canonical robustness studies and the toy figure are config files packaged
 in ``aucmax/configs``; the scenario factories below load them.
 """
@@ -26,9 +22,7 @@ from __future__ import annotations
 import math
 import os
 import statistics
-import time
 from dataclasses import astuple, dataclass, field, fields, replace
-from itertools import starmap
 
 import numpy as np
 
@@ -170,10 +164,9 @@ def prepare_data(setting: DataSetting, seed: int) -> tuple[Dataset, Dataset | No
 
 def _usable_cpus() -> int:
     """The CPUs this process may fork worker processes onto: 1 where the OS
-    does not say, and 1 while the process runs more than one thread. A fork
-    copies only the calling thread, so a lock another thread holds stays held
-    in the child (Python 3.12+ warns); numpy's BLAS runs threads of its own
-    unless it is held to one, e.g. by OPENBLAS_NUM_THREADS=1."""
+    does not say, and 1 while it runs more than one thread (numpy's BLAS does,
+    unless held to one, e.g. by OPENBLAS_NUM_THREADS=1), since a fork copies
+    only the calling thread and a lock another thread holds stays held."""
     try:
         threads = len(os.listdir("/proc/self/task"))
         return len(os.sched_getaffinity(0)) if threads == 1 else 1
@@ -181,22 +174,52 @@ def _usable_cpus() -> int:
         return 1
 
 
-def _in_order(pool, task, jobs: list[tuple]) -> tuple[list, Exception | None]:
+def _in_order(task, jobs: list[tuple], workers: int) -> tuple[list, Exception | None]:
     """``task(*job)`` for every job: the results in job order up to the first
-    job that raised, and that job's exception (None when none raised); the
-    later jobs that have not started are cancelled. A list of more than one
-    job runs in ``pool`` when there is one, else every job runs in this
-    process; either way these are the results and the error of running the
-    jobs one after another."""
-    pooled = pool is not None and len(jobs) > 1
-    calls = pool.map(task, *zip(*jobs)) if pooled else starmap(task, jobs)
-    results = []
+    job that raised, and that job's exception (None when none raised), as if
+    the jobs ran one after another. Of up to ``workers`` contiguous shares of
+    the jobs, this process runs the first, and a forked process each other one,
+    sending back its results and error through a pipe; a share whose process
+    dies is an error in its place. No forked process outlives the call."""
+    shares = max(1, min(workers, len(jobs)))
+    cuts = [len(jobs) * i // shares for i in range(shares + 1)]
+    children = []
     try:
-        for result in calls:
-            results.append(result)
-    except Exception as exc:
-        return results, exc
-    return results, None
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            import multiprocessing    # loaded only where a share forks
+            fork = multiprocessing.get_context("fork")    # spawn re-imports numpy and aucmax
+            receive, send = fork.Pipe(duplex=False)
+            child = fork.Process(target=_send_in_order, args=(send, task, jobs[lo:hi]))
+            child.start()
+            send.close()    # so that the pipe reads EOF once the child is gone
+            children.append((child, receive))
+        results, error = [], None
+        for job in jobs[:cuts[1]]:
+            try:
+                results.append(task(*job))
+            except Exception as exc:
+                error = exc
+                break
+        for (child, receive), lo in zip(children, cuts[1:]):
+            if error is not None:
+                break
+            try:
+                share, error = receive.recv()
+            except EOFError:
+                child.join()
+                share, error = [], RuntimeError(f"the worker process from job {lo} on died "
+                                                f"with exit code {child.exitcode}")
+            results += share
+        return results, error
+    finally:
+        for child, receive in children:
+            child.terminate()
+            child.join()
+            receive.close()
+
+
+def _send_in_order(send, task, jobs: list[tuple]) -> None:
+    send.send(_in_order(task, jobs, 1))
 
 
 @dataclass
@@ -253,41 +276,18 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioSummary:
     from the same params (the warm start's CE model when there is one) and sees
     the same batch order.
 
-    The seeds' starts, then the (seed, loss) runs, are independent tasks. In a
-    single-threaded process with more than one usable CPU, each list of more
-    than one task runs in one fork pool of min(tasks, CPUs) workers, built at
-    entry and forked at the first such list; the pool and its threads are gone
-    when this returns, so the next scenario may fork again. The cells, and the
-    error raised if a task fails, are those of training seed by seed and loss
-    by loss: a failed start stops its seed and every later one.
+    The seeds' starts, then the (seed, loss) runs, are independent tasks, each
+    list cut into shares over the usable CPUs: this process trains the first
+    and forked processes the others (``_in_order``). The cells, and the error
+    raised if a task fails, are those of training seed by seed and loss by
+    loss: a failed start stops its seed and every later one.
     """
     if not cfg.losses:
         raise ValidationError("scenario has no losses to run")
-    tasks = len(cfg.seeds) * len(cfg.losses)
-    workers = min(tasks, _usable_cpus())
-    pool = None
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork, not spawn: a spawned worker imports numpy and aucmax afresh,
-        # which takes longer than a benchmark cell. Building the pool forks
-        # nothing; from Python 3.11 it forks every worker at its first task,
-        # before it starts its own threads.
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        starts, start_error = _in_order(pool, _seed_start, [(cfg, seed) for seed in cfg.seeds])
-        cells, train_error = _in_order(pool, _train_loss, [(cfg, setting, start)
-                                                           for start in starts
-                                                           for setting in cfg.losses])
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-            # A joined thread may stay listed for a moment; a process that
-            # still lists it would run the next scenario without a pool.
-            deadline = time.monotonic() + 1.0
-            while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
-                time.sleep(1e-4)
+    workers = _usable_cpus()
+    starts, start_error = _in_order(_seed_start, [(cfg, seed) for seed in cfg.seeds], workers)
+    cells, train_error = _in_order(_train_loss, [(cfg, setting, start) for start in starts
+                                                 for setting in cfg.losses], workers)
     error = train_error or start_error
     if error is not None:
         raise error

@@ -38,6 +38,14 @@ from aucmax.optimizer import PesgConfig, RunRecord, SgdConfig, pesg_train, sgd_t
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
 README_EXAMPLE = README.split("errors. Example:\n\n```\n")[1].split("```")[0]
+README_LIBRARY_USE = README.split("## Library use\n\n```python\n")[1].split("```")[0]
+
+
+def test_readme_library_use_runs_and_prints_one_auc_twice(capsys):
+    # the final epoch's test AUC, and the test AUC of the returned params
+    exec(compile(README_LIBRARY_USE, "README.md", "exec"), {})
+    final_auc, scored_auc = map(float, capsys.readouterr().out.split())
+    assert final_auc == scored_auc >= 0.99
 
 
 class TestConfigParsing:
@@ -652,9 +660,11 @@ class TestCliCommands:
          "imratio must be in (0, 0.5] for n_pos = 500, n_neg = 500, got 0.6"),
         ("train", "model.init_scale = nan", "", "init_scale must be finite and >= 0, got nan"),
         ("train", "train.epochs = -1", "", "epochs must be >= 0, got -1"),
+        ("train", "data.test_path = x.csv", "", "data.path and data.test_path name CSV files: "
+         "set them only with data.kind = csv, not gaussian_toy"),
     ], ids=["name_with_separator", "empty_name", "negative_margin", "nan_margin", "nul_in_name",
             "nul_in_path", "nul_in_comment", "no_seeds", "bad_boolean", "three_floats_for_a_pair",
-            "imratio_above_prior", "nan_init_scale", "negative_epochs"])
+            "imratio_above_prior", "nan_init_scale", "negative_epochs", "test_path_without_csv"])
     def test_parse_time_rejection_trains_nothing(self, tmp_path, monkeypatch, capsys, command,
                                                   line, where, message):
         drawn = []

@@ -1,12 +1,11 @@
 import hashlib
 import json
-import multiprocessing
 import os
 import re
 import subprocess
 import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
+import time
 from dataclasses import replace
 from importlib import resources
 
@@ -62,7 +61,7 @@ def _fast_scenario(**overrides):
 
 def _set_cpus(monkeypatch, cpus):
     """Make run_scenario see ``cpus`` usable CPUs: 1 runs every task in this
-    process, more run them in a pool of worker processes."""
+    process, more fork worker processes for all shares but the first."""
     monkeypatch.setattr(aucmax.experiments, "_usable_cpus", lambda: cpus)
 
 
@@ -220,22 +219,24 @@ _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 def _pooled(case: str, *args):
     """``case(*args)``, a function of this module, run in a fresh interpreter
     held to one BLAS thread: a single-threaded process, so run_scenario forks
-    its worker pool there. Warnings are errors there too. Checks that worker
-    processes ran and that none is left, and returns the case's (JSON) result."""
-    code = ("import json, multiprocessing, resource, sys\n"
+    worker processes there. Warnings are errors there too. Checks that worker
+    processes ran, that none is left and that one thread is listed after the
+    case, and returns the case's (JSON) result. A case that hangs fails."""
+    code = ("import json, multiprocessing, os, resource, sys\n"
             "import test_experiments as t\n"
             f"result = t.{case}(*json.loads(sys.argv[1]))\n"
             "print(json.dumps([result, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,\n"
-            "                  len(multiprocessing.active_children())]))\n")
+            "                  len(multiprocessing.active_children()),\n"
+            "                  len(os.listdir('/proc/self/task'))]))\n")
     src = os.path.dirname(os.path.dirname(aucmax.experiments.__file__))
     path = [os.path.dirname(__file__), src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, **_ONE_BLAS_THREAD, PYTHONPATH=os.pathsep.join(filter(None, path)))
     out = subprocess.run([sys.executable, "-W", "error", "-c", code, json.dumps(args)],
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
-    result, children_maxrss, left = json.loads(out.stdout.splitlines()[-1])
+    result, children_maxrss, left, threads = json.loads(out.stdout.splitlines()[-1])
     assert children_maxrss > 0, "no worker process ran"
-    assert left == 0
+    assert left == 0 and threads == 1
     return result
 
 
@@ -283,18 +284,42 @@ def _fails_at(job):
     return job * 10
 
 
-def _two_lists_in_order():
-    # both lists share one pool, as in run_scenario, when this process may fork one
-    pool = None
-    if aucmax.experiments._usable_cpus() > 1:
-        pool = ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork"))
+def _lists_in_order():
+    """Three job lists cut into this process's shares: the first error is in
+    the first share, in the second share when there are two, and nowhere."""
+    outcomes = []
+    for jobs in ([0, 1, 2, 3, 4], [0, 2, 3, 4], [0, 2]):
+        results, error = aucmax.experiments._in_order(_fails_at, [(j,) for j in jobs],
+                                                      aucmax.experiments._usable_cpus())
+        outcomes.append([results, error and [type(error).__name__, str(error)]])
+    return outcomes
+
+
+def _exits_at(job):
+    if job == 3:
+        os._exit(3)
+    return job * 10
+
+
+def _dead_worker():
+    """Five jobs in two shares, where job 3 ends the forked share's process."""
+    results, error = aucmax.experiments._in_order(_exits_at, [(j,) for j in range(5)], 2)
+    return [results, type(error).__name__, str(error)]
+
+
+def _interrupts_or_sleeps(job):
+    if job == 0:
+        raise KeyboardInterrupt
+    time.sleep(600)     # a forked share left running holds the call this long
+
+
+def _interrupted():
+    """Two jobs in two shares, where the first, in this process, is interrupted."""
     try:
-        results, error = aucmax.experiments._in_order(pool, _fails_at, [(j,) for j in range(5)])
-        again = aucmax.experiments._in_order(pool, _fails_at, [(0,), (2,)])
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return [results, type(error).__name__, str(error), *again]
+        aucmax.experiments._in_order(_interrupts_or_sleeps, [(0,), (1,)], 2)
+    except KeyboardInterrupt:
+        return "KeyboardInterrupt"
+    return None
 
 
 def _back_to_back(calls):
@@ -327,7 +352,7 @@ def _fork_states(pointwise=True, preload=False):
 
 def _needs_two_cpus():
     if _CPUS < 2:
-        pytest.skip("a worker pool needs two usable CPUs")
+        pytest.skip("a forked worker needs two usable CPUs")
 
 
 class TestParallelRuns:
@@ -370,11 +395,20 @@ class TestParallelRuns:
         assert earlier_loss[1].startswith("auc_square, seed 0: ")
 
     def test_in_order_returns_the_results_before_the_first_failure(self, run):
-        # the second list shares the pool the first forked
-        assert run("_two_lists_in_order") == [[0], "ValueError", "job 1", [0, 20], None]
+        assert run("_lists_in_order") == [[[0], ["ValueError", "job 1"]],
+                                          [[0, 20], ["ValueError", "job 3"]],
+                                          [[0, 20], None]]
+
+    def test_a_dead_worker_is_an_error_at_its_place_in_job_order(self):
+        assert _pooled("_dead_worker") == [
+            [0, 10], "RuntimeError", "the worker process from job 2 on died with exit code 3"]
+
+    def test_an_interrupt_in_this_process_leaves_no_worker(self):
+        # _pooled fails on a worker left running, or on one that holds the call
+        assert _pooled("_interrupted") == "KeyboardInterrupt"
 
     def test_every_call_forks_and_returns_single_threaded(self):
-        # a thread the last pool left listed would keep the next call in process
+        # a thread the last call left listed would keep the next call in process
         _needs_two_cpus()
         assert _pooled("_back_to_back", 20) == [[True, 1]] * 20
 
@@ -387,7 +421,7 @@ class TestParallelRuns:
 
     def test_workers_fork_single_threaded_with_scipy_special_loaded(self):
         # a caller that loaded scipy.special, its BLAS held to one thread,
-        # still forks a single-threaded pool for the pointwise losses
+        # still forks single-threaded workers for the pointwise losses
         _needs_two_cpus()
         states = _pooled("_fork_states", True, True)
         assert states and all(state == [True, 1] for state in states)
