@@ -23,10 +23,9 @@ import numpy as np
 
 from . import __version__
 from .config import Config, format_config, load_config, parse_config
-from .data import dataset_hash, save_csv
+from .data import _check_both_classes, dataset_hash, load_csv, save_csv
 from .errors import NumericalError, ValidationError
 from .experiments import (
-    _load_two_class_csv,
     ablate_alpha_constraint,
     ablate_bsn,
     ablate_margin,
@@ -39,7 +38,7 @@ from .experiments import (
     write_outputs,
 )
 from .metrics import accuracy, auc_score, auc_sensitivity_demo
-from .models import forward_batch, load_model
+from .models import _check_width, forward_batch, load_model
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,10 +145,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model_spec, params = load_model(args.model)
-    data = _load_two_class_csv(args.data)
-    if data.dim != model_spec.d_in:
-        raise ValidationError(
-            f"model expects {model_spec.d_in}-D inputs, dataset has {data.dim}-D")
+    data = load_csv(args.data)
+    _check_both_classes(data.n_pos, data.n_neg, args.data)
+    _check_width(model_spec, data.dim, args.data)
     scores = forward_batch(model_spec, params, data.X)
     res = auc_score(scores, data.y)
     acc = accuracy(scores, data.y, args.threshold)

@@ -88,6 +88,12 @@ def _positives(y: np.ndarray) -> tuple[np.ndarray, int]:
     return pos, n_pos
 
 
+def _check_both_classes(n_pos: int, n_neg: int, what) -> None:
+    """The one both-classes rule: AUC and its surrogates need a positive-negative pair."""
+    if n_pos < 1 or n_neg < 1:
+        raise ValidationError(f"{what}: needs both classes, got {n_pos} positive, {n_neg} negative")
+
+
 def concat(parts: list[Dataset]) -> Dataset:
     parts = [d for d in parts if len(d)]
     return Dataset(
@@ -109,8 +115,7 @@ class GaussianToySpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_pos < 1 or self.n_neg < 1:
-            raise ValidationError("need at least one sample per class")
+        _check_both_classes(self.n_pos, self.n_neg, "Gaussian toy draw")
         if not 0 < self.cov_scale < math.inf:
             raise ValidationError(f"cov_scale must be finite and > 0, got {self.cov_scale}")
         for name in ("mean_pos", "mean_neg"):
@@ -133,9 +138,7 @@ def imbalanced_keep_count(n_pos: int, n_neg: int, imratio: float) -> int:
     """The positives make_imbalanced keeps: the count k in [1, n_pos] whose
     fraction k / (k + n_neg) is closest to imratio, for both classes present and
     0 < imratio <= the prior."""
-    if n_pos == 0 or n_neg == 0:
-        raise ValidationError(f"imbalancing needs both classes, got n_pos = {n_pos}, "
-                              f"n_neg = {n_neg}")
+    _check_both_classes(n_pos, n_neg, "imbalancing")
     p = n_pos / (n_pos + n_neg)
     if not 0 < imratio <= p:
         raise ValidationError(f"imratio must be in (0, {p:.6g}] for n_pos = {n_pos}, "

@@ -29,6 +29,7 @@ import numpy as np
 from .config import PLOT_KINDS, DataSetting, LossSetting, ScenarioConfig, _packaged_scenario
 from .data import (
     Dataset,
+    _check_both_classes,
     dataset_hash,
     gen_gaussian_toy,
     inject_easy,
@@ -39,7 +40,7 @@ from .data import (
 from .errors import NumericalError, ValidationError, read_text
 from .losses import AUC_KINDS, SurrogateSpec
 from .metrics import auc_score
-from .models import ModelSpec, forward_batch, init_params, save_model
+from .models import ModelSpec, _check_width, forward_batch, init_params, save_model
 from .optimizer import PesgConfig, RunRecord, SgdConfig, pesg_train, sgd_train
 from .plots import line_plot, scatter_boundary_panels
 
@@ -115,31 +116,23 @@ class ScenarioSummary:
         return {label: cells[0].records for label, cells in self.by_loss().items()}
 
 
-def _load_two_class_csv(path) -> Dataset:
-    """A CSV data file, rejected unless it holds both classes (AUC needs both)."""
-    data = load_csv(path)
-    if data.n_pos == 0 or data.n_neg == 0:
-        raise ValidationError(f"{path}: needs samples of both classes, got {data.n_pos} "
-                              f"positive and {data.n_neg} negative")
-    return data
-
-
 def prepare_data(setting: DataSetting, seed: int) -> tuple[Dataset, Dataset | None]:
     """Build the (train, test) pair for one seed.
 
-    A CSV source is returned as loaded (test None without a test file). Files
-    without both classes or of unequal widths are rejected here, before training.
+    A CSV source is returned as loaded (test None without a test file), once each file
+    holds both classes and the test file has the training file's width (the model's).
     Toy pipeline: draw -> imbalance -> easy injection (scored by a small CE
     pretrain on the imbalanced set) -> noise injection. The noise pool is the
     removed positives not re-added as easy samples. DataSetting checks at
     parse that the imbalance removes positives for the injections to draw on.
     """
     if setting.kind == "csv":
-        train = _load_two_class_csv(setting.path)
-        test = _load_two_class_csv(setting.test_path) if setting.test_path else None
-        if test is not None and test.dim != train.dim:
-            raise ValidationError(f"{setting.test_path}: {test.dim} features, but the training "
-                                  f"file {setting.path} has {train.dim}")
+        train = load_csv(setting.path)
+        _check_both_classes(train.n_pos, train.n_neg, setting.path)
+        test = load_csv(setting.test_path) if setting.test_path else None
+        if test is not None:
+            _check_both_classes(test.n_pos, test.n_neg, setting.test_path)
+            _check_width(ModelSpec("linear", train.dim), test.dim, setting.test_path)
         return train, test
     train = gen_gaussian_toy(setting.toy_spec(setting.n_pos, setting.n_neg, derive_seed(seed, 1)))
     test = gen_gaussian_toy(setting.toy_spec(setting.test_n_pos, setting.test_n_neg,
@@ -343,8 +336,6 @@ def write_outputs(out: str, summary: ScenarioSummary) -> None:
 
 def emit_plot(records_by_label: dict[str, list[RunRecord]], kind: str = "auc_vs_epoch") -> str:
     """SVG curve of test AUC or alpha against training epoch."""
-    if not records_by_label or any(not recs for recs in records_by_label.values()):
-        raise ValidationError("emit_plot needs non-empty record lists")
     if kind not in PLOT_KINDS:
         raise ValidationError(f"unknown plot kind {kind!r}")
     attr, ylabel = PLOT_KINDS[kind]

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _check_both_classes
 from .errors import ValidationError
 from .metrics import _as_scored
 
@@ -111,8 +112,7 @@ class MinMaxGrads:
 def _split_by_class(scores_pos, scores_neg):
     sp = np.asarray(scores_pos, dtype=np.float64).ravel()
     sn = np.asarray(scores_neg, dtype=np.float64).ravel()
-    if sp.size == 0 or sn.size == 0:
-        raise ValidationError("AUC losses need at least one sample of each class")
+    _check_both_classes(sp.size, sn.size, "AUC loss")
     return sp, sn
 
 

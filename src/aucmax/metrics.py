@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _positives
+from .data import _check_both_classes, _positives
 from .errors import ValidationError
 
 __all__ = ["AucResult", "auc_score", "accuracy", "auc_sensitivity_demo", "SensitivityReport"]
@@ -60,8 +60,7 @@ def _auc(s: np.ndarray, pos, neg, tie_policy: str = "half") -> AucResult:
     # both classes form one tied group above every number
     neg_sorted, pos_sorted = s[neg], s[pos]
     n_pos, n_neg = pos_sorted.size, neg_sorted.size
-    if n_pos == 0 or n_neg == 0:
-        raise ValidationError("AUC needs at least one sample of each class")
+    _check_both_classes(n_pos, n_neg, "AUC")
     neg_sorted.sort()
     pos_sorted.sort()
     below = np.searchsorted(neg_sorted, pos_sorted, side="left")

@@ -95,6 +95,12 @@ def _check_params(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
     return params
 
 
+def _check_width(spec: ModelSpec, width: int, what) -> None:
+    """The one feature-width rule: ``what`` has the ``spec.d_in`` features the model takes."""
+    if width != spec.d_in:
+        raise ValidationError(f"{what}: {width} features, but the model takes {spec.d_in}")
+
+
 def _model_views(spec: ModelSpec, params: np.ndarray):
     """``params`` (or a gradient buffer) as ``_forward_hidden`` and
     ``_backward_hidden`` take it: the vector itself for linear, else the
@@ -209,21 +215,16 @@ def forward_batch(spec: ModelSpec, params: np.ndarray, X: np.ndarray) -> np.ndar
     """
     params = _check_params(spec, params)
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or (X.shape[0] > 0 and X.shape[1] != spec.d_in):
-        raise ValidationError(
-            f"expected batch of shape (n, {spec.d_in}), got {X.shape}"
-        )
-    if X.shape[0] == 0:
-        return np.zeros(0)
+    if X.ndim != 2:
+        raise ValidationError(f"expected batch of shape (n, {spec.d_in}), got {X.shape}")
+    _check_width(spec, X.shape[1], "batch")
     return X @ params if spec.kind == "linear" else _score_mlp(spec, params, X)
 
 
 def forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> float:
-    """Score a single feature vector."""
+    """Score a single feature vector, as ``forward_batch`` scores a batch of that one row."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.d_in,):
-        raise ValidationError(f"expected input of length {spec.d_in}, got shape {x.shape}")
-    return float(forward_batch(spec, params, x[None, :])[0])
+    return float(forward_batch(spec, params, x[None])[0])
 
 
 def _backward_hidden(spec: ModelSpec, views, X: np.ndarray, coeffs: np.ndarray, hidden,
@@ -259,10 +260,7 @@ def backward_vjp(
         raise ValidationError(
             f"coeffs length {coeffs.shape} does not match batch shape {X.shape}"
         )
-    if X.shape[0] == 0:
-        return np.zeros(spec.n_params)
-    if X.shape[1] != spec.d_in:
-        raise ValidationError(f"expected batch of shape (n, {spec.d_in}), got {X.shape}")
+    _check_width(spec, X.shape[1], "batch")
     views = _model_views(spec, params)
     hidden = None if spec.kind == "linear" else _forward_hidden(spec, views, X)[1]
     grad = np.empty(spec.n_params)
@@ -309,9 +307,11 @@ def load_model(path) -> tuple[ModelSpec, np.ndarray]:
         elif head[0] == "mlp" and len(head) == 4:
             spec = ModelSpec("mlp", int(head[1]), int(head[2]), float(head[3]))
         else:
-            raise ValidationError(f"{path}: bad header {lines[0]!r}")
+            raise ValueError
     except (ValueError, IndexError) as exc:
         raise ValidationError(f"{path}: bad header {lines[0]!r}") from exc
+    except ValidationError as exc:   # ModelSpec's rules
+        raise ValidationError(f"{path}: {exc}") from exc
     try:
         count = int(lines[1])
     except ValueError as exc:

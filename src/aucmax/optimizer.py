@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _check_both_classes
 from .errors import NumericalError, ValidationError
 from .losses import (
     AUC_KINDS,
@@ -37,6 +37,8 @@ from .metrics import _auc, _class_split
 from .models import (
     ModelSpec,
     _backward_hidden,
+    _check_params,
+    _check_width,
     _forward_hidden,
     _model_views,
     forward_batch,
@@ -104,6 +106,16 @@ def _check_length(epochs: int, batch_size: int) -> None:
         raise ValidationError(f"epochs must be >= 0, got {epochs}")
     if batch_size < 2:
         raise ValidationError(f"batch_size must be >= 2, got {batch_size}")
+
+
+def _check_run(model_spec, params, data, test_data, epochs, batch_size) -> np.ndarray:
+    """The float64 params, once the run's params, length and data sets pass their rules."""
+    _check_length(epochs, batch_size)
+    for dataset, what in ((data, "training set"), (test_data, "test set")):
+        if dataset is not None:
+            _check_width(model_spec, dataset.dim, what)
+            _check_both_classes(dataset.n_pos, dataset.n_neg, what)
+    return _check_params(model_spec, params)
 
 
 class MinMaxState:
@@ -284,7 +296,8 @@ def _sgd_rule(model_spec, params, velocity, surrogate: SurrogateSpec, cfg: SgdCo
 
 def _train_epochs(model_spec, params, data, table, epochs, batch_size, seed, test_data,
                   update, end_epoch) -> list[RunRecord]:
-    """Shuffled mini-batch epochs over one update rule; deterministic per seed.
+    """Shuffled mini-batch epochs over one update rule, on inputs the trainer
+    checked at entry (``_check_run``); deterministic per seed.
 
     ``table`` holds the rule's per-sample label terms, one column (or entry)
     per row of ``data``. Each batch is one ``_fused_step`` with ``update`` on
@@ -293,9 +306,6 @@ def _train_epochs(model_spec, params, data, table, epochs, batch_size, seed, tes
     ``end_epoch(epoch)`` runs after the epoch's evaluation and returns the
     (aux, eta) the epoch ran with.
     """
-    if data.n_pos == 0 or data.n_neg == 0:
-        raise ValidationError("training set must contain both classes")
-    _check_length(epochs, batch_size)
     views = _model_views(model_spec, params)
     train_split = _class_split(data.y)
     test_split = None if test_data is None else _class_split(test_data.y)
@@ -347,6 +357,7 @@ def pesg_train(
     """
     if surrogate.kind not in AUC_KINDS:
         raise ValidationError(f"pesg_train needs an AUC surrogate, got {surrogate.kind!r}")
+    params = _check_run(model_spec, params, data, test_data, epochs, batch_size)
     state = MinMaxState(params=params, aux=AuxVars(), eta=cfg.eta0)
 
     def end_epoch(epoch):
@@ -372,7 +383,7 @@ def sgd_train(
     """Momentum SGD on cross-entropy or focal loss; deterministic per seed."""
     if surrogate.kind in AUC_KINDS:
         raise ValidationError(f"sgd_train needs cross_entropy or focal, got {surrogate.kind!r}")
-    params = np.array(params, dtype=np.float64, copy=True)
+    params = _check_run(model_spec, params, data, test_data, cfg.epochs, cfg.batch_size).copy()
     update = _sgd_rule(model_spec, params, np.zeros_like(params), surrogate, cfg)
     records = _train_epochs(model_spec, params, data, data.y, cfg.epochs, cfg.batch_size, seed,
                             test_data, update, lambda epoch: (AuxVars(), cfg.lr))
@@ -393,8 +404,7 @@ def two_stage_train(
 ) -> tuple[np.ndarray, AuxVars, list[RunRecord]]:
     """Cross-entropy pretraining, then AUC maximization over all parameters
     with the output layer freshly re-drawn. Requires a layered (mlp) model."""
-    if model_spec.kind != "mlp":
-        raise ValidationError("two-stage training needs an mlp (no layer split in linear)")
+    sl = output_layer_slice(model_spec)     # the mlp rule, before any training
     seeds = np.random.SeedSequence(seed).generate_state(4)
     params0 = init_params(model_spec, int(seeds[0]), init_scale)
     ce_spec = SurrogateSpec("cross_entropy", p=surrogate.p)
@@ -403,7 +413,6 @@ def two_stage_train(
     )
 
     params1 = pre_params.copy()
-    sl = output_layer_slice(model_spec)
     params1[sl] = init_params(model_spec, int(seeds[2]), init_scale)[sl]
 
     final, aux, records = pesg_train(

@@ -724,8 +724,8 @@ class TestCliCommands:
                        "train.epochs = 1\n")
         rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert capsys.readouterr().err == (f"error: {test_csv}: 3 features, but the training "
-                                           f"file {train_csv} has 2\n")
+        assert capsys.readouterr().err == (f"error: {test_csv}: 3 features, but the model "
+                                           "takes 2\n")
         assert trained == [] and not (tmp_path / "out").exists()
 
     def test_grid_aborted_in_its_second_cell_writes_nothing(self, tmp_path, monkeypatch, capsys):
@@ -810,9 +810,10 @@ class TestCliCommands:
         model = tmp_path / "wide.model"
         save_model(model, ModelSpec("linear", 3), np.zeros(3))
         capsys.readouterr()
-        rc = main(["eval", "--model", str(model), "--data", str(tmp_path / "smoke_s0.csv")])
+        data = tmp_path / "smoke_s0.csv"
+        rc = main(["eval", "--model", str(model), "--data", str(data)])
         assert rc == 1
-        assert capsys.readouterr().err == "error: model expects 3-D inputs, dataset has 2-D\n"
+        assert capsys.readouterr().err == f"error: {data}: 2 features, but the model takes 3\n"
 
     @pytest.mark.parametrize("line", ["ablate.kind = bogus", "plot.kind = bogus"])
     def test_unknown_ablate_or_plot_kind_stops_train(self, tmp_path, line, capsys):

@@ -239,13 +239,14 @@ _ONE_POS = Dataset(np.zeros((1, 2)), np.array([1]))
      "y_true length does not match labels"),
     (lambda: Dataset(np.zeros((2, 2)), np.array([1, -1]), np.array([0, 2])),
      "y_true entries must be +1, -1 or 0 (absent)"),
-    (lambda: GaussianToySpec(n_pos=0), "need at least one sample per class"),
+    (lambda: GaussianToySpec(n_pos=0),
+     "Gaussian toy draw: needs both classes, got 0 positive, 500 negative"),
     (lambda: make_imbalanced(_ONE_EACH, 0.6, 0),
      "imratio must be in (0, 0.5] for n_pos = 1, n_neg = 1, got 0.6"),
     (lambda: make_imbalanced(Dataset(np.zeros((3, 2)), np.array([1, 1, 1])), 1.0, 0),
-     "imbalancing needs both classes, got n_pos = 3, n_neg = 0"),
+     "imbalancing: needs both classes, got 3 positive, 0 negative"),
     (lambda: make_imbalanced(Dataset(np.zeros((0, 2)), np.array([], dtype=int)), 0.5, 0),
-     "imbalancing needs both classes, got n_pos = 0, n_neg = 0"),
+     "imbalancing: needs both classes, got 0 positive, 0 negative"),
     (lambda: inject_noise(_ONE_EACH, _ONE_EACH, 0.05, 0),
      "removed pool must contain only positives"),
     (lambda: inject_easy(_ONE_EACH, _ONE_POS, [0.5], top_frac=0.0),

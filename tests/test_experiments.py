@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -221,7 +222,9 @@ def _pooled(case: str, *args):
     held to one BLAS thread: a single-threaded process, so run_scenario forks
     worker processes there. Warnings are errors there too. Checks that worker
     processes ran, that none is left and that one thread is listed after the
-    case, and returns the case's (JSON) result. A case that hangs fails."""
+    case, and returns the case's (JSON) result. A case that hangs fails. The
+    interpreter leads a session of its own, whose process group is killed
+    when the call ends, so no forked worker of a failed case is left running."""
     code = ("import json, multiprocessing, os, resource, sys\n"
             "import test_experiments as t\n"
             f"result = t.{case}(*json.loads(sys.argv[1]))\n"
@@ -231,10 +234,18 @@ def _pooled(case: str, *args):
     src = os.path.dirname(os.path.dirname(aucmax.experiments.__file__))
     path = [os.path.dirname(__file__), src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, **_ONE_BLAS_THREAD, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    out = subprocess.run([sys.executable, "-W", "error", "-c", code, json.dumps(args)],
-                         capture_output=True, text=True, env=env, timeout=120)
-    assert out.returncode == 0, out.stderr
-    result, children_maxrss, left, threads = json.loads(out.stdout.splitlines()[-1])
+    with subprocess.Popen([sys.executable, "-W", "error", "-c", code, json.dumps(args)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                          start_new_session=True) as case:
+        try:
+            stdout, stderr = case.communicate(timeout=120)
+        finally:
+            try:
+                os.killpg(case.pid, signal.SIGKILL)
+            except ProcessLookupError:     # the group is empty: nothing was left
+                pass
+    assert case.returncode == 0, stderr
+    result, children_maxrss, left, threads = json.loads(stdout.splitlines()[-1])
     assert children_maxrss > 0, "no worker process ran"
     assert left == 0 and threads == 1
     return result

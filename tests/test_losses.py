@@ -434,13 +434,15 @@ _AUC_SPEC = SurrogateSpec("auc_square", p=0.5)
     (lambda: optimal_aux([1.0], [0.0], "auc_margin", m=math.nan),
      "margin m must be finite, got nan"),
     (lambda: optimal_aux([1.0], [0.0], "auc_margin", m=-1.0), "margin m must be > 0, got -1.0"),
+    (lambda: pairwise_square_loss([1.0, 2.0], []),
+     "AUC loss: needs both classes, got 2 positive, 0 negative"),
     (lambda: minmax_value([], [], AuxVars(), _AUC_SPEC), "empty batch"),
     (lambda: minmax_grads([0.1], [1], AuxVars(), SurrogateSpec("focal", p=0.5)),
      "minmax_grads needs an AUC surrogate, got 'focal'"),
     (lambda: batch_score_normalize([]), "cannot normalize an empty batch"),
     (lambda: bsn_vjp([1.0, 2.0], [1.0]), "scores (2,) and upstream (1,) differ in length"),
 ], ids=["margin_inf", "margin_nan", "margin_zero", "aux_margin_nan", "aux_margin_negative",
-        "empty_batch", "pointwise_spec", "empty_bsn", "bsn_vjp_lengths"])
+        "no_negatives", "empty_batch", "pointwise_spec", "empty_bsn", "bsn_vjp_lengths"])
 def test_bad_input_rejected_with_its_message(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()

@@ -266,7 +266,9 @@ def test_labels_other_than_plus_minus_one_rejected(metric, bad):
      "tie_policy must be 'half' or 'geq', got 'lt'"),
     (lambda: accuracy([], []), "accuracy of an empty sample set is undefined"),
     (lambda: auc_pair_count([0.3, -0.2], [1, 1]), "AUC needs at least one sample of each class"),
-], ids=["tie_policy", "empty_accuracy", "one_class_pair_count"])
+    (lambda: auc_score([0.3, -0.2], [1, 1]),
+     "AUC: needs both classes, got 2 positive, 0 negative"),
+], ids=["tie_policy", "empty_accuracy", "one_class_pair_count", "one_class_auc"])
 def test_bad_input_rejected_with_its_message(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()

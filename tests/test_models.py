@@ -278,8 +278,15 @@ _LINEAR = ModelSpec("linear", 2)
     (lambda: forward_batch(_LINEAR, np.zeros(3), np.zeros((1, 2))),
      "expected 2 parameters for linear, got shape (3,)"),
     (lambda: backward_vjp(_LINEAR, np.zeros(2), np.zeros((3, 3)), np.zeros(3)),
-     "expected batch of shape (n, 2), got (3, 3)"),
-], ids=["scale_nan", "scale_inf", "scale_negative", "param_count", "vjp_batch_width"])
+     "batch: 3 features, but the model takes 2"),
+    (lambda: forward_batch(_LINEAR, np.zeros(2), np.zeros((0, 3))),
+     "batch: 3 features, but the model takes 2"),
+    (lambda: forward(_LINEAR, np.zeros(2), np.zeros(3)), "batch: 3 features, but the model takes 2"),
+    (lambda: forward(_LINEAR, np.zeros(2), np.zeros((1, 2))),
+     "expected batch of shape (n, 2), got (1, 1, 2)"),
+    (lambda: forward(_LINEAR, np.zeros(2), 1.0), "expected batch of shape (n, 2), got (1,)"),
+], ids=["scale_nan", "scale_inf", "scale_negative", "param_count", "vjp_batch_width",
+        "empty_batch_width", "vector_width", "vector_of_two_dims", "scalar_vector"])
 def test_bad_input_rejected_with_its_message(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()
@@ -375,8 +382,12 @@ class TestModelFile:
         ("linear 2\n2\n1.0\none\n", "unparseable parameter line"),
         ("linear 2\n2\n1.0\nnan\n", "non-finite parameter in file"),
         ("mlp 1 1 1.0\n4\n1.0\n2.0\n-inf\n4.0\n", "non-finite parameter in file"),
+        ("mlp 2 8 nan\n33\n", "elu_alpha must be finite and > 0, got nan"),
+        ("linear 0\n0\n", "d_in must be >= 1, got 0"),
+        ("mlp 2 0 1.0\n1\n1.0\n", "mlp needs d_hidden >= 1, got 0"),
     ], ids=["truncated", "empty_header", "unparseable_header", "unparseable_count",
-            "too_few_params", "too_many_params", "unparseable_param", "nan_param", "inf_param"])
+            "too_few_params", "too_many_params", "unparseable_param", "nan_param", "inf_param",
+            "nan_elu_alpha", "no_inputs", "no_hidden_units"])
     def test_bad_model_file_names_its_fault(self, tmp_path, text, message):
         path = tmp_path / "bad.model"
         path.write_text(text)

@@ -582,6 +582,43 @@ def test_bad_input_rejected_with_its_message(call, message):
         call()
 
 
+_RUN_SET = Dataset(np.random.default_rng(0).normal(size=(40, 2)), np.tile([1, -1], 20))
+
+
+def _trainer_run(trainer, params=np.zeros(2), data=_RUN_SET, test_data=_RUN_SET):
+    """One epoch of ``trainer`` on a linear 2-D model, batches of 8."""
+    spec = ModelSpec("linear", 2)
+    if trainer == "pesg_train":
+        pesg_train(spec, params, data, SurrogateSpec("auc_margin", p=0.5), PesgConfig(), 1, 8, 0,
+                   test_data)
+    else:
+        sgd_train(spec, params, data, SurrogateSpec("cross_entropy", p=0.5),
+                  SgdConfig(epochs=1, batch_size=8), 0, test_data)
+
+
+@pytest.mark.parametrize("trainer", ["pesg_train", "sgd_train"])
+@pytest.mark.parametrize("bad, message", [
+    (dict(test_data=Dataset(np.zeros((4, 2)), np.ones(4, dtype=int))),
+     "test set: needs both classes, got 4 positive, 0 negative"),
+    (dict(test_data=Dataset(np.zeros((4, 3)), np.array([1, -1, 1, -1]))),
+     "test set: 3 features, but the model takes 2"),
+    (dict(data=Dataset(np.zeros((4, 3)), np.array([1, -1, 1, -1]))),
+     "training set: 3 features, but the model takes 2"),
+    (dict(params=np.zeros(3)), "expected 2 parameters for linear, got shape (3,)"),
+], ids=["one_class_test_set", "test_set_width", "training_set_width", "params_length"])
+def test_trainers_check_the_run_before_the_first_step(monkeypatch, trainer, bad, message):
+    steps = []
+    forward = aucmax.optimizer._forward_hidden
+    monkeypatch.setattr(aucmax.optimizer, "_forward_hidden",
+                        lambda *args: steps.append(1) or forward(*args))
+    _trainer_run(trainer)
+    assert len(steps) == 5      # the counter sees every step of a good run
+    steps.clear()
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        _trainer_run(trainer, **bad)
+    assert steps == []
+
+
 class TestTwoStage:
     def _mlp_setup(self, seed=0):
         train, test = _toy_sets(seed=seed)
@@ -614,9 +651,11 @@ class TestTwoStage:
         assert np.array_equal(params[hidden], pre[hidden])
         assert not np.array_equal(params[sl], pre[sl])
 
-    def test_linear_model_rejected(self):
+    def test_linear_model_rejected(self, monkeypatch):
         train, _, _, spec, stage1 = self._mlp_setup()
-        with pytest.raises(ValidationError):
+        monkeypatch.setattr(aucmax.optimizer, "sgd_train", lambda *a: pytest.fail("pretrained"))
+        with pytest.raises(ValidationError,
+                           match="^only the mlp model has a separate output layer$"):
             two_stage_train(ModelSpec("linear", 2), train, stage1, spec, PesgConfig(),
                             stage2_epochs=1, stage2_batch_size=64, seed=0)
 
