@@ -112,10 +112,8 @@ def _write_run(out: str, command: str, config: Config, summaries, svgs) -> None:
     ``name -> SVG text``, and ``<run.name>_manifest.cfg``, the config that
     ran, seeds included and no output path, so runs into different
     directories write the same bytes."""
-    import scipy
-
     manifest = (f"# aucmax {command}; aucmax {__version__}, numpy {np.__version__}, "
-                f"scipy {scipy.__version__}, BLAS {_blas()}\n" + format_config(config))
+                f"BLAS {_blas()}\n" + format_config(config))
     for summary in summaries:
         write_outputs(out, summary)
     for name, svg in svgs.items():

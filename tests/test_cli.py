@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import re
 import subprocess
@@ -307,6 +309,26 @@ def _assert_same_files(dir_a, dir_b):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
 
 
+def _main_in_fresh_interpreter(argvs, block_scipy=False):
+    """In a new Python process, which first makes every scipy import fail if
+    ``block_scipy``: the exit status of ``main`` on each argv in turn, and the
+    names of the modules loaded after the last."""
+    code = ("import json, sys\n"
+            + ("sys.modules['scipy'] = None\n" if block_scipy else "")
+            + "from aucmax.cli import main\n"
+            "statuses = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([statuses, sorted(sys.modules)]))\n")
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argvs = json.dumps([[str(arg) for arg in argv] for argv in argvs])
+    run = subprocess.run([sys.executable, "-c", code, argvs], capture_output=True, text=True,
+                         env=env)
+    assert run.returncode == 0, run.stderr
+    statuses, loaded = json.loads(run.stdout.splitlines()[-1])
+    return statuses, set(loaded)
+
+
 @pytest.fixture()
 def toy_config(tmp_path):
     cfg = tmp_path / "run.cfg"
@@ -334,6 +356,56 @@ def _capture_ablations(monkeypatch):
     monkeypatch.setattr(cli, "ablate_noise_easy",
                         lambda cfg, rates, fracs: seen.append(cfg) or {})
     return seen
+
+
+# The README example (EXAMPLE_CONFIG of bench/workloads.py), copied so that
+# an edit to either file leaves the hashes below pinned to the same run.
+GOLDEN_EXAMPLE = """\
+run.name   = demo
+run.seeds  = 0,1,2
+data.n_pos = 500            # base draw before imbalancing
+data.n_neg = 500
+data.imratio = 0.1          # keep positives until this fraction
+data.noise_rate = 0.05      # flip this share of labels (both directions)
+model.kind = mlp            # or linear
+model.d_hidden = 8
+loss.kind  = auc_margin     # cross_entropy | focal | auc_square | auc_margin
+loss.m     = 0.5
+loss.bsn   = true
+optim.eta0 = 0.5
+optim.decay_epochs = 30,45
+optim.decay_factor = 3
+train.epochs = 60
+train.batch_size = 32
+"""
+
+# sha256 of what the example's gen-data, train on that CSV and eval write at
+# --seed 7, with the provenance of the goldens in test_experiments.py. The
+# manifest is left out: it holds version strings.
+GOLDEN_CLI_SHA256 = {
+    "demo_s7.csv": "bdbdddaff76a5718bd46264ac008d019aeb244789f0521d9fe64072560780dd9",
+    "demo_auc_margin_s7.csv":
+        "38c0a95abccc080aa8c42c6be9f8d151e3bcae8118245537be0881bebd81d19c",
+    "demo_auc_margin_s7.model":
+        "a2fb9c736a709ea464ee61492cefe2944944cae068f9da31f0cf64d0fb89ffe1",
+    "demo_summary.csv": "32d81dc46d83d9da7c281fe8c713d35442a85d1168019af8d2f2a166ebd6ee1a",
+    "eval stdout": "cd064e1bc9320b487762220dde0479b7cedc62f0942bcf1d8b98ac24cd3e71fc",
+}
+
+
+def test_csv_path_outputs_match_golden_hashes(tmp_path, capsys):
+    gen, train = tmp_path / "gen.cfg", tmp_path / "train.cfg"
+    gen.write_text(GOLDEN_EXAMPLE)
+    train.write_text(GOLDEN_EXAMPLE + f"data.kind = csv\ndata.path = {tmp_path / 'demo_s7.csv'}\n")
+    assert main(["gen-data", "--config", str(gen), "--seed", "7", "--out", str(tmp_path)]) == 0
+    assert main(["train", "--config", str(train), "--seed", "7", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model", str(tmp_path / "demo_auc_margin_s7.model"),
+                 "--data", str(tmp_path / "demo_s7.csv")]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in GOLDEN_CLI_SHA256 if name != "eval stdout"}
+    got["eval stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == GOLDEN_CLI_SHA256
 
 
 class TestCliCommands:
@@ -539,29 +611,32 @@ class TestCliCommands:
         assert len(list(first.glob("*_s0.model"))) == (2 if source == "noise_robustness" else 1)
 
     def test_pointwise_training_leaves_scipy_special_unloaded(self, tmp_path):
-        # the README's gen-data, train and eval in a fresh interpreter, with
-        # every pointwise trainer: a warm start, the easy-injection scorer and
-        # the cross-entropy and focal losses
-        config = tmp_path / "demo.cfg"
+        # the README's gen-data, train and eval, with every pointwise trainer:
+        # a warm start, the easy-injection scorer and the cross-entropy and
+        # focal losses
+        config, out = tmp_path / "demo.cfg", tmp_path / "out"
         config.write_text(README_EXAMPLE.replace(
             "loss.kind  = auc_margin", "loss.kind  = auc_margin, cross_entropy, focal")
             + "train.warm_start_epochs = 2\ndata.easy_frac = 0.2\n")
-        code = ("import sys\n"
-                "from aucmax.cli import main\n"
-                "config, out = sys.argv[1:]\n"
-                "for argv in (['gen-data', '--config', config, '--seed', '0', '--out', out],\n"
-                "             ['train', '--config', config, '--seed', '0', '--out', out],\n"
-                "             ['eval', '--model', out + '/demo_focal_s0.model',\n"
-                "              '--data', out + '/demo_s0.csv']):\n"
-                "    assert main(argv) == 0\n"
-                "print('scipy.special' in sys.modules)\n")
-        src = str(Path(cli.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path / "out")],
-                             capture_output=True, text=True, env=env)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.splitlines()[-1] == "False"
+        statuses, loaded = _main_in_fresh_interpreter(
+            [["gen-data", "--config", config, "--seed", 0, "--out", out],
+             ["train", "--config", config, "--seed", 0, "--out", out],
+             ["eval", "--model", out / "demo_focal_s0.model", "--data", out / "demo_s0.csv"]])
+        assert statuses == [0, 0, 0] and "scipy.special" not in loaded
+
+    def test_every_manifest_writing_command_runs_with_scipy_blocked(self, tmp_path):
+        # numpy is the whole runtime: where every scipy import fails, the
+        # README's gen-data, train on its CSV and eval, and an ablation, run
+        gen, train, out = tmp_path / "gen.cfg", tmp_path / "train.cfg", tmp_path / "out"
+        gen.write_text(README_EXAMPLE)
+        train.write_text(README_EXAMPLE + f"data.kind = csv\ndata.path = {out / 'demo_s0.csv'}\n")
+        statuses, _ = _main_in_fresh_interpreter(
+            [["gen-data", "--config", gen, "--seed", 0, "--out", out],
+             ["train", "--config", train, "--seed", 0, "--out", out],
+             ["eval", "--model", out / "demo_auc_margin_s0.model", "--data", out / "demo_s0.csv"],
+             ["ablate", "--config", CONFIGS / "alpha_constraint.cfg", "--seed", 0, "--out", out]],
+            block_scipy=True)
+        assert statuses == [0, 0, 0, 0]
 
     def test_ablate_writes_a_manifest_that_reruns_it(self, tmp_path, capsys):
         cfg = tmp_path / "ab.cfg"

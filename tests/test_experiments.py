@@ -783,3 +783,30 @@ def test_fast_scenario_metrics_csvs_match_golden_hashes(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN_FAST_METRICS_SHA256}
     assert got == GOLDEN_FAST_METRICS_SHA256
+
+
+# The same for the ablations at seed 0: criterion 09's pair (the projected run
+# is the canonical margin run under another name) and bsn.cfg's four runs.
+GOLDEN_ABLATION_METRICS_SHA256 = {
+    "alpha_constraint_alpha_auc_margin_proj_s0.csv":
+        "4069b3517fa7e3e6a5d1a2af4b11b7b9bc8621bf680bf54be9b2c93eda097fdf",
+    "alpha_constraint_alpha_auc_margin_noproj_s0.csv":
+        "cad3fbcd7ed634cf0aea712268d1470f843b42714d7671779f228e1909fc975f",
+    "bsn_bsn_auc_square_bsn_s0.csv":
+        "f83063b394197f52dc55ff6a63d31c9095c0eadad7a37ba8a5cca4a878928f16",
+    "bsn_bsn_auc_square_raw_s0.csv":
+        "29ca242d3ae2939dbbd80ecb40bb426eae205181fab330924bd35d25d778358d",
+    "bsn_bsn_auc_margin_bsn_s0.csv":
+        "4c8bdfb23ec6d819b43d12f1dd2b19ce47a589fad6097c6a65da73d34b504f69",
+    "bsn_bsn_auc_margin_raw_s0.csv":
+        "bb9a6eea39cfdb3726d20a9efa971160c00574122f0d6ad64abf9b8a5f53981d",
+}
+
+
+def test_ablation_metrics_csvs_match_golden_hashes(tmp_path):
+    bsn = load_config(resources.files("aucmax") / "configs" / "bsn.cfg").scenario
+    write_outputs(str(tmp_path), ablate_alpha_constraint(alpha_constraint_scenario(seeds=[0])))
+    write_outputs(str(tmp_path), ablate_bsn(replace(bsn, seeds=(0,))))
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in GOLDEN_ABLATION_METRICS_SHA256}
+    assert got == GOLDEN_ABLATION_METRICS_SHA256

@@ -286,7 +286,7 @@ def _loaded_by_import_aucmax(module: str) -> bool:
 
 @pytest.mark.parametrize("module", ["scipy", "scipy.special", "scipy.stats", "multiprocessing"])
 def test_import_leaves_module_unloaded(module):
-    # nothing imports scipy.special (the pointwise sigmoid is losses._expit),
-    # scipy loads only where a manifest is written, and multiprocessing only
+    # aucmax imports no scipy module, which is only the tests' oracle (the
+    # pointwise sigmoid is losses._expit), and loads multiprocessing only
     # where a scenario runs tasks in worker processes
     assert not _loaded_by_import_aucmax(module)

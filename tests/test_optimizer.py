@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import re
 import sys
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import aucmax.optimizer
 from aucmax.data import Dataset, GaussianToySpec, gen_gaussian_toy, make_imbalanced
 from aucmax.errors import NumericalError, ValidationError
-from aucmax.experiments import prepare_data, two_stage_protocol
+from aucmax.experiments import prepare_data, records_to_csv, two_stage_protocol
 from aucmax.losses import (
     AUC_KINDS,
     AuxVars,
@@ -619,6 +620,15 @@ def test_trainers_check_the_run_before_the_first_step(monkeypatch, trainer, bad,
     assert steps == []
 
 
+# sha256 of records_to_csv of the two runs at seed 0 under two_stage_protocol(),
+# with the provenance of the goldens in test_experiments.py. Criterion 10 gates
+# only the 10-seed mean of their final AUCs.
+GOLDEN_TWO_STAGE_SHA256 = {
+    "two_stage": "a68b27563f0829e71f45b6dc4858821bd9e1afef3be4c99049d8fc78281feb24",
+    "from_scratch": "4f115e9b64dcb0c3215258b17e6315bc1ebc35b51fb1715d0ee2414130ab06d4",
+}
+
+
 class TestTwoStage:
     def _mlp_setup(self, seed=0):
         train, test = _toy_sets(seed=seed)
@@ -677,10 +687,10 @@ class TestTwoStage:
         out, err = capsys.readouterr()
         assert out == "" and f"--seeds must be at least 1, got {seeds}" in err
 
-    def test_script_prints_the_library_numbers(self, monkeypatch, capsys):
-        self._script_main(monkeypatch, "--seeds", "1")
-        row = capsys.readouterr().out.splitlines()[1]
-
+    @staticmethod
+    def _protocol_records():
+        """The records of ``two_stage_train`` and of ``from_scratch_pesg`` at
+        seed 0 under ``two_stage_protocol()``, called as the script calls them."""
         proto = two_stage_protocol()
         train, test = prepare_data(proto["data"], 0)
         spec = SurrogateSpec("auc_margin", p=train.p, m=proto["margin"])
@@ -688,4 +698,15 @@ class TestTwoStage:
                                     proto["epochs"], proto["batch_size"], 0, test_data=test)
         _, _, scratch = from_scratch_pesg(proto["model"], train, spec, proto["pesg"],
                                           proto["epochs"], proto["batch_size"], 0, test_data=test)
+        return two, scratch
+
+    def test_script_prints_the_library_numbers(self, monkeypatch, capsys):
+        self._script_main(monkeypatch, "--seeds", "1")
+        row = capsys.readouterr().out.splitlines()[1]
+        two, scratch = self._protocol_records()
         assert row.split() == ["0", f"{two[-1].test_auc:.4f}", f"{scratch[-1].test_auc:.4f}"]
+
+    def test_protocol_records_match_golden_hashes(self):
+        got = {name: hashlib.sha256(records_to_csv(records).encode("ascii")).hexdigest()
+               for name, records in zip(GOLDEN_TWO_STAGE_SHA256, self._protocol_records())}
+        assert got == GOLDEN_TWO_STAGE_SHA256
