@@ -243,10 +243,9 @@ def save_csv(data: Dataset, path) -> None:
     if with_truth:
         cols.append("true_label")
     lines = [",".join(cols)]
-    for i in range(len(data)):
-        cells = [repr(float(v)) for v in data.X[i]] + [str(int(data.y[i]))]
+    for x, y, yt in zip(data.X.tolist(), data.y.tolist(), data.y_true.tolist()):
+        cells = [*map(repr, x), str(y)]
         if with_truth:
-            yt = int(data.y_true[i])
             cells.append(str(yt) if yt else "")
         lines.append(",".join(cells))
     with open(path, "w", encoding="ascii") as fh:

@@ -14,9 +14,12 @@ mean* objective.
 The public functions validate their inputs. Each has an unchecked core
 (``_minmax_grads``, ``_bsn``/``_bsn_vjp`` with the norm from ``_bsn_norm``,
 ``_cross_entropy``, ``_focal``) that the training loop calls on batches of a
-checked ``Dataset``. The min-max core takes the batch's columns of the
-label table from ``_minmax_weights``, which training builds once per run,
-and a, b and alpha as numpy scalars, and builds no per-batch object.
+checked ``Dataset``. The min-max core writes the per-sample objective once
+for the class pair, as (2, B) blocks: the positive class against a and the
+negative class against b. It takes the batch's columns of the label table
+from ``_minmax_weights``, which training builds once per run, (a, b) as a
+float64 column (in training a view of PESG's primal block) and alpha as a
+numpy scalar, and builds no per-batch object.
 """
 
 from __future__ import annotations
@@ -202,65 +205,58 @@ def _minmax_weights(y, p: float) -> np.ndarray:
                      -2 * (1 - p) * pos, -2 * p * neg])
 
 
-def _minmax_terms(s, w, a, b, alpha, spec: SurrogateSpec):
-    """The shared terms of the min-max objective on a batch with label table ``w``.
-
-    ``a``, ``b`` and ``alpha`` are numpy float64 scalars, so that a diverging
-    run overflows to inf instead of raising. Returns (s - a, s - b, sums),
-    where ``sums`` holds the batch sums of the value, of the per-sample g_a
-    and g_b, and of the alpha factor's ``inner``, which the caller doubles:
-    short of overflow, doubling is exact, so ``2 * sum(inner)`` is
-    ``sum(2 * inner)`` bit for bit.
-    """
-    p, m = spec.p, spec.effective_margin
-    w_pos, w_neg, _, _, w_a, w_b = w
-    d_a = s - a
-    d_b = s - b
-    terms = np.empty((4, s.size))
-    per, g_a, g_b, inner = terms
-    np.subtract(p * (1 - p) * m + s * w_neg, s * w_pos, out=inner)
-    np.add(d_a**2 * w_pos + d_b**2 * w_neg - p * (1 - p) * alpha**2, 2 * alpha * inner, out=per)
-    np.multiply(d_a, w_a, out=g_a)
-    np.multiply(d_b, w_b, out=g_b)
-    return d_a, d_b, np.add.reduce(terms, axis=1).tolist()
-
-
-def _aux_scalars(aux: AuxVars):
-    return np.float64(aux.a), np.float64(aux.b), np.float64(aux.alpha)
-
-
 def minmax_value(scores, labels, aux: AuxVars, spec: SurrogateSpec) -> float:
     """Batch mean of the decomposable per-sample min-max objective."""
     s, y = _check_auc_batch(scores, labels, spec, "minmax_value")
-    return _minmax_terms(s, _minmax_weights(y, spec.p), *_aux_scalars(aux), spec)[-1][0] / s.size
+    return _minmax_grads(s, _minmax_weights(y, spec.p), np.array([[aux.a], [aux.b]], np.float64),
+                         np.float64(aux.alpha), spec, np.empty(2))[0]
 
 
 def minmax_grads(scores, labels, aux: AuxVars, spec: SurrogateSpec) -> MinMaxGrads:
     """Exact gradients of minmax_value w.r.t. scores, a, b and alpha."""
     s, y = _check_auc_batch(scores, labels, spec, "minmax_grads")
     g_ab = np.empty(2)
-    value, g_coeffs, g_alpha = _minmax_grads(s, _minmax_weights(y, spec.p), *_aux_scalars(aux),
-                                             spec, g_ab)
+    value, g_coeffs, g_alpha = _minmax_grads(s, _minmax_weights(y, spec.p),
+                                             np.array([[aux.a], [aux.b]], np.float64),
+                                             np.float64(aux.alpha), spec, g_ab)
     g_a, g_b = g_ab.tolist()
     return MinMaxGrads(g_coeffs=g_coeffs, g_a=g_a, g_b=g_b, g_alpha=float(g_alpha), value=value)
 
 
-def _minmax_grads(s, w, a, b, alpha, spec: SurrogateSpec, g_ab):
-    """``minmax_grads``' core on ``_minmax_terms``' arguments: returns the
-    batch value, the score coefficients and g_alpha, and writes g_a and g_b
-    into ``g_ab`` (the last two slots of PESG's gradient buffer)."""
-    d_a, d_b, (value, g_a, g_b, inner) = _minmax_terms(s, w, a, b, alpha, spec)
-    p, n = spec.p, s.size
-    g_ab[0] = g_a / n
-    g_ab[1] = g_b / n
-    # d_a and d_b are spent: the coefficients take their place
-    np.subtract(d_a, alpha, out=d_a)
-    d_a *= w[2]
-    np.add(d_b, alpha, out=d_b)
-    d_b *= w[3]
-    d_a += d_b
-    d_a /= n
-    return value / n, d_a, 2 * inner / n - 2 * p * (1 - p) * alpha
+def _minmax_grads(s, w, ab, alpha, spec: SurrogateSpec, g_ab):
+    """The min-max objective on a batch with label table ``w``, written once
+    for the class pair: returns the batch value, the score coefficients and
+    g_alpha, and writes g_a and g_b into ``g_ab`` (the last two slots of
+    PESG's gradient buffer).
+
+    ``ab`` is (a, b) as a (2, 1) float64 column and ``alpha`` a numpy
+    float64, so that a diverging run overflows to inf instead of raising.
+    Row 0 of each (2, B) block is the positive class against a, row 1 the
+    negative class against b. One reduce takes the batch sums of the value,
+    of the per-sample g_a and g_b, and of the alpha factor's ``inner``, which
+    is then doubled: short of overflow, doubling is exact, so
+    ``2 * sum(inner)`` is ``sum(2 * inner)`` bit for bit.
+    """
+    p, m, n = spec.p, spec.effective_margin, s.size
+    d = s - ab
+    sw = s * w[:2]
+    terms = np.empty((4, n))
+    per, _, _, inner = terms
+    np.subtract(p * (1 - p) * m + sw[1], sw[0], out=inner)
+    sq = d**2 * w[:2]
+    np.add(sq[0] + sq[1] - p * (1 - p) * alpha**2, 2 * alpha * inner, out=per)
+    np.multiply(d, w[4:], out=terms[1:3])
+    sums = np.add.reduce(terms, axis=1)
+    np.divide(sums[1:3], n, out=g_ab)
+    # d is spent: the coefficients take its place. Row 1's d + alpha is
+    # written d - (-alpha), the same bits (IEEE 754 defines x - y as x + (-y))
+    d -= np.array([[alpha], [-alpha]])
+    d *= w[2:4]
+    coeffs = d[0]
+    coeffs += d[1]
+    coeffs /= n
+    value, _, _, inner_sum = sums.tolist()
+    return value / n, coeffs, 2 * inner_sum / n - 2 * p * (1 - p) * alpha
 
 
 def batch_score_normalize(scores) -> np.ndarray:

@@ -15,14 +15,14 @@ files round-trip bit-exactly:
 
 The public functions are pure; gradients are hand-written vector-Jacobian
 products (`backward_vjp`), checked against central finite differences in the
-tests. The public functions validate their inputs; the training loop calls
-the unchecked `_forward_hidden`/`_backward_hidden` pair on views of the
-params and of a gradient buffer (`_model_views`) that a run takes once. The
-pair keeps a batch's ELU negative part and activations from the forward pass
-for the backward pass, which writes the gradient in place. Evaluation
-(`forward_batch`) scores an mlp through `_score_mlp`, which keeps nothing.
-Training, evaluation and the VJP share one ELU formula,
-``max(Z, -0.0) + alpha * expm1(min(Z, 0))``, with no branch mask.
+tests. The public functions validate their inputs; each update rule's
+training step calls the unchecked `_forward_hidden`/`_backward_hidden` pair
+on views of the params and of a gradient buffer (`_model_views`) that the
+rule takes once per run. The pair keeps a batch's ELU negative part and
+activations from the forward pass for the backward pass, which writes the
+gradient in place. Evaluation (`forward_batch`) scores an mlp through
+`_score_mlp`, which keeps nothing. Training, evaluation and the VJP share one
+ELU formula, ``max(Z, -0.0) + alpha * expm1(min(Z, 0))``, with no branch mask.
 """
 
 from __future__ import annotations

@@ -9,6 +9,10 @@ PESG step, per iteration on the primal block v = (w, a, b) and dual alpha:
 v_ref is refreshed at every learning-rate decay point with the running
 average of the primal iterates of the stage that just ended; ``MinMaxState``
 holds v, v_ref, that running sum and v's gradient buffer as float64 vectors.
+
+Each update rule (``_pesg_rule``, ``_sgd_rule``) builds one training step,
+``step(Xb, cols) -> batch loss``, that ``_train_epochs`` calls once per
+mini-batch: forward pass, batch-score check, loss, backward pass, update.
 """
 
 from __future__ import annotations
@@ -222,24 +226,16 @@ def on_epoch_end(state: MinMaxState, epoch: int, cfg: PesgConfig) -> MinMaxState
     return state
 
 
-def _fused_step(model_spec, views, Xb, wb, update) -> float:
-    """One training step on a batch of a checked ``Dataset``, with no input
-    checks: the batch scores are checked here, and ``update`` checks what it
-    updates. ``views`` are the run's ``_model_views`` of its params, and
-    ``wb`` is the batch's columns of the rule's label table. Returns the
-    batch loss."""
-    scores, hidden = _forward_hidden(model_spec, views, Xb)
-    _require_finite("batch scores", scores)
-    return update(Xb, wb, scores, hidden)
-
-
 def _pesg_rule(model_spec, state: MinMaxState, surrogate: SurrogateSpec, cfg: PesgConfig):
-    """PESG's ``update(Xb, wb, scores, hidden)`` for ``_fused_step``, on the
-    columns ``wb`` of ``_minmax_weights``: optional BSN, the min-max
-    gradients, the VJP into ``state.grad`` and the PESG update of ``state``.
+    """PESG's training step ``step(Xb, cols) -> batch loss`` on a batch
+    ``Xb`` of a checked ``Dataset`` and its columns ``cols`` of
+    ``_minmax_weights``: the forward pass, the batch-score check, optional
+    BSN, the min-max gradients, the VJP into ``state.grad`` and the PESG
+    update of ``state``, which checks what it updates.
 
-    The views of ``state`` are taken once. With ``gamma == 0`` the proximal
-    term ``0 * (v - v_ref)`` is skipped. For a finite v_ref it is a signed
+    The views of ``state`` are taken once, (a, b) as the column view
+    ``state.v[-2:, None]``. With ``gamma == 0`` the proximal term
+    ``0 * (v - v_ref)`` is skipped. For a finite v_ref it is a signed
     zero: adding it turns a gradient entry of -0.0 into +0.0, which changes
     the update only where v holds -0.0. No step makes a -0.0 (v - t is -0.0
     only for v = -0.0), so a start that holds one keeps the term. A v_ref
@@ -250,35 +246,40 @@ def _pesg_rule(model_spec, state: MinMaxState, surrogate: SurrogateSpec, cfg: Pe
     grad_views = _model_views(model_spec, state.grad[:-2])
     g_ab = state.grad[-2:]
     v = state.v
+    ab = v[-2:, None]
     prox = cfg.gamma != 0.0 or bool(np.signbit(v[v == 0.0]).any())
 
-    def update(Xb, wb, raw, hidden):
+    def step(Xb, cols):
+        raw, hidden = _forward_hidden(model_spec, views, Xb)
+        _require_finite("batch scores", raw)
         if surrogate.bsn:
             norm = _bsn_norm(raw)
             scores = _bsn(raw, norm)
         else:
             scores = raw
-        value, coeffs, g_alpha = _minmax_grads(scores, wb, v[-2], v[-1], state.alpha, surrogate,
-                                               g_ab)
+        value, coeffs, g_alpha = _minmax_grads(scores, cols, ab, state.alpha, surrogate, g_ab)
         if surrogate.bsn:
             coeffs = _bsn_vjp(raw, coeffs, norm)
         _backward_hidden(model_spec, views, Xb, coeffs, hidden, grad_views)
         _pesg_update(state, g_alpha, cfg, prox)
         return value
 
-    return update
+    return step
 
 
 def _sgd_rule(model_spec, params, velocity, surrogate: SurrogateSpec, cfg: SgdConfig):
-    """Momentum SGD's ``update(Xb, yb, scores, hidden)`` for ``_fused_step``, on
-    cross-entropy or focal loss, with the batch labels as its table; updates
-    ``params`` and ``velocity`` in place, through views and a gradient
-    buffer taken once."""
+    """Momentum SGD's training step ``step(Xb, yb) -> batch loss`` on
+    cross-entropy or focal loss, with the batch labels ``yb`` as its table:
+    the forward pass, the batch-score check, the loss, the VJP and the
+    momentum update of ``params`` and ``velocity`` in place, through views
+    and a gradient buffer taken once."""
     views = _model_views(model_spec, params)
     grad = np.empty_like(params)
     grad_views = _model_views(model_spec, grad)
 
-    def update(Xb, yb, scores, hidden):
+    def step(Xb, yb):
+        scores, hidden = _forward_hidden(model_spec, views, Xb)
+        _require_finite("batch scores", scores)
         if surrogate.kind == "cross_entropy":
             value, coeffs = _cross_entropy(scores, yb)
         else:
@@ -291,22 +292,21 @@ def _sgd_rule(model_spec, params, velocity, surrogate: SurrogateSpec, cfg: SgdCo
         _require_finite("updated model parameters", params)
         return value
 
-    return update
+    return step
 
 
 def _train_epochs(model_spec, params, data, table, epochs, batch_size, seed, test_data,
-                  update, end_epoch) -> list[RunRecord]:
+                  step, end_epoch) -> list[RunRecord]:
     """Shuffled mini-batch epochs over one update rule, on inputs the trainer
     checked at entry (``_check_run``); deterministic per seed.
 
     ``table`` holds the rule's per-sample label terms, one column (or entry)
-    per row of ``data``. Each batch is one ``_fused_step`` with ``update`` on
-    its rows of the epoch's shuffled ``X`` and ``table``; ``update`` changes
+    per row of ``data``. Each batch is one call of the rule's ``step`` on its
+    rows of the epoch's shuffled ``X`` and ``table``; ``step`` changes
     ``params`` in place, and a non-finite batch loss aborts the run.
     ``end_epoch(epoch)`` runs after the epoch's evaluation and returns the
     (aux, eta) the epoch ran with.
     """
-    views = _model_views(model_spec, params)
     train_split = _class_split(data.y)
     test_split = None if test_data is None else _class_split(test_data.y)
     records: list[RunRecord] = []
@@ -322,8 +322,7 @@ def _train_epochs(model_spec, params, data, table, epochs, batch_size, seed, tes
             with np.errstate(over="ignore", invalid="ignore"):
                 for start in range(0, n, batch_size):
                     Xb = X[start : start + batch_size]
-                    loss = _fused_step(model_spec, views, Xb, w[..., start : start + batch_size],
-                                       update)
+                    loss = step(Xb, w[..., start : start + batch_size])
                     _require_finite_scalars("batch loss", loss)
                     loss_sum += loss * len(Xb)
                     t += 1
@@ -384,9 +383,9 @@ def sgd_train(
     if surrogate.kind in AUC_KINDS:
         raise ValidationError(f"sgd_train needs cross_entropy or focal, got {surrogate.kind!r}")
     params = _check_run(model_spec, params, data, test_data, cfg.epochs, cfg.batch_size).copy()
-    update = _sgd_rule(model_spec, params, np.zeros_like(params), surrogate, cfg)
+    step = _sgd_rule(model_spec, params, np.zeros_like(params), surrogate, cfg)
     records = _train_epochs(model_spec, params, data, data.y, cfg.epochs, cfg.batch_size, seed,
-                            test_data, update, lambda epoch: (AuxVars(), cfg.lr))
+                            test_data, step, lambda epoch: (AuxVars(), cfg.lr))
     return params, records
 
 

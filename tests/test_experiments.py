@@ -104,7 +104,7 @@ class TestPrepareData:
         save_csv(Dataset(X, np.ones(10, dtype=int)), tmp_path / one_class)
         steps = []
         _set_cpus(monkeypatch, 1)     # a worker's steps would not reach this list
-        monkeypatch.setattr(aucmax.optimizer, "_fused_step", lambda *a: steps.append(a))
+        monkeypatch.setattr(aucmax.optimizer, "_forward_hidden", lambda *a: steps.append(a))
         cfg = _fast_scenario(data=DataSetting(kind="csv", path=str(tmp_path / "train.csv"),
                                               test_path=str(tmp_path / "test.csv")))
         with pytest.raises(ValidationError, match="both classes") as exc:

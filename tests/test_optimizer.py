@@ -29,7 +29,6 @@ from aucmax.losses import (
 )
 from aucmax.models import (
     ModelSpec,
-    _model_views,
     backward_vjp,
     forward_batch,
     init_params,
@@ -39,7 +38,6 @@ from aucmax.optimizer import (
     MinMaxState,
     PesgConfig,
     SgdConfig,
-    _fused_step,
     _pesg_rule,
     _pesg_update,
     _sgd_rule,
@@ -274,7 +272,7 @@ def _fused_batch(spec, n, classes, seed, zero=None):
 
 
 # gamma = 0 exactly is the canonical configs' value, which uniform(0, 2)
-# never draws: the fused rule then skips the proximal term
+# never draws: the rule's step then skips the proximal term
 @settings(max_examples=200, deadline=None)
 @given(spec=st.sampled_from(_FUSED_SPECS), n=st.integers(2, 40),
        classes=st.sampled_from(["both", "pos", "neg"]), kind=st.sampled_from(AUC_KINDS),
@@ -303,8 +301,7 @@ def test_fused_pesg_step_is_bitwise_the_public_chain(spec, n, classes, kind, bsn
     coeffs = bsn_vjp(raw, g.g_coeffs) if bsn else g.g_coeffs
     pesg_step(pub, backward_vjp(spec, pub.params, X, coeffs), g, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
-        loss = _fused_step(spec, _model_views(spec, fused.params), X,
-                           _minmax_weights(y, surrogate.p), _pesg_rule(spec, fused, surrogate, cfg))
+        loss = _pesg_rule(spec, fused, surrogate, cfg)(X, _minmax_weights(y, surrogate.p))
 
     assert np.array_equal(
         _bits(fused.params, fused.aux.a, fused.aux.b, fused.aux.alpha, loss),
@@ -327,8 +324,7 @@ def test_fused_pesg_step_keeps_the_proximal_term_on_a_negative_zero_start(monkey
                   for _ in range(2))
     g = minmax_grads(forward_batch(spec, pub.params, X), y, pub.aux, surrogate)
     pesg_step(pub, np.array([-0.0, -0.0]), g, cfg)
-    _fused_step(spec, _model_views(spec, fused.params), X, _minmax_weights(y, surrogate.p),
-                _pesg_rule(spec, fused, surrogate, cfg))
+    _pesg_rule(spec, fused, surrogate, cfg)(X, _minmax_weights(y, surrogate.p))
     assert np.signbit(pub.params[0])
     assert np.array_equal(_bits(fused.params), _bits(pub.params))
 
@@ -357,8 +353,7 @@ def test_fused_sgd_step_is_bitwise_the_public_chain(spec, n, classes, kind, weig
     pub_velocity = cfg.momentum * velocity + grad
     pub_params = params - cfg.lr * pub_velocity
     with np.errstate(over="ignore", invalid="ignore"):
-        loss = _fused_step(spec, _model_views(spec, params), X, y,
-                           _sgd_rule(spec, params, velocity, surrogate, cfg))
+        loss = _sgd_rule(spec, params, velocity, surrogate, cfg)(X, y)
 
     assert np.array_equal(_bits(params, velocity, loss), _bits(pub_params, pub_velocity, value))
 
@@ -494,6 +489,18 @@ class TestPesgTrain:
                            match=r"^epoch 1, iteration 0: non-finite batch loss"):
             pesg_train(ModelSpec("linear", 2), np.array([1e160, 1e160]), data, spec,
                        PesgConfig(), epochs=2, batch_size=32, seed=0)
+
+    @pytest.mark.parametrize("bsn", [False, True])
+    @pytest.mark.parametrize("mspec", [ModelSpec("linear", 2), ModelSpec("mlp", 2, 4, 1.0)],
+                             ids=["linear", "mlp"])
+    def test_nonfinite_scores_abort_with_context(self, mspec, bsn):
+        train, _ = _toy_sets()
+        params = init_params(mspec, 0, 0.1)
+        params[0] = np.nan
+        spec = SurrogateSpec("auc_margin", p=train.p, bsn=bsn)
+        with pytest.raises(NumericalError,
+                           match=r"^epoch 1, iteration 0: non-finite batch scores"):
+            pesg_train(mspec, params, train, spec, PesgConfig(), epochs=1, batch_size=64, seed=0)
 
 
 class TestSgdTrain:
