@@ -21,8 +21,12 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 import statistics
+import sys
 from dataclasses import astuple, dataclass, field, fields, replace
+from typing import NoReturn
 
 import numpy as np
 
@@ -172,20 +176,25 @@ def _in_order(task, jobs: list[tuple], workers: int) -> tuple[list, Exception | 
     job that raised, and that job's exception (None when none raised), as if
     the jobs ran one after another. Of up to ``workers`` contiguous shares of
     the jobs, this process runs the first, and a forked process each other one,
-    sending back its results and error through a pipe; a share whose process
-    dies is an error in its place. No forked process outlives the call."""
+    pickling back its results and error through a pipe; a share whose stream
+    does not unpickle (its process died) is an error in its place. No forked
+    process or pipe outlives the call."""
     shares = max(1, min(workers, len(jobs)))
     cuts = [len(jobs) * i // shares for i in range(shares + 1)]
-    children = []
+    pids, reads = [], []    # the forked processes not yet reaped, and every pipe's read end
     try:
         for lo, hi in zip(cuts[1:], cuts[2:]):
-            import multiprocessing    # loaded only where a share forks
-            fork = multiprocessing.get_context("fork")    # spawn re-imports numpy and aucmax
-            receive, send = fork.Pipe(duplex=False)
-            child = fork.Process(target=_send_in_order, args=(send, task, jobs[lo:hi]))
-            child.start()
-            send.close()    # so that the pipe reads EOF once the child is gone
-            children.append((child, receive))
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                sys.stdout.flush()    # else the child writes this process's buffered output too
+                sys.stderr.flush()
+                pid = os.fork()    # spawn would re-import numpy and aucmax
+                if pid == 0:
+                    _run_share(write, task, jobs[lo:hi])
+            finally:
+                os.close(write)    # so that the pipe reads EOF once the child is gone
+            pids.append(pid)
         results, error = [], None
         for job in jobs[:cuts[1]]:
             try:
@@ -193,26 +202,46 @@ def _in_order(task, jobs: list[tuple], workers: int) -> tuple[list, Exception | 
             except Exception as exc:
                 error = exc
                 break
-        for (child, receive), lo in zip(children, cuts[1:]):
+        for lo, read in zip(cuts[1:], reads):
             if error is not None:
                 break
+            with open(read, "rb", closefd=False) as pipe:
+                stream = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
             try:
-                share, error = receive.recv()
-            except EOFError:
-                child.join()
+                share, error = pickle.loads(stream)
+            except (EOFError, pickle.UnpicklingError):
                 share, error = [], RuntimeError(f"the worker process from job {lo} on died "
-                                                f"with exit code {child.exitcode}")
+                                                f"with exit code {code}")
             results += share
         return results, error
     finally:
-        for child, receive in children:
-            child.terminate()
-            child.join()
-            receive.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+        for read in reads:
+            os.close(read)
 
 
-def _send_in_order(send, task, jobs: list[tuple]) -> None:
-    send.send(_in_order(task, jobs, 1))
+def _run_share(write: int, task, jobs: list[tuple]) -> NoReturn:
+    """The forked process of one share: pickles ``_in_order(task, jobs, 1)``
+    into the pipe's write end and leaves through ``os._exit``, with 0, or with
+    1 and the traceback printed if anything escaped, so that it never unwinds
+    into the frames of the call it was forked from."""
+    code = 1
+    try:
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps(_in_order(task, jobs, 1)))
+        code = 0
+    except BaseException:    # an interrupt too: raised on, it would run the caller's code
+        import traceback    # loaded only where a share fails
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
 
 
 @dataclass

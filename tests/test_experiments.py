@@ -221,16 +221,22 @@ def _pooled(case: str, *args):
     """``case(*args)``, a function of this module, run in a fresh interpreter
     held to one BLAS thread: a single-threaded process, so run_scenario forks
     worker processes there. Warnings are errors there too. Checks that worker
-    processes ran, that none is left and that one thread is listed after the
-    case, and returns the case's (JSON) result. A case that hangs fails. The
-    interpreter leads a session of its own, whose process group is killed
-    when the call ends, so no forked worker of a failed case is left running."""
-    code = ("import json, multiprocessing, os, resource, sys\n"
+    processes ran, that no child is left, running or unreaped, that one thread
+    is listed after the case, and that one line was printed, so no worker ran
+    on into the code after the case. Returns the case's (JSON) result. A case
+    that hangs fails. The interpreter leads a session of its own, whose process
+    group is killed when the call ends, so no forked worker of a failed case is
+    left running."""
+    code = ("import json, os, resource, sys\n"
             "import test_experiments as t\n"
             f"result = t.{case}(*json.loads(sys.argv[1]))\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    left = True\n"
+            "except ChildProcessError:    # this process has no child at all\n"
+            "    left = False\n"
             "print(json.dumps([result, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,\n"
-            "                  len(multiprocessing.active_children()),\n"
-            "                  len(os.listdir('/proc/self/task'))]))\n")
+            "                  left, len(os.listdir('/proc/self/task'))]))\n")
     src = os.path.dirname(os.path.dirname(aucmax.experiments.__file__))
     path = [os.path.dirname(__file__), src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, **_ONE_BLAS_THREAD, PYTHONPATH=os.pathsep.join(filter(None, path)))
@@ -245,9 +251,11 @@ def _pooled(case: str, *args):
             except ProcessLookupError:     # the group is empty: nothing was left
                 pass
     assert case.returncode == 0, stderr
-    result, children_maxrss, left, threads = json.loads(stdout.splitlines()[-1])
+    lines = stdout.splitlines()
+    assert len(lines) == 1, stdout
+    result, children_maxrss, left, threads = json.loads(lines[0])
     assert children_maxrss > 0, "no worker process ran"
-    assert left == 0 and threads == 1
+    assert not left and threads == 1
     return result
 
 
@@ -316,6 +324,42 @@ def _dead_worker():
     """Five jobs in two shares, where job 3 ends the forked share's process."""
     results, error = aucmax.experiments._in_order(_exits_at, [(j,) for j in range(5)], 2)
     return [results, type(error).__name__, str(error)]
+
+
+def _interrupts_at(job):
+    if job == 1:
+        raise KeyboardInterrupt
+    return job * 10
+
+
+def _unpicklable_at(job):
+    return (lambda: job) if job == 1 else job * 10
+
+
+def _worker_fails(task):
+    """Two jobs in two shares, where ``task`` fails the forked share's job. A
+    worker that unwinds into this frame returns here too, and so prints."""
+    try:
+        results, error = aucmax.experiments._in_order(globals()[task], [(0,), (1,)], 2)
+    except BaseException as exc:
+        return ["raised", type(exc).__name__]
+    return [results, type(error).__name__, str(error)]
+
+
+def _fds_left():
+    """The fds left open by ``_in_order`` in two shares that succeed, that fail
+    in this process's share, and whose forked share's process dies."""
+    left = []
+    for task, jobs in ((_fails_at, [0, 2]), (_fails_at, [1, 2]), (_exits_at, [0, 3])):
+        before = len(os.listdir("/proc/self/fd"))
+        aucmax.experiments._in_order(task, [(j,) for j in jobs], 2)
+        left.append(len(os.listdir("/proc/self/fd")) - before)
+    return left
+
+
+def _loads_multiprocessing():
+    run_scenario(_fast_scenario(seeds=(0, 1)))
+    return "multiprocessing" in sys.modules
 
 
 def _interrupts_or_sleeps(job):
@@ -413,6 +457,19 @@ class TestParallelRuns:
     def test_a_dead_worker_is_an_error_at_its_place_in_job_order(self):
         assert _pooled("_dead_worker") == [
             [0, 10], "RuntimeError", "the worker process from job 2 on died with exit code 3"]
+
+    @pytest.mark.parametrize("task", ["_interrupts_at", "_unpicklable_at"])
+    def test_a_worker_that_cannot_send_its_share_dies_in_its_place(self, task):
+        # the worker leaves with exit code 1 and runs none of the caller's code
+        assert _pooled("_worker_fails", task) == [
+            [0], "RuntimeError", "the worker process from job 1 on died with exit code 1"]
+
+    def test_no_pipe_fd_is_left_open(self):
+        assert _pooled("_fds_left") == [0, 0, 0]
+
+    def test_pooled_runs_never_load_multiprocessing(self):
+        _needs_two_cpus()
+        assert _pooled("_loads_multiprocessing") is False
 
     def test_an_interrupt_in_this_process_leaves_no_worker(self):
         # _pooled fails on a worker left running, or on one that holds the call

@@ -287,6 +287,6 @@ def _loaded_by_import_aucmax(module: str) -> bool:
 @pytest.mark.parametrize("module", ["scipy", "scipy.special", "scipy.stats", "multiprocessing"])
 def test_import_leaves_module_unloaded(module):
     # aucmax imports no scipy module, which is only the tests' oracle (the
-    # pointwise sigmoid is losses._expit), and loads multiprocessing only
-    # where a scenario runs tasks in worker processes
+    # pointwise sigmoid is losses._expit), nor multiprocessing, which even a
+    # scenario that forks worker processes does not load (TestParallelRuns)
     assert not _loaded_by_import_aucmax(module)
