@@ -4,6 +4,7 @@ for the pointwise baselines and the two-stage pretrain/retrain scheme.
 PESG step, per iteration on the primal block v = (w, a, b) and dual alpha:
 
     v      <- v - eta * (grad_v + gamma * (v - v_ref)) - weight_decay * eta * v
+              (the proximal term left out when gamma is 0)
     alpha  <- [alpha + eta * grad_alpha]_+        (projection optional)
 
 v_ref is refreshed at every learning-rate decay point with the running
@@ -66,6 +67,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PesgConfig:
+    """PESG's settings. ``project_alpha`` is True for every loss here; a
+    config file that leaves ``optim.project_alpha`` unset projects only
+    ``auc_margin``, so there ``auc_square``'s dual is not clipped at 0."""
+
     eta0: float = 0.1
     gamma: float = 0.0            # proximal pull toward v_ref
     weight_decay: float = 1e-4
@@ -187,14 +192,13 @@ def pesg_step(state: MinMaxState, model_grad: np.ndarray, grads: MinMaxGrads,
         return _pesg_update(state, grads.g_alpha, cfg)
 
 
-def _pesg_update(state: MinMaxState, g_alpha, cfg: PesgConfig, prox: bool = True) -> MinMaxState:
+def _pesg_update(state: MinMaxState, g_alpha, cfg: PesgConfig) -> MinMaxState:
     """``pesg_step`` without the gradient checks, from v's gradient in
     ``state.grad`` (which it overwrites) and alpha's ``g_alpha``: a
     non-finite gradient makes the updated params or aux non-finite, and both
-    are checked, alpha before its projection (``max(0.0, nan)`` is 0.0).
-    ``prox=False`` leaves the proximal term out (see ``_pesg_rule``)."""
+    are checked, alpha before its projection (``max(0.0, nan)`` is 0.0)."""
     eta, v, g = state.eta, state.v, state.grad
-    if prox:
+    if cfg.gamma != 0.0:
         g += cfg.gamma * (v - state.v_ref)
     g *= eta
     g += cfg.weight_decay * eta * v
@@ -234,20 +238,12 @@ def _pesg_rule(model_spec, state: MinMaxState, surrogate: SurrogateSpec, cfg: Pe
     update of ``state``, which checks what it updates.
 
     The views of ``state`` are taken once, (a, b) as the column view
-    ``state.v[-2:, None]``. With ``gamma == 0`` the proximal term
-    ``0 * (v - v_ref)`` is skipped. For a finite v_ref it is a signed
-    zero: adding it turns a gradient entry of -0.0 into +0.0, which changes
-    the update only where v holds -0.0. No step makes a -0.0 (v - t is -0.0
-    only for v = -0.0), so a start that holds one keeps the term. A v_ref
-    that overflowed (a stage sum beyond DBL_MAX) would make the term NaN and
-    abort the run; without the term the run goes on.
+    ``state.v[-2:, None]``.
     """
     views = _model_views(model_spec, state.params)
     grad_views = _model_views(model_spec, state.grad[:-2])
     g_ab = state.grad[-2:]
-    v = state.v
-    ab = v[-2:, None]
-    prox = cfg.gamma != 0.0 or bool(np.signbit(v[v == 0.0]).any())
+    ab = state.v[-2:, None]
 
     def step(Xb, cols):
         raw, hidden = _forward_hidden(model_spec, views, Xb)
@@ -261,7 +257,7 @@ def _pesg_rule(model_spec, state: MinMaxState, surrogate: SurrogateSpec, cfg: Pe
         if surrogate.bsn:
             coeffs = _bsn_vjp(raw, coeffs, norm)
         _backward_hidden(model_spec, views, Xb, coeffs, hidden, grad_views)
-        _pesg_update(state, g_alpha, cfg, prox)
+        _pesg_update(state, g_alpha, cfg)
         return value
 
     return step

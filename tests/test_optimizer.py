@@ -272,7 +272,7 @@ def _fused_batch(spec, n, classes, seed, zero=None):
 
 
 # gamma = 0 exactly is the canonical configs' value, which uniform(0, 2)
-# never draws: the rule's step then skips the proximal term
+# never draws: both steps then leave the proximal term out
 @settings(max_examples=200, deadline=None)
 @given(spec=st.sampled_from(_FUSED_SPECS), n=st.integers(2, 40),
        classes=st.sampled_from(["both", "pos", "neg"]), kind=st.sampled_from(AUC_KINDS),
@@ -309,24 +309,38 @@ def test_fused_pesg_step_is_bitwise_the_public_chain(spec, n, classes, kind, bsn
     assert np.array_equal(_bits(fused.v_sum), _bits(pub.v_sum))
 
 
-def test_fused_pesg_step_keeps_the_proximal_term_on_a_negative_zero_start(monkeypatch):
-    # numpy's sums start from +0.0, so no VJP entry is -0.0; one that were
-    # would meet gamma = 0's term 0 * (v - v_ref) = +0.0, and where v holds
-    # -0.0 the update's bits depend on that term
-    def negative_zero_vjp(spec, views, X, coeffs, hidden, out):
-        out[:] = -0.0
-
-    monkeypatch.setattr(aucmax.optimizer, "_backward_hidden", negative_zero_vjp)
+# gamma = 0 leaves the proximal term out of both steps, so neither meets
+# 0 * (v - v_ref): a +0.0 that would flip a -0.0 gradient entry where v holds
+# -0.0, or a NaN where v_ref overflowed to inf
+@pytest.mark.parametrize("start, v_ref, negative_zero_grad", [
+    ((-0.0, 1.0), None, True),
+    ((0.5, 1.0), np.inf, False),
+], ids=["negative_zero_start", "overflowed_v_ref"])
+def test_gamma_zero_adds_no_proximal_term_on_either_path(monkeypatch, start, v_ref,
+                                                          negative_zero_grad):
     spec, X, y = ModelSpec("linear", 2), np.array([[1.0, 2.0], [-1.0, 0.5]]), np.array([1, -1])
+    if negative_zero_grad:
+        # numpy's sums start from +0.0, so no real VJP entry is -0.0
+        def negative_zero_vjp(spec, views, X, coeffs, hidden, out):
+            out[:] = -0.0
+
+        monkeypatch.setattr(aucmax.optimizer, "_backward_hidden", negative_zero_vjp)
     surrogate = SurrogateSpec("auc_margin", p=0.5, m=1.0)
     cfg = PesgConfig(eta0=0.1, gamma=0.0, weight_decay=0.0)
-    pub, fused = (MinMaxState(params=np.array([-0.0, 1.0]), aux=AuxVars(), eta=0.1)
-                  for _ in range(2))
+    pub, fused = (MinMaxState(params=np.array(start), aux=AuxVars(), eta=0.1) for _ in range(2))
+    if v_ref is not None:
+        for state in (pub, fused):
+            state.v_ref[:] = v_ref
     g = minmax_grads(forward_batch(spec, pub.params, X), y, pub.aux, surrogate)
-    pesg_step(pub, np.array([-0.0, -0.0]), g, cfg)
-    _pesg_rule(spec, fused, surrogate, cfg)(X, _minmax_weights(y, surrogate.p))
-    assert np.signbit(pub.params[0])
-    assert np.array_equal(_bits(fused.params), _bits(pub.params))
+    model_grad = (np.array([-0.0, -0.0]) if negative_zero_grad
+                  else backward_vjp(spec, pub.params, X, g.g_coeffs))
+    pesg_step(pub, model_grad, g, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _pesg_rule(spec, fused, surrogate, cfg)(X, _minmax_weights(y, surrogate.p))
+    assert np.isfinite(pub.v).all()
+    assert np.array_equal(_bits(fused.params, fused.aux.a, fused.aux.b, fused.aux.alpha),
+                          _bits(pub.params, pub.aux.a, pub.aux.b, pub.aux.alpha))
+    assert np.array_equal(_bits(fused.v_sum), _bits(pub.v_sum))
 
 
 @settings(max_examples=150, deadline=None)
